@@ -11,8 +11,12 @@ hub vectors:
 
 where r_tgt(x) is the mean cosine from x to its k nearest neighbors in the
 target set and r_src(y) the mean cosine from y to its k nearest in the
-source set.  Ranking ties are broken by ascending target token id so that
-every retrieval is deterministic.
+source set.
+
+Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
+(``csls-nn``, both ``align-eval`` scores and ``mixture-build`` anchors).  It
+lists targets best first, ties broken by ascending target id, so every
+retrieval is deterministic.
 
 All similarity computation happens on L2-normalized copies; raw matrices are
 never modified.
@@ -199,24 +203,36 @@ def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
     return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
 
 
-def _csls_matrix(
+def _csls_topk(
     queries: np.ndarray,
     targets: np.ndarray,
     src_rset: np.ndarray,
-    tgt_rset: np.ndarray,
     k: int,
-) -> np.ndarray:
-    """CSLS scores for unit rows; r-terms over the given reference sets."""
-    sim = queries @ targets.T
-    r_q = _topk_mean(queries @ tgt_rset.T, k)
+    top: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` best CSLS targets for every unit query row.
+
+    Returns (ids, scores), both of shape (len(queries), top), best first,
+    ties by ascending target id.  The query r-term is taken over ``targets``
+    themselves, the target r-term over ``src_rset``.
+    """
     r_t = _topk_mean(targets @ src_rset.T, k)
-    return 2.0 * sim - r_q[:, None] - r_t[None, :]
-
-
-def _ranked_ids(scores_row: np.ndarray, top: int) -> np.ndarray:
-    """Indices of the ``top`` best scores, ties by ascending index."""
-    order = np.lexsort((np.arange(scores_row.size), -scores_row))
-    return order[:top]
+    scores = queries @ targets.T
+    r_q = _topk_mean(scores, k)
+    # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
+    scores *= 2.0
+    scores -= r_q[:, None]
+    scores -= r_t[None, :]
+    # every column at or above the row's top-th best score, then an exact
+    # (-score, id) sort of those few keeps ties at the cut in id order
+    cut = np.partition(scores, -top, axis=1)[:, -top]
+    rows, cols = np.nonzero(scores >= cut[:, None])
+    vals = scores[rows, cols]
+    order = np.lexsort((cols, -vals, rows))
+    starts = np.searchsorted(rows, np.arange(len(scores)))
+    pick = order[(starts[:, None] + np.arange(top)).ravel()]
+    shape = (len(scores), top)
+    return cols[pick].reshape(shape), vals[pick].reshape(shape)
 
 
 def csls_score(x, y, src_set: EmbeddingMatrix, tgt_set: EmbeddingMatrix, k: int) -> float:
@@ -239,10 +255,9 @@ def csls_score(x, y, src_set: EmbeddingMatrix, tgt_set: EmbeddingMatrix, k: int)
         raise ValidationError("cannot score a zero vector")
     xu = xv / xn
     yu = yv / yn
-    score = _csls_matrix(
-        xu[None, :], yu[None, :], _unit(src_set).rows, _unit(tgt_set).rows, k
-    )
-    return float(score[0, 0])
+    r_x = _topk_mean(xu[None, :] @ _unit(tgt_set).rows.T, k)[0]
+    r_y = _topk_mean(yu[None, :] @ _unit(src_set).rows.T, k)[0]
+    return float(2.0 * (xu @ yu) - r_x - r_y)
 
 
 def csls_knn(
@@ -266,13 +281,16 @@ def csls_knn(
         )
     q = _unit(queries)
     t = _unit(targets)
-    scores = _csls_matrix(q.rows, t.rows, q.rows, t.rows, cfg.csls_k)
-    out = []
-    for i, token in enumerate(q.vocab.tokens):
-        ids = _ranked_ids(scores[i], top)
-        entries = tuple((t.vocab.token(int(j)), float(scores[i, j])) for j in ids)
-        out.append(NeighborList(query=token, entries=entries))
-    return out
+    ids, scores = _csls_topk(q.rows, t.rows, q.rows, cfg.csls_k, top)
+    return [
+        NeighborList(
+            query=token,
+            entries=tuple(
+                (t.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)
+            ),
+        )
+        for token, id_row, score_row in zip(q.vocab.tokens, ids, scores)
+    ]
 
 
 def eval_precision_at_k(
@@ -309,12 +327,11 @@ def eval_precision_at_k(
         log.info("precision eval skipped %d of %d sources", skipped, skipped + len(evaluated))
     q_rows = mapped.rows[[i for i, _ in evaluated]]
     # r_src over the full mapped source space, not just the evaluated rows
-    scores = _csls_matrix(q_rows, t.rows, mapped.rows, t.rows, cfg.csls_k)
-    hits = 0
-    for row, (_, targets) in enumerate(evaluated):
-        ids = _ranked_ids(scores[row], min(cfg.eval_k, len(t)))
-        if any(t.vocab.token(int(j)) in targets for j in ids):
-            hits += 1
+    ids, _ = _csls_topk(q_rows, t.rows, mapped.rows, cfg.csls_k, min(cfg.eval_k, len(t)))
+    hits = sum(
+        any(t.vocab.token(int(j)) in targets for j in id_row)
+        for id_row, (_, targets) in zip(ids, evaluated)
+    )
     return hits / len(evaluated)
 
 
@@ -341,12 +358,8 @@ def unsupervised_score(
     q_rows = mapped.rows[:n]
     if cfg.csls_k > len(t) or cfg.csls_k > n:
         raise KTooLarge(f"csls_k={cfg.csls_k} exceeds sample or target size")
-    scores = _csls_matrix(q_rows, t.rows, q_rows, t.rows, cfg.csls_k)
-    total = 0.0
-    for i in range(n):
-        j = int(_ranked_ids(scores[i], 1)[0])
-        total += float(q_rows[i] @ t.rows[j])
-    return total / n
+    ids, _ = _csls_topk(q_rows, t.rows, q_rows, cfg.csls_k, 1)
+    return float(np.mean(np.sum(q_rows * t.rows[ids[:, 0]], axis=1)))
 
 
 def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> tuple[LinearMap, float]:
@@ -510,16 +523,3 @@ def audit_lines(
             if probs is not None:
                 line += f"\t{probs[rank]:.6f}"
             yield line
-
-
-def write_audit(
-    neighbor_lists: list[NeighborList],
-    source_lang: str,
-    path,
-    *,
-    softmax: bool = False,
-) -> None:
-    """Write :func:`audit_lines` output to ``path``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in audit_lines(neighbor_lists, source_lang, softmax=softmax):
-            fh.write(line + "\n")

@@ -20,6 +20,7 @@ from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
     load_embeddings,
     load_vocabulary,
+    normalize_rows,
     save_vocabulary,
     Vocabulary,
 )
@@ -161,6 +162,8 @@ def _cmd_align_eval(args) -> int:
     linear_map = alignment.load_map(args.map)
     dictionary = _cap_pairs(load_dictionary(args.dict), args.max_pairs)
     cfg = alignment.AlignConfig(csls_k=args.csls_k, eval_k=args.eval_k)
+    # both scorers take unit rows as they are, so normalize once for the two
+    src, tgt = normalize_rows(src), normalize_rows(tgt)
     precision = alignment.eval_precision_at_k(linear_map, src, tgt, dictionary, cfg)
     score = alignment.unsupervised_score(linear_map, src, tgt, cfg, sample=args.sample)
     print(f"precision_at_{args.eval_k}\t{precision:.6f}")

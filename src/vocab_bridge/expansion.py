@@ -34,7 +34,7 @@ from .errors import (
     MissingToken,
     ValidationError,
 )
-from .mixture import MixtureAssignment, format_anchors, mixture_embedding
+from .mixture import format_anchors, mixture_embedding
 
 PROVENANCE_FILE = "provenance.tsv"
 VOCAB_FILE = "vocab.txt"
@@ -93,28 +93,13 @@ def select_new_subwords(lang_vocab: Vocabulary, model_vocab: Vocabulary) -> list
     return out
 
 
-def _normalize_assignments(
-    assignments,
-) -> Mapping[str, Sequence[tuple[str, float]]]:
-    if isinstance(assignments, Mapping):
-        return assignments
-    out: dict[str, Sequence[tuple[str, float]]] = {}
-    for a in assignments:
-        if isinstance(a, MixtureAssignment):
-            out[a.source_token] = a.anchors
-        else:
-            token, anchors = a
-            out[token] = anchors
-    return out
-
-
 def expand_vocabulary(
     model_vocab: Vocabulary,
     model_emb: EmbeddingMatrix,
     new_tokens: Sequence[str],
     strategy: ExpansionStrategy,
     *,
-    assignments=None,
+    assignments: Mapping[str, Sequence[tuple[str, float]]] | None = None,
     src: EmbeddingMatrix | None = None,
     to_english: LinearMap | None = None,
     to_model: LinearMap | None = None,
@@ -124,10 +109,10 @@ def expand_vocabulary(
     ``model_vocab`` fixes the original token order; every one of its tokens
     must have a row in ``model_emb``.  New tokens must be distinct and
     disjoint from the original vocabulary (``DuplicateNewToken``).  The
-    MIXTURE strategy reads anchor weights from ``assignments`` (a mapping, a
-    list of :class:`MixtureAssignment`, or (token, anchors) records); JOINT
-    needs ``src`` plus both maps; RANDOM draws donor rows with the strategy
-    seed.  With zero new tokens the output equals the input row for row.
+    MIXTURE strategy reads anchor weights from ``assignments``, a mapping from
+    each new token to its (anchor, weight) pairs; JOINT needs ``src`` plus
+    both maps; RANDOM draws donor rows with the strategy seed.  With zero new
+    tokens the output equals the input row for row.
     """
     if model_emb.vocab.tokens == model_vocab.tokens:
         original_rows = model_emb.rows
@@ -153,9 +138,8 @@ def expand_vocabulary(
     if strategy.kind is StrategyKind.MIXTURE:
         if assignments is None:
             raise ValidationError("MIXTURE strategy requires assignments")
-        table = _normalize_assignments(assignments)
         for i, tok in enumerate(new_tokens):
-            anchors = table.get(tok)
+            anchors = assignments.get(tok)
             if anchors is None:
                 raise MissingAssignment(tok)
             new_rows[i] = mixture_embedding(anchors, model_emb)

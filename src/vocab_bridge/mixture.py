@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignConfig, LinearMap, _csls_matrix, apply_map, _unit
+from .alignment import AlignConfig, LinearMap, _csls_topk, apply_map, _unit
 from .embeddings import EmbeddingMatrix, Vocabulary
 from .errors import (
     DimMismatch,
@@ -46,55 +46,6 @@ class MixtureAssignment:
     source_token: str
     anchors: tuple[tuple[str, float], ...]
     mixed_vector: np.ndarray = field(repr=False)
-
-
-def _pool_ids(english: EmbeddingMatrix, anchor_tokens: Sequence[str]) -> list[int]:
-    ids = []
-    for tok in anchor_tokens:
-        idx = english.vocab.index.get(tok)
-        if idx is None:
-            raise TokenNotFound(tok)
-        ids.append(idx)
-    return ids
-
-
-def _rank_candidates(
-    scores_row: np.ndarray, pool_tokens: Sequence[str], english_ids: np.ndarray, top_m: int
-) -> list[tuple[str, float]]:
-    order = np.lexsort((english_ids, -scores_row))
-    return [(pool_tokens[int(j)], float(scores_row[int(j)])) for j in order[:top_m]]
-
-
-def candidate_set(
-    token: str,
-    mapped_src: EmbeddingMatrix,
-    english: EmbeddingMatrix,
-    anchor_tokens: Sequence[str],
-    cfg: AlignConfig,
-) -> list[tuple[str, float]]:
-    """Top ``cfg.top_m`` anchor candidates for one mapped source token.
-
-    Scores are CSLS with the source r-term over all mapped source rows and
-    the target r-term over the anchor-pool rows only.  The neighborhood size
-    is clamped to the pool and source sizes, so small pools stay usable.
-    Returns ``min(top_m, len(pool))`` (token, score) pairs, best first, ties
-    by ascending anchor id in the English vocabulary.
-    """
-    pool = list(anchor_tokens)
-    if not pool:
-        raise EmptyAnchorPool("anchor pool is empty")
-    if token not in mapped_src.vocab:
-        raise TokenNotFound(token)
-    if mapped_src.dim != english.dim:
-        raise DimMismatch(f"mapped dim {mapped_src.dim} != English dim {english.dim}")
-    ids = _pool_ids(english, pool)
-    src_u = _unit(mapped_src)
-    eng_u = _unit(english)
-    pool_rows = eng_u.rows[ids]
-    k = min(cfg.csls_k, len(pool), len(src_u))
-    q = src_u.rows[src_u.vocab.id(token)][None, :]
-    scores = _csls_matrix(q, pool_rows, src_u.rows, pool_rows, k)[0]
-    return _rank_candidates(scores, pool, np.array(ids), cfg.top_m)
 
 
 def mixture_weights(candidates: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -142,17 +93,23 @@ def build_all_assignments(
     The anchor pool is computed once as the English tokens also present in
     ``model_vocab`` (English vocabulary order).  Each new token must have a
     source-space row; rows are mapped through ``to_english`` before scoring.
+
+    Scores are CSLS with the source r-term over all mapped source rows and
+    the target r-term over the anchor-pool rows only.  The neighborhood size
+    is clamped to the pool and source sizes, so small pools stay usable.
+    Each token keeps its ``min(cfg.top_m, len(pool))`` best anchors, ties by
+    ascending id in the English vocabulary.
     """
-    pool = [t for t in english.vocab.tokens if t in model_vocab and t in model_emb.vocab]
+    pool = [
+        i for i, t in enumerate(english.vocab.tokens) if t in model_vocab and t in model_emb.vocab
+    ]
     if not pool:
         raise EmptyAnchorPool("no English token is present in the model vocabulary")
     mapped = apply_map(to_english, _unit(src))
     eng_u = _unit(english)
     if mapped.dim != eng_u.dim:
         raise DimMismatch(f"mapped dim {mapped.dim} != English dim {eng_u.dim}")
-    ids = _pool_ids(eng_u, pool)
-    pool_rows = eng_u.rows[ids]
-    id_arr = np.array(ids)
+    pool_rows = eng_u.rows[pool]
     k = min(cfg.csls_k, len(pool), len(mapped))
 
     q_ids = []
@@ -162,11 +119,16 @@ def build_all_assignments(
         q_ids.append(mapped.vocab.id(tok))
     if not q_ids:
         return []
-    scores = _csls_matrix(mapped.rows[q_ids], pool_rows, mapped.rows, pool_rows, k)
+    # pool positions follow English ids, so the kernel's tie order is theirs
+    ids, scores = _csls_topk(
+        mapped.rows[q_ids], pool_rows, mapped.rows, k, min(cfg.top_m, len(pool))
+    )
 
     out = []
-    for row, tok in enumerate(new_tokens):
-        candidates = _rank_candidates(scores[row], pool, id_arr, cfg.top_m)
+    for tok, id_row, score_row in zip(new_tokens, ids, scores):
+        candidates = [
+            (english.vocab.token(pool[int(j)]), float(s)) for j, s in zip(id_row, score_row)
+        ]
         weighted = mixture_weights(candidates)
         # softmax preserves the score order, so the weight sort is already
         # descending with ties on ascending English id

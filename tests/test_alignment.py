@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -26,7 +28,7 @@ from vocab_bridge import (
     procrustes_solve,
     unsupervised_score,
 )
-from vocab_bridge.alignment import load_map, save_map
+from vocab_bridge.alignment import _csls_topk, load_map, save_map
 from vocab_bridge.errors import (
     DegenerateInput,
     DimMismatch,
@@ -251,6 +253,35 @@ class TestCslsKnn:
         t = make_emb(tok_list("t", 3), unit_rows(rng, 3, 3), normalized=True)
         with pytest.raises(KTooLarge):
             csls_knn(q, t, AlignConfig(csls_k=4), top=1)
+
+
+class TestCslsTopk:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 5),
+        d=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=9),
+        data=st.data(),
+    )
+    def test_every_depth_is_a_prefix_of_the_id_tie_order(self, seed, n, d, picks, data):
+        """Targets repeat rows of a 4-row bank, so their scores tie exactly."""
+        rng = np.random.default_rng(seed)
+        queries = unit_rows(rng, n, d)
+        targets = unit_rows(rng, 4, d)[picks]
+        m = len(picks)
+        k = data.draw(st.integers(1, min(n, m)), label="k")
+        all_ids, all_scores = _csls_topk(queries, targets, queries, k, m)
+        for top in range(1, m + 1):
+            ids, scores = _csls_topk(queries, targets, queries, k, top)
+            assert ids.shape == scores.shape == (n, top)
+            for i in range(n):
+                assert sorted(all_ids[i].tolist()) == list(range(m))
+                by_id = np.empty(m)
+                by_id[all_ids[i]] = all_scores[i]
+                want = np.lexsort((np.arange(m), -by_id))[:top]
+                assert ids[i].tolist() == want.tolist()
+                assert np.array_equal(scores[i], by_id[want])
 
 
 class TestPrecisionAtK:

@@ -7,7 +7,6 @@ from conftest import make_emb, planted_chain, tok_list, unit_rows
 from vocab_bridge import (
     ExpansionStrategy,
     LinearMap,
-    MixtureAssignment,
     StrategyKind,
     Vocabulary,
     emit_expanded,
@@ -205,25 +204,6 @@ class TestMixtureStrategy:
         np.testing.assert_allclose(out.embeddings.rows[-1], want, atol=1e-12)
         (rec,) = out.provenance
         assert rec == type(rec)("new", "mixture", "m0001:0.750000,m0004:0.250000")
-
-    def test_accepts_three_assignment_shapes(self):
-        rng = np.random.default_rng(10)
-        model, anchors = self._fixture(rng)
-        strategy = ExpansionStrategy(StrategyKind.MIXTURE)
-        as_mapping = expand_vocabulary(
-            model.vocab, model, ["new"], strategy, assignments={"new": anchors}
-        )
-        as_records = expand_vocabulary(
-            model.vocab, model, ["new"], strategy, assignments=[("new", anchors)]
-        )
-        as_objects = expand_vocabulary(
-            model.vocab, model, ["new"], strategy,
-            assignments=[
-                MixtureAssignment("new", anchors, mixed_vector=np.zeros(4))
-            ],
-        )
-        assert np.array_equal(as_mapping.embeddings.rows, as_records.embeddings.rows)
-        assert np.array_equal(as_mapping.embeddings.rows, as_objects.embeddings.rows)
 
     def test_missing_assignment(self):
         rng = np.random.default_rng(11)

@@ -11,8 +11,8 @@ from vocab_bridge import (
     AlignConfig,
     LinearMap,
     MixtureAssignment,
+    Vocabulary,
     build_all_assignments,
-    candidate_set,
     load_assignments,
     mixture_embedding,
     mixture_weights,
@@ -122,13 +122,25 @@ class TestMixtureEmbedding:
             assert np.linalg.norm(out) <= max_norm + 1e-9
 
 
+def _anchors(new_tokens, src, english, model, cfg, model_vocab=None):
+    """Anchor lists that build_all_assignments picks under an identity map."""
+    out = build_all_assignments(
+        new_tokens, src, LinearMap(np.eye(src.dim)), english, model,
+        model.vocab if model_vocab is None else model_vocab, cfg,
+    )
+    return [a.anchors for a in out]
+
+
 class TestCandidateSet:
+    """Anchor candidates chosen by build_all_assignments."""
+
     def test_small_pool_clamps_neighborhood(self):
         """A 3-token pool works under the default k=10 by clamping."""
         rng = np.random.default_rng(3)
         mapped = make_emb(tok_list("s", 4), unit_rows(rng, 4, 2), normalized=True)
         english = make_emb(["e0", "e1", "e2"], TRIPOD, normalized=True)
-        out = candidate_set("s0000", mapped, english, ["e0", "e1", "e2"], AlignConfig())
+        model = make_emb(["e0", "e1", "e2"], np.eye(3))
+        (out,) = _anchors(["s0000"], mapped, english, model, AlignConfig())
         assert len(out) == 3
         assert {t for t, _ in out} == {"e0", "e1", "e2"}
 
@@ -136,63 +148,86 @@ class TestCandidateSet:
         rng = np.random.default_rng(4)
         pool_rows = unit_rows(rng, 6, 4)
         english = make_emb(tok_list("e", 6), pool_rows, normalized=True)
+        model = make_emb(tok_list("e", 6), np.eye(6))
         mapped = make_emb(["w"], pool_rows[2:3], normalized=True)
-        out = candidate_set(
-            "w", mapped, english, list(english.vocab.tokens), AlignConfig(top_m=3)
-        )
+        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(top_m=3))
         assert out[0][0] == "e0002"
 
     def test_matches_oracle_on_large_pool(self):
+        """Anchors, weights and mixed rows follow the brute-force CSLS oracle.
+
+        The pool is restricted through ``model_vocab`` to the middle 50 of 60
+        English tokens; the source r-term runs over every mapped source row.
+        """
         rng = np.random.default_rng(5)
         mapped_rows = unit_rows(rng, 40, 8)
         mapped = make_emb(tok_list("s", 40), mapped_rows, normalized=True)
         eng_rows = unit_rows(rng, 60, 8)
         english = make_emb(tok_list("e", 60), eng_rows, normalized=True)
+        model = make_emb(tok_list("e", 60), rng.standard_normal((60, 4)))
         pool = [f"e{i:04d}" for i in range(5, 55)]
         pool_rows = eng_rows[5:55]
         cfg = AlignConfig(csls_k=5, top_m=7)
-        got = candidate_set("s0012", mapped, english, pool, cfg)
-        q = mapped_rows[12]
-        scores = [
-            oracles.csls_pair(q, pool_rows[j], mapped_rows, pool_rows, 5)
-            for j in range(len(pool))
-        ]
-        ids = oracles.top_ids(scores, 7)
-        assert [t for t, _ in got] == [pool[j] for j in ids]
-        for (_, s), j in zip(got, ids):
-            assert abs(s - scores[j]) <= 1e-9
+        new = ["s0012", "s0031", "s0000"]
+        out = build_all_assignments(
+            new, mapped, LinearMap(np.eye(8)), english, model, Vocabulary(pool), cfg
+        )
+        assert [a.source_token for a in out] == new
+        for a in out:
+            q = mapped_rows[mapped.vocab.id(a.source_token)]
+            scores = [
+                oracles.csls_pair(q, pool_rows[j], mapped_rows, pool_rows, 5)
+                for j in range(len(pool))
+            ]
+            ids = oracles.top_ids(scores, 7)
+            assert [t for t, _ in a.anchors] == [pool[j] for j in ids]
+            np.testing.assert_allclose(
+                [w for _, w in a.anchors], oracles.softmax([scores[j] for j in ids]),
+                atol=1e-9,
+            )
+            manual = np.zeros(4)
+            for tok, w in a.anchors:
+                manual += w * model.rows[model.vocab.id(tok)]
+            np.testing.assert_allclose(a.mixed_vector, manual, atol=1e-12)
 
     def test_pool_restricts_candidates(self):
         rng = np.random.default_rng(6)
         english = make_emb(tok_list("e", 10), unit_rows(rng, 10, 4), normalized=True)
+        model = make_emb(tok_list("e", 10), np.eye(10))
         mapped = make_emb(["w"], unit_rows(rng, 1, 4), normalized=True)
-        out = candidate_set(
-            "w", mapped, english, ["e0003", "e0007"], AlignConfig(csls_k=1)
+        (out,) = _anchors(
+            ["w"], mapped, english, model, AlignConfig(csls_k=1),
+            model_vocab=Vocabulary(["e0007", "e0003"]),
         )
         assert {t for t, _ in out} == {"e0003", "e0007"}
 
     def test_tie_break_uses_english_id_order(self):
-        """Identical anchor rows tie; insertion order in English wins."""
+        """Identical anchor rows tie; English order wins over model order."""
         english = make_emb(["late", "early"], [[1.0, 0.0], [1.0, 0.0]], normalized=True)
+        model = make_emb(["early", "late"], np.eye(2))
         mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
-        out = candidate_set(
-            "w", mapped, english, ["early", "late"], AlignConfig(csls_k=1)
-        )
+        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(csls_k=1))
         assert [t for t, _ in out] == ["late", "early"]
 
     def test_empty_pool(self):
+        """Shared English and model tokens outside ``model_vocab`` are no anchors."""
         english = make_emb(["e"], [[1.0, 0.0]], normalized=True)
+        model = make_emb(["e"], [[1.0, 0.0]])
         mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
         with pytest.raises(EmptyAnchorPool):
-            candidate_set("w", mapped, english, [], AlignConfig())
+            _anchors(["w"], mapped, english, model, AlignConfig(),
+                     model_vocab=Vocabulary(["other"]))
 
     def test_unknown_tokens(self):
+        """An unknown new token raises; unknown ``model_vocab`` tokens are skipped."""
         english = make_emb(["e"], [[1.0, 0.0]], normalized=True)
+        model = make_emb(["e"], [[1.0, 0.0]])
         mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
-        with pytest.raises(TokenNotFound):
-            candidate_set("ghost", mapped, english, ["e"], AlignConfig())
-        with pytest.raises(TokenNotFound):
-            candidate_set("w", mapped, english, ["ghost"], AlignConfig())
+        with pytest.raises(TokenNotFound, match="ghost"):
+            _anchors(["w", "ghost"], mapped, english, model, AlignConfig())
+        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(),
+                          model_vocab=Vocabulary(["ghost", "e"]))
+        assert out == (("e", 1.0),)
 
 
 class TestBuildAllAssignments:
@@ -251,33 +286,6 @@ class TestBuildAllAssignments:
         np.testing.assert_allclose(
             a.anchors[0][1], 1.0 / (1.0 + math.exp(-4.0)), atol=1e-9
         )
-
-    def test_agrees_with_per_token_candidate_set(self):
-        rng = np.random.default_rng(9)
-        d = 6
-        src = make_emb(tok_list("s", 20), unit_rows(rng, 20, d), normalized=True)
-        eng_rows = unit_rows(rng, 30, d)
-        english = make_emb(tok_list("e", 30), eng_rows, normalized=True)
-        model = make_emb(tok_list("e", 30), rng.standard_normal((30, 4)))
-        cfg = AlignConfig(csls_k=4, top_m=5)
-        new = ["s0003", "s0017", "s0000"]
-        out = build_all_assignments(
-            new, src, LinearMap(np.eye(d)), english, model, model.vocab, cfg
-        )
-        assert [a.source_token for a in out] == new
-        for a in out:
-            cands = candidate_set(
-                a.source_token, src, english, list(english.vocab.tokens), cfg
-            )
-            want = mixture_weights(cands)
-            assert [t for t, _ in a.anchors] == [t for t, _ in want]
-            np.testing.assert_allclose(
-                [w for _, w in a.anchors], [w for _, w in want], atol=1e-12
-            )
-            manual = np.zeros(4)
-            for tok, w in a.anchors:
-                manual += w * model.rows[model.vocab.id(tok)]
-            np.testing.assert_allclose(a.mixed_vector, manual, atol=1e-12)
 
     def test_weights_sorted_descending(self):
         rng = np.random.default_rng(10)
