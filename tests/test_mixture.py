@@ -287,6 +287,39 @@ class TestBuildAllAssignments:
             a.anchors[0][1], 1.0 / (1.0 + math.exp(-4.0)), atol=1e-9
         )
 
+    def test_agrees_with_per_token_candidate_set(self):
+        """The batched build matches one brute-force candidate set per token."""
+        rng = np.random.default_rng(9)
+        d = 6
+        src_rows = unit_rows(rng, 20, d)
+        src = make_emb(tok_list("s", 20), src_rows, normalized=True)
+        eng_rows = unit_rows(rng, 30, d)
+        english = make_emb(tok_list("e", 30), eng_rows, normalized=True)
+        model = make_emb(tok_list("e", 30), rng.standard_normal((30, 4)))
+        cfg = AlignConfig(csls_k=4, top_m=5)
+        new = ["s0003", "s0017", "s0000"]
+        out = build_all_assignments(
+            new, src, LinearMap(np.eye(d)), english, model, model.vocab, cfg
+        )
+        assert [a.source_token for a in out] == new
+        pool = list(english.vocab.tokens)
+        for a in out:
+            q = src_rows[src.vocab.id(a.source_token)]
+            scores = [
+                oracles.csls_pair(q, eng_rows[j], src_rows, eng_rows, cfg.csls_k)
+                for j in range(len(pool))
+            ]
+            cands = [(pool[j], scores[j]) for j in oracles.top_ids(scores, cfg.top_m)]
+            want = mixture_weights(cands)
+            assert [t for t, _ in a.anchors] == [t for t, _ in want]
+            np.testing.assert_allclose(
+                [w for _, w in a.anchors], [w for _, w in want], atol=1e-12
+            )
+            manual = np.zeros(4)
+            for tok, w in a.anchors:
+                manual += w * model.rows[model.vocab.id(tok)]
+            np.testing.assert_allclose(a.mixed_vector, manual, atol=1e-12)
+
     def test_weights_sorted_descending(self):
         rng = np.random.default_rng(10)
         src = make_emb(tok_list("s", 15), unit_rows(rng, 15, 5), normalized=True)
