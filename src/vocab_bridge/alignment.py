@@ -34,10 +34,11 @@ from .dictionary import BilingualDictionary
 from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
+    _read_matrix,
+    _write_matrix,
     normalize_rows,
 )
 from .errors import (
-    CountMismatch,
     DegenerateInput,
     DimMismatch,
     EmptyEvalDict,
@@ -46,10 +47,6 @@ from .errors import (
     EmptyStage2Anchors,
     KTooLarge,
     LowRankWarning,
-    MalformedHeader,
-    NonFiniteValue,
-    ParseError,
-    RowArityMismatch,
     ValidationError,
 )
 
@@ -460,45 +457,12 @@ def fit_joint_mapping(
 
 def save_map(linear_map: LinearMap, path) -> None:
     """Write a map as a ``d1 d2`` header plus d1 rows of 9-digit values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{linear_map.src_dim} {linear_map.tgt_dim}\n")
-        for row in linear_map.matrix:
-            fh.write(" ".join(format(v, ".9g") for v in row) + "\n")
+    _write_matrix(path, None, linear_map.matrix)
 
 
 def load_map(path) -> LinearMap:
     """Read a map written by :func:`save_map`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedHeader("empty file", line=1)
-    head = lines[0].split(" ")
-    if len(head) != 2:
-        raise MalformedHeader(f"expected 'd1 d2', got {lines[0]!r}", line=1)
-    try:
-        d1, d2 = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedHeader(f"non-integer header fields in {lines[0]!r}", line=1) from None
-    if d1 < 1 or d2 < 1:
-        raise MalformedHeader(f"invalid dimensions {lines[0]!r}", line=1)
-    body = lines[1:]
-    if len(body) != d1:
-        raise CountMismatch(f"header declares {d1} rows but file has {len(body)}",
-                            line=min(len(body), d1) + 2)
-    rows = []
-    for offset, line in enumerate(body):
-        lineno = offset + 2
-        parts = line.split(" ")
-        if len(parts) != d2:
-            raise RowArityMismatch(f"expected {d2} values, got {len(parts)}", line=lineno)
-        try:
-            row = np.array(parts, dtype=np.float64)
-        except ValueError:
-            raise ParseError("unparseable numeric value", line=lineno) from None
-        if not np.all(np.isfinite(row)):
-            raise NonFiniteValue("non-finite value in map row", line=lineno)
-        rows.append(row)
-    return LinearMap(np.vstack(rows))
+    return LinearMap(_read_matrix(path, labeled=False)[1])
 
 
 def audit_lines(

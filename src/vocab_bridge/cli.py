@@ -14,10 +14,12 @@ import logging
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 
 from . import alignment, expansion, mixture, oov, tokenizer
 from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
+    _atomic_text,
     load_embeddings,
     load_vocabulary,
     normalize_rows,
@@ -63,13 +65,9 @@ def _configure_logging() -> None:
 
 
 def _write_lines(lines, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
+    with _atomic_text(out_path) if out_path else nullcontext(sys.stdout) as fh:
         for line in lines:
-            print(line)
+            fh.write(line + "\n")
 
 
 def _read_tokens(path) -> list[str]:

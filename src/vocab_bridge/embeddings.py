@@ -2,10 +2,12 @@
 
 The on-disk embedding format is the plain text interchange layout used by
 word2vec and fastText: a header line ``<count> <dim>`` followed by one row per
-token, fields separated by single spaces.  Values are written with 9
-significant digits, which round-trips float64 data to within 1e-8 relative
-error.  Vocabulary files hold one token per line; the 0-based line number is
-the token id.
+token, fields separated by single spaces; one trailing space per line, as
+fastText writes it, is ignored.  Values are written with 9 significant
+digits, which round-trips float64 data to within 1e-8 relative error.  Linear
+maps use the same layout without the token column.  Vocabulary files hold one
+token per line; the 0-based line number is the token id.  Every text output is
+written atomically (see :func:`_atomic_text`).
 
 Tokens are compared byte-wise.  No Unicode normalization or case folding is
 performed anywhere in this package.
@@ -13,7 +15,10 @@ performed anywhere in this package.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterable, Sequence
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -151,65 +156,94 @@ def load_embeddings(path) -> EmbeddingMatrix:
     errors naming the offending 1-based line number: ``MalformedHeader``,
     ``RowArityMismatch``, ``NonFiniteValue`` and ``CountMismatch``.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise MalformedHeader("empty file", line=1)
-    head = lines[0].split(" ")
-    if len(head) != 2:
-        raise MalformedHeader(f"expected '<count> <dim>', got {lines[0]!r}", line=1)
-    try:
-        count, dim = int(head[0]), int(head[1])
-    except ValueError:
-        raise MalformedHeader(f"non-integer header fields in {lines[0]!r}", line=1) from None
-    if count < 0 or dim < 1:
-        raise MalformedHeader(f"invalid header values {lines[0]!r}", line=1)
-
-    body = lines[1:]
-    if len(body) != count:
-        bad = min(len(body), count) + 2  # first missing or first extra line
-        raise CountMismatch(
-            f"header declares {count} rows but file has {len(body)}", line=bad
-        )
-
-    tokens: list[str] = []
-    seen: dict[str, int] = {}
-    vectors: list[np.ndarray] = []
-    duplicates = 0
-    for offset, line in enumerate(body):
-        lineno = offset + 2
-        parts = line.split(" ")
-        if len(parts) != dim + 1:
-            raise RowArityMismatch(
-                f"expected token plus {dim} values, got {len(parts)} fields", line=lineno
-            )
-        token = parts[0]
-        if not token or any(ch.isspace() for ch in token):
-            raise ParseError(f"invalid token {token!r}", line=lineno)
-        try:
-            vec = np.array(parts[1:], dtype=np.float64)
-        except ValueError:
-            raise ParseError(f"unparseable numeric value in row for {token!r}", line=lineno) from None
-        if not np.all(np.isfinite(vec)):
-            raise NonFiniteValue(f"non-finite value in row for {token!r}", line=lineno)
-        if token in seen:
-            duplicates += 1
-            continue
-        seen[token] = len(tokens)
-        tokens.append(token)
-        vectors.append(vec)
-
-    rows = np.vstack(vectors) if vectors else np.zeros((0, dim))
-    return EmbeddingMatrix(Vocabulary(tokens), rows, duplicate_count=duplicates)
+    tokens, values = _read_matrix(path, labeled=True)
+    first: dict[str, int] = {}
+    for i, token in enumerate(tokens):
+        first.setdefault(token, i)
+    duplicates = len(tokens) - len(first)
+    rows = values[list(first.values())] if duplicates else values
+    return EmbeddingMatrix(Vocabulary(first), rows, duplicate_count=duplicates)
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
     """Write ``emb`` in the text interchange format (9 significant digits)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(emb)} {emb.dim}\n")
-        for token, row in zip(emb.vocab.tokens, emb.rows):
-            values = " ".join(format(v, ".9g") for v in row)
-            fh.write(f"{token} {values}\n")
+    _write_matrix(path, emb.vocab.tokens, emb.rows)
+
+
+@contextmanager
+def _atomic_text(path):
+    """Open a UTF-8 text file that replaces ``path`` only if the block succeeds.
+
+    Writes go to a temporary file beside ``path``.  On failure it is removed
+    and a previous file at ``path`` stays as it was.
+    """
+    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
+    """Stream a ``<rows> <cols>`` text matrix; return ``(labels, values)``.
+
+    With ``labeled`` each row starts with a token (``labels`` is their list),
+    otherwise ``labels`` is ``None`` and at least one row is required.  Errors
+    name the 1-based line where they are found.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().removesuffix("\n")
+        try:
+            count, dim = map(int, header.removesuffix(" ").split(" "))
+        except ValueError:
+            raise MalformedHeader(f"expected '<rows> <cols>', got {header!r}", line=1) from None
+        if count < (0 if labeled else 1) or dim < 1:
+            raise MalformedHeader(f"invalid header values {header!r}", line=1)
+
+        labels: list[str] | None = [] if labeled else None
+        try:
+            values = np.empty((count, dim))
+        except (MemoryError, ValueError):  # numpy: ValueError when the size overflows
+            raise MalformedHeader(f"header {header!r} does not fit in memory", line=1) from None
+        width = dim + 1 if labeled else dim
+        rows = 0
+        for rows, line in enumerate(fh, start=1):
+            lineno = rows + 1
+            if rows > count:
+                raise CountMismatch(f"header declares {count} rows but file has more", line=lineno)
+            parts = line.removesuffix("\n").removesuffix(" ").split(" ")
+            if len(parts) != width:
+                raise RowArityMismatch(f"expected {width} fields, got {len(parts)}", line=lineno)
+            if labeled:
+                token = parts[0]
+                if not token or any(ch.isspace() for ch in token):
+                    raise ParseError(f"invalid token {token!r}", line=lineno)
+                labels.append(token)
+                parts = parts[1:]
+            try:
+                values[rows - 1] = parts
+            except ValueError:
+                raise ParseError("unparseable numeric value", line=lineno) from None
+            if not np.isfinite(values[rows - 1]).all():
+                raise NonFiniteValue("non-finite value", line=lineno)
+        if rows < count:
+            raise CountMismatch(f"header declares {count} rows but file has {rows}", line=rows + 2)
+    return labels, values
+
+
+def _write_matrix(path, labels: Sequence[str] | None, values: np.ndarray) -> None:
+    """Write ``values`` (9 significant digits), each row after its label if any."""
+    count, dim = values.shape
+    fmt = " ".join(["%.9g"] * dim) + "\n"
+    with _atomic_text(path) as fh:
+        fh.write(f"{count} {dim}\n")
+        for i, row in enumerate(values):
+            if labels is not None:
+                fh.write(labels[i] + " ")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 def normalize_rows(emb: EmbeddingMatrix) -> EmbeddingMatrix:
@@ -251,11 +285,11 @@ def subset(emb: EmbeddingMatrix, tokens: Sequence[str]) -> EmbeddingMatrix:
 def load_vocabulary(path, continuation_prefix: str = "##") -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
     with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().splitlines()
+        tokens = [line.rstrip("\n") for line in fh]
     return Vocabulary(tokens, continuation_prefix)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_text(path) as fh:
         for token in vocab.tokens:
             fh.write(token + "\n")

@@ -24,6 +24,7 @@ from .alignment import LinearMap
 from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
+    _atomic_text,
     save_embeddings,
     save_vocabulary,
 )
@@ -188,6 +189,6 @@ def emit_expanded(model: ExpandedModel, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     save_vocabulary(model.vocab, out / VOCAB_FILE)
     save_embeddings(model.embeddings, out / EMBEDDINGS_FILE)
-    with open(out / PROVENANCE_FILE, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_text(out / PROVENANCE_FILE) as fh:
         for rec in model.provenance:
             fh.write(f"{rec.token}\t{rec.strategy}\t{rec.detail}\n")

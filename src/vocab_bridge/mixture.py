@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .alignment import AlignConfig, LinearMap, _csls_topk, apply_map, _unit
-from .embeddings import EmbeddingMatrix, Vocabulary
+from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text
 from .errors import (
     DimMismatch,
     EmptyAnchorPool,
@@ -150,7 +150,7 @@ _WEIGHT_TAIL = re.compile(r":\d+\.\d{6}$")
 
 def save_assignments(assignments: Sequence[MixtureAssignment], path) -> None:
     """Write one ``token<TAB>anchor:weight,...`` line per assignment."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_text(path) as fh:
         for a in assignments:
             fh.write(f"{a.source_token}\t{format_anchors(a.anchors)}\n")
 

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .embeddings import Vocabulary
+from .embeddings import Vocabulary, _atomic_text
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 
 MERGES_HEADER = "#version: vocab-bridge-1"
@@ -202,7 +202,7 @@ def wordpiece_style(pieces: list[str], continuation_prefix: str = "##") -> list[
 
 def save_bpe_model(model: BpeModel, path) -> None:
     """Write merges as ``left right`` lines under a version header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _atomic_text(path) as fh:
         fh.write(MERGES_HEADER + "\n")
         for left, right in model.merges:
             fh.write(f"{left} {right}\n")

@@ -116,3 +116,16 @@ def precision_at_k_oracle(mapped_rows, mapped_index, tgt_rows, tgt_tokens, pairs
         if retrieved & targets:
             hits += 1
     return hits / total if total else None
+
+
+def format_matrix(labels, values) -> str:
+    """Text-matrix file contents, formatting each value with ``format(v, ".9g")``.
+
+    This is the per-value writer the package used before it formatted whole
+    rows; ``labels`` is one token per row or ``None`` for a map.
+    """
+    lines = [f"{len(values)} {values.shape[1]}"]
+    for i, row in enumerate(values):
+        text = " ".join(format(v, ".9g") for v in row)
+        lines.append(text if labels is None else f"{labels[i]} {text}")
+    return "".join(line + "\n" for line in lines)

@@ -1,18 +1,28 @@
 """Vocabulary and embedding matrix behavior, including text round-trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import oracles
 
 from vocab_bridge import (
     EmbeddingMatrix,
     Vocabulary,
     load_embeddings,
+    load_map,
     load_vocabulary,
     normalize_rows,
     save_embeddings,
     save_vocabulary,
     subset,
 )
+from vocab_bridge.embeddings import _atomic_text, _read_matrix, _write_matrix
 from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
@@ -84,21 +94,21 @@ class TestEmbeddingMatrix:
         np.testing.assert_array_equal(m.row("b"), [3.0, 4.0])
 
 
-class TestLoadEmbeddings:
-    def _load(self, tmp_path, text):
-        path = tmp_path / "emb.vec"
-        path.write_text(text, encoding="utf-8")
-        return load_embeddings(path)
+class _TextMatrixErrors:
+    """Parse cases shared by every text-matrix loader, each with its line.
 
-    def test_basic_parse(self, tmp_path):
-        m = self._load(tmp_path, "2 3\nfoo 1 2 3\nbar 4 5 6\n")
-        assert m.vocab.tokens == ("foo", "bar")
-        np.testing.assert_array_equal(m.rows, [[1, 2, 3], [4, 5, 6]])
-        assert not m.normalized and m.duplicate_count == 0
+    Cases are written as embedding files; a subclass's ``_load`` adapts the
+    text to its own format and ``_values`` returns the loaded matrix.
+    """
 
     def test_malformed_header(self, tmp_path):
         with pytest.raises(MalformedHeader) as err:
             self._load(tmp_path, "2\nfoo 1\n")
+        assert err.value.line == 1
+
+    def test_header_too_large_for_memory(self, tmp_path):
+        with pytest.raises(MalformedHeader) as err:
+            self._load(tmp_path, f"{10**15} {10**6}\nfoo 1\n")
         assert err.value.line == 1
 
     def test_row_arity_mismatch_names_line(self, tmp_path):
@@ -113,14 +123,46 @@ class TestLoadEmbeddings:
         assert err.value.line == 2
 
     def test_unparseable_value(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             self._load(tmp_path, "1 2\nfoo 1 abc\n")
+        assert err.value.line == 2
 
     def test_count_mismatch(self, tmp_path):
-        with pytest.raises(CountMismatch):
+        with pytest.raises(CountMismatch) as err:
             self._load(tmp_path, "3 2\nfoo 1 2\nbar 3 4\n")
-        with pytest.raises(CountMismatch):
+        assert err.value.line == 4  # first missing row
+        with pytest.raises(CountMismatch) as err:
             self._load(tmp_path, "1 2\nfoo 1 2\nbar 3 4\n")
+        assert err.value.line == 3  # first extra row
+
+    def test_double_space_rejected(self, tmp_path):
+        with pytest.raises(RowArityMismatch):
+            self._load(tmp_path, "1 2\nfoo 1  2\n")
+
+    def test_fasttext_trailing_space_accepted(self, tmp_path):
+        text = "3 3 \nfoo 1 0 0 \nbar 0 1 0 \nbaz 0 0 1 \n"
+        np.testing.assert_array_equal(self._values(self._load(tmp_path, text)), np.eye(3))
+
+    def test_two_trailing_spaces_rejected(self, tmp_path):
+        with pytest.raises(RowArityMismatch) as err:
+            self._load(tmp_path, "2 2\nfoo 1 0\nbar 0 1  \n")
+        assert err.value.line == 3
+
+
+class TestLoadEmbeddings(_TextMatrixErrors):
+    def _load(self, tmp_path, text):
+        path = tmp_path / "emb.vec"
+        path.write_text(text, encoding="utf-8")
+        return load_embeddings(path)
+
+    def _values(self, emb):
+        return emb.rows
+
+    def test_basic_parse(self, tmp_path):
+        m = self._load(tmp_path, "2 3\nfoo 1 2 3\nbar 4 5 6\n")
+        assert m.vocab.tokens == ("foo", "bar")
+        np.testing.assert_array_equal(m.rows, [[1, 2, 3], [4, 5, 6]])
+        assert not m.normalized and m.duplicate_count == 0
 
     def test_duplicate_tokens_first_wins(self, tmp_path):
         """Two rows for one token: line 2's vector survives, one drop counted."""
@@ -129,9 +171,19 @@ class TestLoadEmbeddings:
         np.testing.assert_array_equal(m.rows, [[1.0, 2.0]])
         assert m.duplicate_count == 1
 
-    def test_double_space_rejected(self, tmp_path):
-        with pytest.raises(RowArityMismatch):
-            self._load(tmp_path, "1 2\nfoo 1  2\n")
+
+class TestLoadMap(_TextMatrixErrors):
+    """The shared cases through ``load_map``: every row loses its token."""
+
+    def _load(self, tmp_path, text):
+        header, *body = text.split("\n")
+        path = tmp_path / "m.map"
+        rows = [line.partition(" ")[2] for line in body]
+        path.write_text("\n".join([header, *rows]), encoding="utf-8")
+        return load_map(path)
+
+    def _values(self, linear_map):
+        return linear_map.matrix
 
 
 class TestSaveEmbeddings:
@@ -168,6 +220,52 @@ class TestSaveEmbeddings:
         save_embeddings(m, path)
         back = load_embeddings(path)
         assert back.vocab.tokens == ("ça", "qu'", "##'")
+
+
+_TOKENS = st.text(st.characters(exclude_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda t: not any(ch.isspace() for ch in t)
+)
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.1]),
+)
+
+
+@st.composite
+def _text_matrices(draw):
+    labeled = draw(st.booleans())
+    count = draw(st.integers(0 if labeled else 1, 5))
+    values = draw(arrays(np.float64, (count, draw(st.integers(1, 5))), elements=_VALUES))
+    labels = draw(st.lists(_TOKENS, min_size=count, max_size=count)) if labeled else None
+    return labels, values
+
+
+class TestTextMatrixFormat:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_text_matrices())
+    @example((["a", "b"], np.array([[-0.0, 5e-324], [1e308, -1e308]])))
+    @example((None, np.array([[0.1, -2.5e-310, 1.0]])))
+    def test_writer_matches_oracle_and_round_trips(self, matrix):
+        labels, values = matrix
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            _write_matrix(path, labels, values)
+            assert path.read_bytes() == oracles.format_matrix(labels, values).encode("utf-8")
+            back_labels, back = _read_matrix(path, labeled=labels is not None)
+        assert back_labels == labels
+        assert back.shape == values.shape
+        np.testing.assert_allclose(back, values, rtol=1e-8, atol=0.0)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocabulary(Vocabulary(["old", "tokens"]), path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError):
+            with _atomic_text(path) as fh:
+                fh.write("new\n" * 1000)
+                raise RuntimeError("disk full")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 
 class TestNormalizeRows:
@@ -230,3 +328,10 @@ class TestVocabularyFiles:
         path.write_text("zero\none\ntwo\n", encoding="utf-8")
         v = load_vocabulary(path)
         assert v.id("one") == 1
+
+    def test_unicode_line_separator_stays_in_its_line(self, tmp_path):
+        """U+0085 is not a line break: the token holding it is rejected as whitespace."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\nb\x85c\nd\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="whitespace"):
+            load_vocabulary(path)
