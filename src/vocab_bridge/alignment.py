@@ -89,6 +89,8 @@ class LinearMap:
         arr = np.array(matrix, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValidationError(f"map matrix must be 2-D, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValidationError(f"map matrix is empty, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("map matrix contains non-finite values")
         d1, d2 = arr.shape

@@ -71,8 +71,16 @@ def _write_lines(lines, out_path) -> None:
 
 
 def _read_tokens(path) -> list[str]:
+    """The non-empty lines of a token file; a token holding whitespace is an error."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
-        return [line for line in fh.read().splitlines() if line]
+        for lineno, raw in enumerate(fh, start=1):
+            token = raw.rstrip("\n")
+            if any(ch.isspace() for ch in token):
+                raise MalformedLine(f"token {token!r} contains whitespace", line=lineno)
+            if token:
+                tokens.append(token)
+    return tokens
 
 
 def _model_vocab(args) -> Vocabulary:
@@ -104,16 +112,18 @@ def _cmd_bpe_train(args) -> int:
 
 def _cmd_bpe_apply(args) -> int:
     model = tokenizer.load_bpe_model(args.merges)
+    rendered: dict[str, str] = {}  # word -> its pieces joined by spaces
     out_lines = []
     with open(args.input, encoding="utf-8") as fh:
         for line in fh:
-            rendered = []
-            for word in line.split():
-                pieces = tokenizer.bpe_apply(model, word)
-                if args.wordpiece_style:
-                    pieces = tokenizer.wordpiece_style(pieces)
-                rendered.extend(pieces)
-            out_lines.append(" ".join(rendered))
+            words = line.split()
+            for word in words:
+                if word not in rendered:
+                    pieces = tokenizer.bpe_apply(model, word)
+                    if args.wordpiece_style:
+                        pieces = tokenizer.wordpiece_style(pieces)
+                    rendered[word] = " ".join(pieces)
+            out_lines.append(" ".join([rendered[word] for word in words]))
     _write_lines(out_lines, args.output)
     return 0
 

@@ -17,10 +17,10 @@ Pre-tokenization is whitespace splitting only; words are never altered.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 from .embeddings import Vocabulary, _atomic_text
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
@@ -66,6 +66,14 @@ class BpeModel:
     vocab_size_target: int
     end_of_word_marker: str = "</w>"
     wordpiece_vocab: tuple[str, ...] = ()
+    # merge -> rank, built once so application never rehashes the merge table
+    _ranks: dict[tuple[str, str], int] = field(
+        init=False, compare=False, hash=False, repr=False
+    )
+
+    def __post_init__(self):
+        ranks = {pair: rank for rank, pair in enumerate(self.merges)}
+        object.__setattr__(self, "_ranks", ranks)
 
 
 def _check_word(word: str) -> None:
@@ -94,14 +102,6 @@ def _merge_pair(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, .
     return tuple(out)
 
 
-def _pair_counts(words: dict[tuple[str, ...], int]) -> Counter:
-    counts: Counter = Counter()
-    for symbols, freq in words.items():
-        for pair in zip(symbols, symbols[1:]):
-            counts[pair] += freq
-    return counts
-
-
 def bpe_train(
     corpus: Mapping[str, int],
     target_vocab: int,
@@ -116,35 +116,78 @@ def bpe_train(
     distinct symbols reaches ``target_vocab`` or no pair occurs at least
     twice.  Identical inputs always produce identical models.
 
+    Pair counts are built once; each merge then updates only the words that
+    hold the merged pair (Sennrich et al. 2016).
+
     Raises ``EmptyCorpus`` if the table has no word with positive frequency.
     """
     if target_vocab < 1:
         raise ValidationError(f"target_vocab must be positive, got {target_vocab}")
-    words: dict[tuple[str, ...], int] = {}
+    words: list[tuple[str, ...]] = []
+    freqs: list[int] = []
     corpus_words: list[tuple[str, int]] = []
     for word, freq in corpus.items():
         if freq <= 0:
             continue
         _check_word(word)
-        words[_symbolize(word, end_of_word_marker)] = freq
+        words.append(_symbolize(word, end_of_word_marker))
+        freqs.append(freq)
         corpus_words.append((word, freq))
     if not words:
         raise EmptyCorpus("no words with positive frequency")
 
+    # symbol -> occurrences over the word types; only positive counts are kept
+    symbols_seen: Counter = Counter()
+    pair_counts: Counter = Counter()
+    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    for i, symbols in enumerate(words):
+        symbols_seen.update(symbols)
+        for pair in zip(symbols, symbols[1:]):
+            pair_counts[pair] += freqs[i]
+            holders[pair].add(i)
+    # (-count, pair) orders like the max count, smallest pair rule; an entry
+    # whose count no longer matches pair_counts is stale and skipped
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
-    while True:
-        types = {s for symbols in words for s in symbols}
-        if len(types) >= target_vocab:
+    while len(symbols_seen) < target_vocab:
+        while heap and pair_counts[heap[0][1]] != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap or -heap[0][0] < 2:
             break
-        counts = _pair_counts(words)
-        if not counts:
-            break
-        best_freq = max(counts.values())
-        if best_freq < 2:
-            break
-        pair = min(p for p, c in counts.items() if c == best_freq)
+        left, right = pair = heapq.heappop(heap)[1]
         merges.append(pair)
-        words = {_merge_pair(symbols, *pair): freq for symbols, freq in words.items()}
+        delta: Counter = Counter()
+        merged_count = 0
+        # a holder set may still list words that an earlier merge left
+        # without the pair; merging changes nothing in those
+        for i in holders.pop(pair):
+            old = words[i]
+            new = _merge_pair(old, left, right)
+            if len(new) == len(old):
+                continue
+            words[i] = new
+            merged_count += len(old) - len(new)
+            freq = freqs[i]
+            for p in zip(old, old[1:]):
+                delta[p] -= freq
+            for p in zip(new, new[1:]):
+                delta[p] += freq
+                holders[p].add(i)
+        for p, change in delta.items():
+            if change:
+                count = pair_counts[p] + change
+                if count:
+                    pair_counts[p] = count
+                    heapq.heappush(heap, (-count, p))
+                else:
+                    del pair_counts[p]
+        symbols_seen[left + right] += merged_count
+        for s in (left, right):
+            symbols_seen[s] -= merged_count
+            if not symbols_seen[s]:
+                del symbols_seen[s]
 
     model = BpeModel(
         merges=tuple(merges),
@@ -165,11 +208,6 @@ def bpe_train(
     )
 
 
-@lru_cache(maxsize=8)
-def _merge_ranks(model: BpeModel) -> dict[tuple[str, str], int]:
-    return {pair: rank for rank, pair in enumerate(model.merges)}
-
-
 def bpe_apply(model: BpeModel, word: str) -> list[str]:
     """Segment one word with the learned merges, in priority order.
 
@@ -179,7 +217,7 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
     _check_word(word)
     marker = model.end_of_word_marker
     symbols = list(_symbolize(word, marker))
-    ranks = _merge_ranks(model)
+    ranks = model._ranks
     while len(symbols) > 1:
         best: tuple[str, str] | None = None
         best_rank = len(model.merges)
@@ -215,7 +253,7 @@ def load_bpe_model(path, *, vocab_size_target: int = 0) -> BpeModel:
     in the merges format; the loaded model carries only the merge table.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+        lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MERGES_HEADER:
         raise MalformedHeader(f"expected {MERGES_HEADER!r} header", line=1)
     merges: list[tuple[str, str]] = []
@@ -223,7 +261,8 @@ def load_bpe_model(path, *, vocab_size_target: int = 0) -> BpeModel:
     for offset, line in enumerate(lines[1:]):
         lineno = offset + 2
         parts = line.split(" ")
-        if len(parts) != 2 or not parts[0] or not parts[1]:
+        # split() also cuts at any other whitespace, such as U+0085
+        if len(parts) != 2 or line.split() != parts:
             raise MalformedLine(f"expected 'left right', got {line!r}", line=lineno)
         pair = (parts[0], parts[1])
         if pair in seen:
@@ -281,7 +320,15 @@ def classify_corpus(
     lines: Iterable[str],
     max_chars: int = DEFAULT_MAX_CHARS,
 ) -> Iterator[Segmentation]:
-    """Yield one :class:`Segmentation` per whitespace-separated word."""
+    """Yield one :class:`Segmentation` per whitespace-separated word.
+
+    Each distinct word is segmented once; its repeats yield the same frozen
+    object.
+    """
+    seen: dict[str, Segmentation] = {}
     for line in lines:
         for word in line.split():
-            yield wordpiece_segment(vocab, unk, word, max_chars)
+            seg = seen.get(word)
+            if seg is None:
+                seg = seen[word] = wordpiece_segment(vocab, unk, word, max_chars)
+            yield seg

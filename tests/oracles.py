@@ -7,6 +7,7 @@ sorts, and no shared code paths with the package under test.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -129,3 +130,69 @@ def format_matrix(labels, values) -> str:
         text = " ".join(format(v, ".9g") for v in row)
         lines.append(text if labels is None else f"{labels[i]} {text}")
     return "".join(line + "\n" for line in lines)
+
+
+def _bpe_merge(symbols, left: str, right: str) -> tuple:
+    out = []
+    i = 0
+    while i < len(symbols):
+        if i + 1 < len(symbols) and symbols[i] == left and symbols[i + 1] == right:
+            out.append(left + right)
+            i += 2
+        else:
+            out.append(symbols[i])
+            i += 1
+    return tuple(out)
+
+
+def _pair_counts(words: dict) -> Counter:
+    counts: Counter = Counter()
+    for symbols, freq in words.items():
+        for pair in zip(symbols, symbols[1:]):
+            counts[pair] += freq
+    return counts
+
+
+def bpe_apply_reference(merges, word: str, marker: str = "</w>") -> list[str]:
+    """Merge the lowest-ranked adjacent pair until none is ranked."""
+    ranks = {pair: rank for rank, pair in enumerate(merges)}
+    symbols = tuple(word[:-1]) + (word[-1] + marker,)
+    while True:
+        ranked = [ranks[p] for p in zip(symbols, symbols[1:]) if p in ranks]
+        if not ranked:
+            break
+        symbols = _bpe_merge(symbols, *merges[min(ranked)])
+    return list(symbols[:-1]) + [symbols[-1][: -len(marker)]]
+
+
+def bpe_train_reference(corpus, target_vocab: int, marker: str = "</w>", prefix: str = "##"):
+    """The rescanning BPE trainer: recount every pair and symbol per merge.
+
+    Returns ``(merges, wordpiece_vocab)`` with the package's stop rule and
+    tie-break: highest count, then the smallest (left, right) pair.
+    """
+    words = {
+        tuple(w[:-1]) + (w[-1] + marker,): f for w, f in corpus.items() if f > 0
+    }
+    merges = []
+    while True:
+        types = {s for symbols in words for s in symbols}
+        if len(types) >= target_vocab:
+            break
+        counts = _pair_counts(words)
+        if not counts:
+            break
+        best_freq = max(counts.values())
+        if best_freq < 2:
+            break
+        pair = min(p for p, c in counts.items() if c == best_freq)
+        merges.append(pair)
+        words = {_bpe_merge(symbols, *pair): freq for symbols, freq in words.items()}
+    entry_counts: Counter = Counter()
+    for word, freq in corpus.items():
+        if freq > 0:
+            pieces = bpe_apply_reference(merges, word, marker)
+            for piece in [pieces[0]] + [prefix + p for p in pieces[1:]]:
+                entry_counts[piece] += freq
+    vocab = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
+    return tuple(merges), vocab

@@ -59,6 +59,11 @@ class TestLinearMap:
         with pytest.raises(ValidationError, match="semi-orthogonal"):
             LinearMap(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    def test_rejects_empty_matrix(self):
+        for shape in ((0, 3), (3, 0), (0, 0)):
+            with pytest.raises(ValidationError, match="empty"):
+                LinearMap(np.zeros(shape))
+
     def test_matrix_immutable(self):
         m = LinearMap(np.eye(3))
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
 """End-user command behavior: exit codes, outputs and determinism."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import make_emb, random_orthogonal, tok_list, unit_rows
-from vocab_bridge import LinearMap, save_embeddings
+from test_tokenizer import repeat_corpus
+from vocab_bridge import LinearMap, bpe_apply, bpe_train, save_embeddings
 from vocab_bridge.alignment import save_map
-from vocab_bridge.cli import dispatch
-from vocab_bridge.tokenizer import MERGES_HEADER
+from vocab_bridge.cli import _read_tokens, dispatch
+from vocab_bridge.errors import MalformedLine
+from vocab_bridge.tokenizer import MERGES_HEADER, save_bpe_model, wordpiece_style
 
 
 def write(path, text):
@@ -113,6 +116,25 @@ class TestBpeCommands:
         )
         assert code == 0
         assert capsys.readouterr().out == "a ##b\n"
+
+    @pytest.mark.parametrize("style", [False, True])
+    def test_apply_repeats_match_per_word_segmentation(self, tmp_path, style):
+        lines = repeat_corpus()
+        model = bpe_train(Counter(w for line in lines[:30] for w in line.split()), 40)
+        merges = tmp_path / "model.merges"
+        save_bpe_model(model, merges)
+        text = write(tmp_path / "new.txt", "".join(lines))
+        out = tmp_path / "out.txt"
+        argv = ["bpe-apply", "--merges", str(merges), "--input", text, "--output", str(out)]
+        assert dispatch(argv + ["--wordpiece-style"] * style) == 0
+        expected = []
+        for line in lines:
+            pieces = []
+            for word in line.split():
+                word_pieces = bpe_apply(model, word)
+                pieces.extend(wordpiece_style(word_pieces) if style else word_pieces)
+            expected.append(" ".join(pieces) + "\n")
+        assert out.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_wordpiece_classification(self, tmp_path, capsys):
         vocab = write(tmp_path / "v.txt", "les\nqu\n##'\n")
@@ -239,6 +261,14 @@ class TestCslsNn:
              "--tokens", tokens]
         )
         assert code == 2
+
+    def test_unicode_line_separator_in_token_file_rejected(self, tmp_path):
+        """U+0085 is whitespace inside a token, not a line end."""
+        path = write(tmp_path / "tokens.txt", "a\u0085b\nc\n")
+        with pytest.raises(MalformedLine) as err:
+            _read_tokens(path)
+        assert err.value.line == 1
+        assert _read_tokens(write(tmp_path / "ok.txt", "a\n\nc\n")) == ["a", "c"]
 
     def test_top_clamped_to_target_count(self, planted_files, capsys):
         code = dispatch(

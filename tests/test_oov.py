@@ -1,12 +1,20 @@
 """Two-level OOV tallies, report serialization and before/after comparison."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from test_tokenizer import FRENCH_PIECES, FRENCH_SENTENCE
-from vocab_bridge import OovReport, Vocabulary, compare_reports, corpus_oov_stats
+from test_tokenizer import FRENCH_PIECES, FRENCH_SENTENCE, repeat_corpus
+from vocab_bridge import (
+    OovReport,
+    SegmentStatus,
+    Vocabulary,
+    compare_reports,
+    corpus_oov_stats,
+    wordpiece_segment,
+)
 from vocab_bridge.oov import (
     delta_json,
     parse_report_tsv,
@@ -17,6 +25,19 @@ from vocab_bridge.oov import (
 from vocab_bridge.errors import CorpusMismatch, MalformedLine, ValidationError
 
 UNK = "[UNK]"
+
+
+def per_occurrence_report(vocab, lines, top_n, count_types):
+    """Segment every word occurrence on its own and tally both OOV levels."""
+    segs = [wordpiece_segment(vocab, UNK, w) for line in lines for w in line.split()]
+    counted = list({s.word: s for s in segs}.values()) if count_types else segs
+    total = len(counted)
+    word_oov = sum(s.status is not SegmentStatus.IN_VOCAB for s in counted)
+    subword_oov = sum(s.status is SegmentStatus.SUBWORD_OOV for s in counted)
+    missed = Counter(s.word for s in segs if s.status is not SegmentStatus.IN_VOCAB)
+    top = sorted(missed.items(), key=lambda item: (-item[1], item[0]))[:top_n]
+    return OovReport(total, word_oov, subword_oov, word_oov / total, subword_oov / total,
+                     tuple(top))
 
 
 def french_report(**kwargs):
@@ -99,6 +120,14 @@ class TestCorpusOovStats:
             ]
             r = corpus_oov_stats(Vocabulary(sorted(vocab_tokens)), UNK, [" ".join(words)])
             assert 0 <= r.subword_oov <= r.word_oov <= r.total_words
+
+    @pytest.mark.parametrize("count_types", [False, True])
+    def test_repeats_match_per_occurrence_oracle(self, count_types):
+        vocab = Vocabulary(FRENCH_PIECES + ["fil", "##ms", "a", "##b"])
+        lines = repeat_corpus()
+        r = corpus_oov_stats(vocab, UNK, lines, top_n=5, count_types=count_types)
+        assert r == per_occurrence_report(vocab, lines, 5, count_types)
+        assert r.subword_oov > 0 and r.word_oov > r.subword_oov
 
 
 class TestOovReport:

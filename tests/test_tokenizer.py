@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from vocab_bridge import (
     BpeModel,
     SegmentStatus,
@@ -19,6 +22,29 @@ from vocab_bridge.tokenizer import (
     save_bpe_model,
     wordpiece_style,
 )
+
+# one- and two-letter alphabets give long runs of one repeated pair; the
+# marker's own characters make words that end like a marked symbol
+ALPHABETS = ("a", "ab", "abc", "abcd", "<>/w", "ab</w>", "w>")
+
+
+@st.composite
+def bpe_corpora(draw):
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    words = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    return draw(st.dictionaries(words, st.integers(0, 5), min_size=1, max_size=12))
+
+
+def repeat_corpus(seed: int = 3) -> list[str]:
+    """Lines that reuse a dozen words hundreds of times, with blank lines."""
+    rng = np.random.default_rng(seed)
+    words = ["les", "qu'", "ça", "films", "filmé", "de", "scientifiques",
+             "médecins", "ab", "abab", "a" * 120, "je"]
+    lines = []
+    for _ in range(60):
+        picks = rng.integers(0, len(words), size=rng.integers(0, 14))
+        lines.append(" \t ".join(words[i] for i in picks) + "  \n")
+    return lines
 
 
 class TestBpeTrain:
@@ -66,6 +92,22 @@ class TestBpeTrain:
     def test_rejects_whitespace_word(self):
         with pytest.raises(ValidationError):
             bpe_train({"a b": 1}, 10)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(corpus=bpe_corpora(), target=st.integers(1, 60))
+    @example(corpus={"aaaa": 3, "aa": 2, "a": 1}, target=60)
+    @example(corpus={"ab</w": 4, "w>": 3, "b</w>": 2}, target=60)
+    def test_matches_rescanning_trainer(self, tmp_path_factory, corpus, target):
+        """Merges, emitted vocabulary and merges file equal the reference's."""
+        assume(any(freq > 0 for freq in corpus.values()))
+        model = bpe_train(corpus, target)
+        merges, vocab = oracles.bpe_train_reference(corpus, target)
+        assert model.merges == merges
+        assert model.wordpiece_vocab == vocab
+        tmp = tmp_path_factory.mktemp("merges")
+        save_bpe_model(model, tmp / "fast.txt")
+        save_bpe_model(BpeModel(merges=merges, vocab_size_target=target), tmp / "ref.txt")
+        assert (tmp / "fast.txt").read_bytes() == (tmp / "ref.txt").read_bytes()
 
 
 class TestBpeApply:
@@ -142,6 +184,15 @@ class TestMergesFile:
         path.write_text("a b\n", encoding="utf-8")
         with pytest.raises(MalformedHeader):
             load_bpe_model(path)
+
+    def test_unicode_line_separator_stays_in_its_line(self, tmp_path):
+        """U+0085 and U+2028 are whitespace inside a merge line, not line ends."""
+        for sep in ("\u0085", "\u2028"):
+            path = tmp_path / "sep.txt"
+            path.write_text(f"{MERGES_HEADER}\na b{sep}c d\n", encoding="utf-8")
+            with pytest.raises(MalformedLine) as err:
+                load_bpe_model(path)
+            assert err.value.line == 2
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -222,6 +273,20 @@ class TestWordPiece:
         assert by_word["qu'"] is SegmentStatus.WORD_OOV_SUBWORD_OK
         assert by_word["ça"] is SegmentStatus.SUBWORD_OOV
         assert by_word["médecins"] is SegmentStatus.SUBWORD_OOV
+
+    def test_classify_corpus_segments_each_word_once(self):
+        """Repeats yield the first segmentation, equal to a per-word call."""
+        vocab = Vocabulary(FRENCH_PIECES + ["fil", "##ms", "##mé", "a", "##b"])
+        lines = repeat_corpus()
+        segs = list(classify_corpus(vocab, "[UNK]", lines))
+        expected = [
+            wordpiece_segment(vocab, "[UNK]", word) for line in lines for word in line.split()
+        ]
+        assert segs == expected
+        first = {}
+        for seg in segs:
+            assert first.setdefault(seg.word, seg) is seg
+        assert len(segs) > 10 * len(first)
 
     def test_classify_empty_corpus(self):
         assert list(classify_corpus(self.vocab(), "[UNK]", [])) == []
