@@ -465,27 +465,3 @@ def save_map(linear_map: LinearMap, path) -> None:
 def load_map(path) -> LinearMap:
     """Read a map written by :func:`save_map`."""
     return LinearMap(_read_matrix(path, labeled=False)[1])
-
-
-def audit_lines(
-    neighbor_lists: list[NeighborList],
-    source_lang: str,
-    *,
-    softmax: bool = False,
-):
-    """Yield retrieval audit TSV lines, sorted by source token then rank.
-
-    Columns are source_lang, source, target, score; with ``softmax`` a fifth
-    column holds the softmax of each query's displayed scores.
-    """
-    for nl in sorted(neighbor_lists, key=lambda n: n.query):
-        probs = None
-        if softmax and nl.entries:
-            scores = np.array([s for _, s in nl.entries])
-            exp = np.exp(scores - scores.max())
-            probs = exp / exp.sum()
-        for rank, (target, score) in enumerate(nl.entries):
-            line = f"{source_lang}\t{nl.query}\t{target}\t{score:.6f}"
-            if probs is not None:
-                line += f"\t{probs[rank]:.6f}"
-            yield line

@@ -20,6 +20,7 @@ from . import alignment, expansion, mixture, oov, tokenizer
 from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
     _atomic_text,
+    _is_token,
     load_embeddings,
     load_vocabulary,
     normalize_rows,
@@ -76,17 +77,26 @@ def _read_tokens(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = raw.rstrip("\n")
-            if any(ch.isspace() for ch in token):
-                raise MalformedLine(f"token {token!r} contains whitespace", line=lineno)
-            if token:
+            if _is_token(token):
                 tokens.append(token)
+            elif token:
+                raise MalformedLine(f"token {token!r} contains whitespace", line=lineno)
     return tokens
 
 
-def _model_vocab(args) -> Vocabulary:
-    if getattr(args, "bert_vocab", None):
-        return load_vocabulary(args.bert_vocab)
-    return load_embeddings(args.bert_emb).vocab
+def _audit_lines(neighbor_lists, source_lang: str, softmax: bool):
+    """Yield retrieval audit TSV lines, sorted by source token then rank.
+
+    Columns are source_lang, source, target, score; with ``softmax`` a fifth
+    column holds the softmax of each query's displayed scores.
+    """
+    for nl in sorted(neighbor_lists, key=lambda n: n.query):
+        probs = mixture.mixture_weights(nl.entries) if softmax and nl.entries else None
+        for rank, (target, score) in enumerate(nl.entries):
+            line = f"{source_lang}\t{nl.query}\t{target}\t{score:.6f}"
+            if probs is not None:
+                line += f"\t{probs[rank][1]:.6f}"
+            yield line
 
 
 def _cap_pairs(dictionary: BilingualDictionary, max_pairs: int | None) -> BilingualDictionary:
@@ -206,8 +216,7 @@ def _cmd_csls_nn(args) -> int:
                 raise TokenNotFound(tok)
         keep = set(wanted)
         lists = [nl for nl in lists if nl.query in keep]
-    lines = alignment.audit_lines(lists, args.source_lang, softmax=args.softmax)
-    _write_lines(lines, args.out)
+    _write_lines(_audit_lines(lists, args.source_lang, args.softmax), args.out)
     return 0
 
 
@@ -215,7 +224,7 @@ def _cmd_mixture_build(args) -> int:
     src = load_embeddings(args.src_emb)
     english = load_embeddings(args.en_emb)
     model_emb = load_embeddings(args.bert_emb)
-    model_vocab = _model_vocab(args)
+    model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else model_emb.vocab
     to_english = alignment.load_map(args.b_map)
     if args.tokens:
         new_tokens = _read_tokens(args.tokens)
@@ -247,7 +256,7 @@ def _load_counts(path) -> dict[str, int]:
 
 def _cmd_expand(args) -> int:
     model_emb = load_embeddings(args.bert_emb)
-    model_vocab = _model_vocab(args)
+    model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else model_emb.vocab
     lang_vocab = load_vocabulary(args.lang_vocab)
     new_tokens = expansion.select_new_subwords(lang_vocab, model_vocab)
     if args.min_count is not None:

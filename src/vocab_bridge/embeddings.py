@@ -9,8 +9,11 @@ maps use the same layout without the token column.  Vocabulary files hold one
 token per line; the 0-based line number is the token id.  Every text output is
 written atomically (see :func:`_atomic_text`).
 
-Tokens are compared byte-wise.  No Unicode normalization or case folding is
-performed anywhere in this package.
+A token is a non-empty string without whitespace.  Word-internal pieces carry
+the fixed WordPiece prefix ``CONTINUATION_PREFIX`` (``"##"``); it is part of
+the data format, so no file or object stores another spelling.  Tokens are
+compared byte-wise.  No Unicode normalization or case folding is performed
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -38,32 +41,37 @@ from .errors import (
 ZERO_NORM_TOL = 1e-12
 # Tolerance for the unit-norm check on matrices flagged as normalized.
 UNIT_NORM_TOL = 1e-9
+# Marks a word-internal piece in the WordPiece convention.
+CONTINUATION_PREFIX = "##"
+
+
+def _is_token(text: str) -> bool:
+    """True for a non-empty string without whitespace (the token rule)."""
+    return bool(text) and not any(ch.isspace() for ch in text)
 
 
 class Vocabulary:
     """An ordered set of unique subword tokens.
 
     Token ids are positions in the original ordering.  Tokens must be
-    non-empty and free of whitespace.  ``continuation_prefix`` marks
-    word-internal pieces in the WordPiece convention (``"##"`` by default).
+    non-empty and free of whitespace.
     """
 
-    __slots__ = ("tokens", "index", "continuation_prefix")
+    __slots__ = ("tokens", "index")
 
-    def __init__(self, tokens: Iterable[str], continuation_prefix: str = "##"):
+    def __init__(self, tokens: Iterable[str]):
         toks = tuple(tokens)
         index: dict[str, int] = {}
         for i, tok in enumerate(toks):
-            if not isinstance(tok, str) or not tok:
-                raise ValidationError(f"empty or non-string token at position {i}")
-            if any(ch.isspace() for ch in tok):
-                raise ValidationError(f"token {tok!r} at position {i} contains whitespace")
+            if not isinstance(tok, str) or not _is_token(tok):
+                raise ValidationError(
+                    f"token {tok!r} at position {i} is empty, not a string or holds whitespace"
+                )
             if tok in index:
                 raise ValidationError(f"duplicate token {tok!r} at position {i}")
             index[tok] = i
         self.tokens = toks
         self.index = index
-        self.continuation_prefix = continuation_prefix
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -77,10 +85,7 @@ class Vocabulary:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Vocabulary):
             return NotImplemented
-        return (
-            self.tokens == other.tokens
-            and self.continuation_prefix == other.continuation_prefix
-        )
+        return self.tokens == other.tokens
 
     def __repr__(self) -> str:
         return f"Vocabulary({len(self.tokens)} tokens)"
@@ -219,7 +224,7 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
                 raise RowArityMismatch(f"expected {width} fields, got {len(parts)}", line=lineno)
             if labeled:
                 token = parts[0]
-                if not token or any(ch.isspace() for ch in token):
+                if not _is_token(token):
                     raise ParseError(f"invalid token {token!r}", line=lineno)
                 labels.append(token)
                 parts = parts[1:]
@@ -275,18 +280,14 @@ def subset(emb: EmbeddingMatrix, tokens: Sequence[str]) -> EmbeddingMatrix:
             raise MissingToken(tok, pos)
         ids.append(idx)
     rows = emb.rows[ids] if ids else np.zeros((0, emb.dim))
-    return EmbeddingMatrix(
-        Vocabulary(tokens, emb.vocab.continuation_prefix),
-        rows,
-        normalized=emb.normalized,
-    )
+    return EmbeddingMatrix(Vocabulary(tokens), rows, normalized=emb.normalized)
 
 
-def load_vocabulary(path, continuation_prefix: str = "##") -> Vocabulary:
+def load_vocabulary(path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
     with open(path, encoding="utf-8") as fh:
         tokens = [line.rstrip("\n") for line in fh]
-    return Vocabulary(tokens, continuation_prefix)
+    return Vocabulary(tokens)
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:

@@ -27,6 +27,7 @@ from .embeddings import (
     _atomic_text,
     save_embeddings,
     save_vocabulary,
+    subset,
 )
 from .errors import (
     DimMismatch,
@@ -75,23 +76,8 @@ class ExpandedModel:
 
 
 def select_new_subwords(lang_vocab: Vocabulary, model_vocab: Vocabulary) -> list[str]:
-    """Language-vocabulary tokens absent from the model vocabulary.
-
-    Tokens carrying the language vocabulary's continuation prefix are first
-    re-prefixed with the model vocabulary's convention, so membership is
-    tested on the spelling the model would use.  Order follows the language
-    vocabulary; conversion collisions keep the first occurrence.
-    """
-    out: list[str] = []
-    seen: set[str] = set()
-    for tok in lang_vocab.tokens:
-        if lang_vocab.continuation_prefix and tok.startswith(lang_vocab.continuation_prefix):
-            tok = model_vocab.continuation_prefix + tok[len(lang_vocab.continuation_prefix):]
-        if tok in model_vocab or tok in seen:
-            continue
-        seen.add(tok)
-        out.append(tok)
-    return out
+    """Language-vocabulary tokens absent from the model vocabulary, in order."""
+    return [tok for tok in lang_vocab.tokens if tok not in model_vocab]
 
 
 def expand_vocabulary(
@@ -118,13 +104,7 @@ def expand_vocabulary(
     if model_emb.vocab.tokens == model_vocab.tokens:
         original_rows = model_emb.rows
     else:
-        ids = []
-        for pos, tok in enumerate(model_vocab.tokens):
-            idx = model_emb.vocab.index.get(tok)
-            if idx is None:
-                raise MissingToken(tok, pos)
-            ids.append(idx)
-        original_rows = model_emb.rows[ids]
+        original_rows = subset(model_emb, model_vocab.tokens).rows
 
     seen: set[str] = set()
     for tok in new_tokens:
@@ -175,9 +155,7 @@ def expand_vocabulary(
     else:  # pragma: no cover - enum is closed
         raise ValidationError(f"unknown strategy {strategy.kind}")
 
-    vocab = Vocabulary(
-        model_vocab.tokens + tuple(new_tokens), model_vocab.continuation_prefix
-    )
+    vocab = Vocabulary(model_vocab.tokens + tuple(new_tokens))
     rows = np.vstack([original_rows, new_rows]) if len(new_tokens) else original_rows
     emb = EmbeddingMatrix(vocab, rows)
     return ExpandedModel(vocab=vocab, embeddings=emb, provenance=tuple(provenance))

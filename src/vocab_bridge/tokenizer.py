@@ -1,11 +1,14 @@
 """Subword tokenization: BPE merge learning and WordPiece segmentation.
 
 Two tokenizers cooperate here.  A byte-pair-encoding (BPE) trainer learns a
-merge table from a word-frequency corpus; its emitted vocabulary is rendered
-in the WordPiece convention (word-internal pieces prefixed ``"##"``) so that
-the pieces can later be spliced into a pretrained model's vocabulary.  A
-WordPiece segmenter applies such a vocabulary with greedy longest-match-first
-lookup and classifies each word at two levels:
+merge table from a word-frequency corpus, fusing the fixed ``END_OF_WORD``
+marker (``"</w>"``) onto each word's last character; its emitted vocabulary
+is rendered in the WordPiece convention (word-internal pieces prefixed with
+``embeddings.CONTINUATION_PREFIX``, ``"##"``) so that the pieces can later be
+spliced into a pretrained model's vocabulary.  Both spellings are part of the
+merges and vocabulary file formats, not options.  A WordPiece segmenter
+applies such a vocabulary with greedy longest-match-first lookup and
+classifies each word at two levels:
 
 * word-level OOV: the word is not itself a vocabulary token;
 * subword-level OOV: no segmentation into vocabulary pieces exists at all,
@@ -22,12 +25,14 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
-from .embeddings import Vocabulary, _atomic_text
+from .embeddings import CONTINUATION_PREFIX, Vocabulary, _atomic_text, _is_token
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 
 MERGES_HEADER = "#version: vocab-bridge-1"
 DEFAULT_UNK = "[UNK]"
 DEFAULT_MAX_CHARS = 100
+# Fused onto a word's final symbol during training and application.
+END_OF_WORD = "</w>"
 
 
 class SegmentStatus(enum.Enum):
@@ -54,8 +59,8 @@ class BpeModel:
     """A learned BPE merge table.
 
     ``merges`` are (left, right) symbol pairs in learned order; earlier pairs
-    have priority during application.  The end-of-word marker is fused onto a
-    word's final character, so word-final symbols carry a ``"</w>"`` suffix
+    have priority during application.  ``END_OF_WORD`` is fused onto a word's
+    final character, so word-final symbols carry a ``"</w>"`` suffix
     internally; application output strips it.  ``wordpiece_vocab`` holds the
     subword inventory observed when segmenting the training corpus, rendered
     in the WordPiece convention and ordered by descending frequency (ties by
@@ -63,8 +68,6 @@ class BpeModel:
     """
 
     merges: tuple[tuple[str, str], ...]
-    vocab_size_target: int
-    end_of_word_marker: str = "</w>"
     wordpiece_vocab: tuple[str, ...] = ()
     # merge -> rank, built once so application never rehashes the merge table
     _ranks: dict[tuple[str, str], int] = field(
@@ -76,14 +79,11 @@ class BpeModel:
         object.__setattr__(self, "_ranks", ranks)
 
 
-def _check_word(word: str) -> None:
-    if not word or any(ch.isspace() for ch in word):
-        raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
-
-
-def _symbolize(word: str, marker: str) -> tuple[str, ...]:
+def _symbolize(word: str) -> tuple[str, ...]:
     # "abc" -> ('a', 'b', 'c</w>'); single-char words become ('a</w>',)
-    return tuple(word[:-1]) + (word[-1] + marker,)
+    if not _is_token(word):
+        raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
+    return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
 
 
 def _merge_pair(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
@@ -102,13 +102,7 @@ def _merge_pair(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, .
     return tuple(out)
 
 
-def bpe_train(
-    corpus: Mapping[str, int],
-    target_vocab: int,
-    *,
-    end_of_word_marker: str = "</w>",
-    continuation_prefix: str = "##",
-) -> BpeModel:
+def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
     """Learn BPE merges from a word-frequency table.
 
     Repeatedly merges the most frequent adjacent symbol pair, breaking ties
@@ -129,8 +123,7 @@ def bpe_train(
     for word, freq in corpus.items():
         if freq <= 0:
             continue
-        _check_word(word)
-        words.append(_symbolize(word, end_of_word_marker))
+        words.append(_symbolize(word))
         freqs.append(freq)
         corpus_words.append((word, freq))
     if not words:
@@ -189,23 +182,13 @@ def bpe_train(
             if not symbols_seen[s]:
                 del symbols_seen[s]
 
-    model = BpeModel(
-        merges=tuple(merges),
-        vocab_size_target=target_vocab,
-        end_of_word_marker=end_of_word_marker,
-    )
+    model = BpeModel(merges=tuple(merges))
     entry_counts: Counter = Counter()
     for word, freq in corpus_words:
-        rendered = wordpiece_style(bpe_apply(model, word), continuation_prefix)
-        for piece in rendered:
+        for piece in wordpiece_style(bpe_apply(model, word)):
             entry_counts[piece] += freq
     entries = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
-    return BpeModel(
-        merges=model.merges,
-        vocab_size_target=target_vocab,
-        end_of_word_marker=end_of_word_marker,
-        wordpiece_vocab=entries,
-    )
+    return BpeModel(merges=model.merges, wordpiece_vocab=entries)
 
 
 def bpe_apply(model: BpeModel, word: str) -> list[str]:
@@ -214,9 +197,7 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
     Always succeeds: with no applicable merge the word falls back to single
     characters.  The end-of-word marker is stripped from the output.
     """
-    _check_word(word)
-    marker = model.end_of_word_marker
-    symbols = list(_symbolize(word, marker))
+    symbols = list(_symbolize(word))
     ranks = model._ranks
     while len(symbols) > 1:
         best: tuple[str, str] | None = None
@@ -229,13 +210,13 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
         if best is None:
             break
         symbols = list(_merge_pair(tuple(symbols), *best))
-    symbols[-1] = symbols[-1][: -len(marker)]
+    symbols[-1] = symbols[-1].removesuffix(END_OF_WORD)
     return symbols
 
 
-def wordpiece_style(pieces: list[str], continuation_prefix: str = "##") -> list[str]:
+def wordpiece_style(pieces: list[str]) -> list[str]:
     """Render a piece sequence in the WordPiece convention."""
-    return [pieces[0]] + [continuation_prefix + p for p in pieces[1:]]
+    return [pieces[0]] + [CONTINUATION_PREFIX + p for p in pieces[1:]]
 
 
 def save_bpe_model(model: BpeModel, path) -> None:
@@ -246,11 +227,11 @@ def save_bpe_model(model: BpeModel, path) -> None:
             fh.write(f"{left} {right}\n")
 
 
-def load_bpe_model(path, *, vocab_size_target: int = 0) -> BpeModel:
+def load_bpe_model(path) -> BpeModel:
     """Read a merges file written by :func:`save_bpe_model`.
 
-    The training-time vocabulary target and emitted vocabulary are not stored
-    in the merges format; the loaded model carries only the merge table.
+    The emitted vocabulary is not stored in the merges format; the loaded
+    model carries only the merge table.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -261,15 +242,14 @@ def load_bpe_model(path, *, vocab_size_target: int = 0) -> BpeModel:
     for offset, line in enumerate(lines[1:]):
         lineno = offset + 2
         parts = line.split(" ")
-        # split() also cuts at any other whitespace, such as U+0085
-        if len(parts) != 2 or line.split() != parts:
+        if len(parts) != 2 or not all(map(_is_token, parts)):
             raise MalformedLine(f"expected 'left right', got {line!r}", line=lineno)
         pair = (parts[0], parts[1])
         if pair in seen:
             raise MalformedLine(f"duplicate merge pair {pair!r}", line=lineno)
         seen.add(pair)
         merges.append(pair)
-    return BpeModel(merges=tuple(merges), vocab_size_target=vocab_size_target)
+    return BpeModel(merges=tuple(merges))
 
 
 def wordpiece_segment(
@@ -280,15 +260,15 @@ def wordpiece_segment(
 ) -> Segmentation:
     """Segment one word by greedy longest-match-first vocabulary lookup.
 
-    The first piece is matched bare; subsequent pieces are matched with the
-    vocabulary's continuation prefix.  Words longer than ``max_chars`` or
+    The first piece is matched bare; subsequent pieces are matched with
+    ``CONTINUATION_PREFIX``.  Words longer than ``max_chars`` or
     with no complete segmentation collapse to ``(unk,)`` with status
     ``SUBWORD_OOV``.
     """
-    _check_word(word)
+    if not _is_token(word):
+        raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
     if len(word) > max_chars:
         return Segmentation(word, (unk,), SegmentStatus.SUBWORD_OOV)
-    prefix = vocab.continuation_prefix
     pieces: list[str] = []
     start = 0
     n = len(word)
@@ -298,7 +278,7 @@ def wordpiece_segment(
         while start < end:
             piece = word[start:end]
             if start > 0:
-                piece = prefix + piece
+                piece = CONTINUATION_PREFIX + piece
             if piece in vocab:
                 found = piece
                 break

@@ -8,7 +8,8 @@ import pytest
 
 from conftest import make_emb, random_orthogonal, tok_list, unit_rows
 from test_tokenizer import repeat_corpus
-from vocab_bridge import LinearMap, bpe_apply, bpe_train, save_embeddings
+from vocab_bridge import LinearMap, bpe_apply, bpe_train, load_embeddings, save_embeddings
+from vocab_bridge import cli
 from vocab_bridge.alignment import save_map
 from vocab_bridge.cli import _read_tokens, dispatch
 from vocab_bridge.errors import MalformedLine
@@ -384,6 +385,31 @@ class TestMixtureAndExpand:
         # en0001 is already a model token, so only the new token is assigned
         assert len(lines) == 1 and lines[0].startswith("nouveau\t")
 
+    @pytest.mark.parametrize("command", ["mixture-build", "expand"])
+    def test_model_file_parsed_once(self, tmp_path, monkeypatch, command):
+        """Without --bert-vocab the model vocabulary comes from the one parse."""
+        rng = np.random.default_rng(7)
+        _, _, en_path, model_path = self._english_model_files(tmp_path, rng)
+        loads = Counter()
+
+        def counting_load(path):
+            loads[str(path)] += 1
+            return load_embeddings(path)
+
+        monkeypatch.setattr(cli, "load_embeddings", counting_load)
+        if command == "mixture-build":
+            src_path = tmp_path / "src.vec"
+            save_embeddings(make_emb(["nouveau"], unit_rows(rng, 1, 4)), src_path)
+            save_map(LinearMap(np.eye(4)), tmp_path / "b.map")
+            args = ["--src-emb", str(src_path), "--b-map", str(tmp_path / "b.map"),
+                    "--en-emb", en_path, "--out", str(tmp_path / "a.tsv")]
+        else:
+            lang_vocab = write(tmp_path / "lang.txt", "nouveau\n")
+            args = ["--lang-vocab", lang_vocab, "--strategy", "random", "--seed", "0",
+                    "--out-dir", str(tmp_path / "out")]
+        assert dispatch([command, "--bert-emb", model_path, *args]) == 0
+        assert loads[model_path] == 1
+
     def test_expand_random_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(3)
         _, _, _, model_path = self._english_model_files(tmp_path, rng)
@@ -443,8 +469,6 @@ class TestMixtureAndExpand:
              "--out-dir", str(out_dir)]
         )
         assert code == 0
-        from vocab_bridge import load_embeddings
-
         out = load_embeddings(out_dir / "embeddings.vec")
         want = 0.6 * model.row("en0002") + 0.4 * model.row("en0005")
         np.testing.assert_allclose(out.row("nouveau"), want, rtol=1e-6)

@@ -14,6 +14,7 @@ import oracles
 from vocab_bridge import (
     EmbeddingMatrix,
     Vocabulary,
+    bpe_train,
     load_embeddings,
     load_map,
     load_vocabulary,
@@ -21,11 +22,14 @@ from vocab_bridge import (
     save_embeddings,
     save_vocabulary,
     subset,
+    wordpiece_segment,
 )
+from vocab_bridge.cli import _read_tokens
 from vocab_bridge.embeddings import _atomic_text, _read_matrix, _write_matrix
 from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
+    MalformedLine,
     MissingToken,
     NonFiniteValue,
     ParseError,
@@ -34,6 +38,7 @@ from vocab_bridge.errors import (
     ValidationError,
     ZeroRow,
 )
+from vocab_bridge.tokenizer import MERGES_HEADER, load_bpe_model
 
 from conftest import make_emb, unit_rows
 
@@ -335,3 +340,26 @@ class TestVocabularyFiles:
         path.write_text("a\nb\x85c\nd\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="whitespace"):
             load_vocabulary(path)
+
+
+class TestTokenRule:
+    @pytest.mark.parametrize("bad", ["a\x85b", "a\u2028b", "a\x0bb", "a\u3000b"])
+    def test_every_reader_rejects_whitespace_inside_a_token(self, tmp_path, bad):
+        """Vocabularies, embedding rows, merges, token files and words share one rule."""
+        with pytest.raises(ValidationError, match="whitespace"):
+            Vocabulary(["a", bad])
+        cases = [
+            (load_embeddings, f"1 1\n{bad} 1.0\n", ParseError),
+            (load_bpe_model, f"{MERGES_HEADER}\n{bad} c\n", MalformedLine),
+            (_read_tokens, f"a\n{bad}\n", MalformedLine),
+        ]
+        for reader, text, error in cases:
+            path = tmp_path / "input.txt"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(error) as err:
+                reader(path)
+            assert type(err.value) is error and err.value.line == 2
+        with pytest.raises(ValidationError):
+            bpe_train({bad: 2}, 5)
+        with pytest.raises(ValidationError):
+            wordpiece_segment(Vocabulary(["a"]), "[UNK]", bad)

@@ -31,18 +31,6 @@ class TestSelectNewSubwords:
         model = Vocabulary(["les", "##er", "the"])
         assert select_new_subwords(lang, model) == ["je", "ça"]
 
-    def test_continuation_prefix_is_converted(self):
-        """A continuation under the language convention is looked up, and
-        emitted, under the model convention."""
-        lang = Vocabulary(["@@a", "@@b", "word"], continuation_prefix="@@")
-        model = Vocabulary(["##a", "other"], continuation_prefix="##")
-        assert select_new_subwords(lang, model) == ["##b", "word"]
-
-    def test_conversion_collisions_deduplicate(self):
-        lang = Vocabulary(["@@x", "##x"], continuation_prefix="@@")
-        model = Vocabulary(["unused"], continuation_prefix="##")
-        assert select_new_subwords(lang, model) == ["##x"]
-
     def test_everything_shared_gives_empty(self):
         v = Vocabulary(["a", "##b"])
         assert select_new_subwords(v, v) == []

@@ -13,10 +13,13 @@ from vocab_bridge import (
     bpe_apply,
     bpe_train,
     classify_corpus,
+    load_vocabulary,
+    save_vocabulary,
     wordpiece_segment,
 )
 from vocab_bridge.errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 from vocab_bridge.tokenizer import (
+    END_OF_WORD,
     MERGES_HEADER,
     load_bpe_model,
     save_bpe_model,
@@ -53,7 +56,7 @@ class TestBpeTrain:
         model = bpe_train({"aa": 2, "ab": 1}, 10)
         assert model.merges[0] == ("a", "a</w>")
         left, right = model.merges[0]
-        assert (left, right.removesuffix(model.end_of_word_marker)) == ("a", "a")
+        assert (left, right.removesuffix(END_OF_WORD)) == ("a", "a")
 
     def test_single_word_corpus_learns_nothing(self):
         """One occurrence of every pair: nothing reaches the 2-count floor."""
@@ -98,7 +101,8 @@ class TestBpeTrain:
     @example(corpus={"aaaa": 3, "aa": 2, "a": 1}, target=60)
     @example(corpus={"ab</w": 4, "w>": 3, "b</w>": 2}, target=60)
     def test_matches_rescanning_trainer(self, tmp_path_factory, corpus, target):
-        """Merges, emitted vocabulary and merges file equal the reference's."""
+        """Merges, emitted vocabulary and merges file equal the reference's,
+        and both files reload to a model and vocabulary that act the same."""
         assume(any(freq > 0 for freq in corpus.values()))
         model = bpe_train(corpus, target)
         merges, vocab = oracles.bpe_train_reference(corpus, target)
@@ -106,22 +110,28 @@ class TestBpeTrain:
         assert model.wordpiece_vocab == vocab
         tmp = tmp_path_factory.mktemp("merges")
         save_bpe_model(model, tmp / "fast.txt")
-        save_bpe_model(BpeModel(merges=merges, vocab_size_target=target), tmp / "ref.txt")
+        save_bpe_model(BpeModel(merges=merges), tmp / "ref.txt")
         assert (tmp / "fast.txt").read_bytes() == (tmp / "ref.txt").read_bytes()
+        loaded = load_bpe_model(tmp / "fast.txt")
+        for word in corpus:
+            assert bpe_apply(loaded, word) == bpe_apply(model, word)
+        emitted = Vocabulary(model.wordpiece_vocab)
+        save_vocabulary(emitted, tmp / "vocab.txt")
+        assert load_vocabulary(tmp / "vocab.txt") == emitted
 
 
 class TestBpeApply:
     def test_planted_merge(self):
         """A model holding the bare merge (a, a) joins the word-initial pair."""
-        model = BpeModel(merges=(("a", "a"),), vocab_size_target=10)
+        model = BpeModel(merges=(("a", "a"),))
         assert bpe_apply(model, "aab") == ["aa", "b"]
 
     def test_no_merges_falls_back_to_characters(self):
-        model = BpeModel(merges=(), vocab_size_target=10)
+        model = BpeModel(merges=())
         assert bpe_apply(model, "ab") == ["a", "b"]
 
     def test_single_character_word(self):
-        model = BpeModel(merges=(), vocab_size_target=10)
+        model = BpeModel(merges=())
         assert bpe_apply(model, "a") == ["a"]
 
     def test_marker_fused_merge_applies_word_finally(self):
@@ -131,7 +141,7 @@ class TestBpeApply:
 
     def test_priority_order(self):
         """Earlier merges win even when a later merge also matches."""
-        model = BpeModel(merges=(("b", "c"), ("a", "b")), vocab_size_target=10)
+        model = BpeModel(merges=(("b", "c"), ("a", "b")))
         assert bpe_apply(model, "abcd") == ["a", "bc", "d"]
 
     def test_reconstruction_property(self):
