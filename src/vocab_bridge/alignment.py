@@ -16,7 +16,10 @@ source set.
 Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
 (``csls-nn``, both ``align-eval`` scores and ``mixture-build`` anchors).  It
 lists targets best first, ties broken by ascending target id, so every
-retrieval is deterministic.
+retrieval is deterministic.  It computes both r-terms and the scores in row
+blocks of about ``_BLOCK_CELLS`` cells, so memory is bounded by that budget,
+not by queries x targets.  Blocking moves scores only by rounding (within
+1e-12 of one block) and leaves the ranking rule as it is.
 
 All similarity computation happens on L2-normalized copies; raw matrices are
 never modified.
@@ -54,6 +57,8 @@ log = logging.getLogger(__name__)
 
 # Maximum entrywise deviation of M^T M (or M M^T) from identity.
 ORTHOGONALITY_TOL = 1e-6
+# Cells (rows x columns) of one CSLS similarity block: 1 MiB of float64.
+_BLOCK_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -202,6 +207,19 @@ def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
     return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
 
 
+def _row_blocks(n: int, cols: int) -> list[slice]:
+    """Row slices of about ``_BLOCK_CELLS`` cells of an (n, cols) product.
+
+    No block has one row unless n is 1: numpy rounds a (1, d) @ B.T product
+    differently, so a 1-row remainder joins the block before it.
+    """
+    step = max(2, _BLOCK_CELLS // cols)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _csls_topk(
     queries: np.ndarray,
     targets: np.ndarray,
@@ -213,50 +231,32 @@ def _csls_topk(
 
     Returns (ids, scores), both of shape (len(queries), top), best first,
     ties by ascending target id.  The query r-term is taken over ``targets``
-    themselves, the target r-term over ``src_rset``.
+    themselves, the target r-term over ``src_rset``.  Each row's r-term and
+    ranking depend only on that row, so both run in row blocks.
     """
-    r_t = _topk_mean(targets @ src_rset.T, k)
-    scores = queries @ targets.T
-    r_q = _topk_mean(scores, k)
-    # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
-    scores *= 2.0
-    scores -= r_q[:, None]
-    scores -= r_t[None, :]
-    # every column at or above the row's top-th best score, then an exact
-    # (-score, id) sort of those few keeps ties at the cut in id order
-    cut = np.partition(scores, -top, axis=1)[:, -top]
-    rows, cols = np.nonzero(scores >= cut[:, None])
-    vals = scores[rows, cols]
-    order = np.lexsort((cols, -vals, rows))
-    starts = np.searchsorted(rows, np.arange(len(scores)))
-    pick = order[(starts[:, None] + np.arange(top)).ravel()]
-    shape = (len(scores), top)
-    return cols[pick].reshape(shape), vals[pick].reshape(shape)
-
-
-def csls_score(x, y, src_set: EmbeddingMatrix, tgt_set: EmbeddingMatrix, k: int) -> float:
-    """CSLS between two single vectors given their domain sets.
-
-    ``k`` must not exceed the size of either set (``KTooLarge``).  Vectors
-    and sets are normalized internally, so scale does not matter.
-    """
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    yv = np.asarray(y, dtype=np.float64).reshape(-1)
-    if xv.shape[0] != src_set.dim or yv.shape[0] != tgt_set.dim or xv.shape[0] != yv.shape[0]:
-        raise DimMismatch("vector and set dimensions do not all agree")
-    if k > len(src_set) or k > len(tgt_set):
-        raise KTooLarge(f"k={k} exceeds a set size ({len(src_set)}, {len(tgt_set)})")
-    if k < 1:
-        raise ValidationError("k must be positive")
-    xn = np.linalg.norm(xv)
-    yn = np.linalg.norm(yv)
-    if xn < 1e-12 or yn < 1e-12:
-        raise ValidationError("cannot score a zero vector")
-    xu = xv / xn
-    yu = yv / yn
-    r_x = _topk_mean(xu[None, :] @ _unit(tgt_set).rows.T, k)[0]
-    r_y = _topk_mean(yu[None, :] @ _unit(src_set).rows.T, k)[0]
-    return float(2.0 * (xu @ yu) - r_x - r_y)
+    r_t = np.empty(len(targets))
+    for b in _row_blocks(len(targets), len(src_rset)):
+        r_t[b] = _topk_mean(targets[b] @ src_rset.T, k)
+    ids = np.empty((len(queries), top), dtype=np.intp)
+    best = np.empty((len(queries), top))
+    for b in _row_blocks(len(queries), len(targets)):
+        scores = queries[b] @ targets.T
+        r_q = _topk_mean(scores, k)
+        # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
+        scores *= 2.0
+        scores -= r_q[:, None]
+        scores -= r_t[None, :]
+        # every column at or above the row's top-th best score, then an exact
+        # (-score, id) sort of those few keeps ties at the cut in id order
+        cut = np.partition(scores, -top, axis=1)[:, -top]
+        rows, cols = np.nonzero(scores >= cut[:, None])
+        vals = scores[rows, cols]
+        order = np.lexsort((cols, -vals, rows))
+        starts = np.searchsorted(rows, np.arange(len(scores)))
+        pick = order[(starts[:, None] + np.arange(top)).ravel()]
+        ids[b] = cols[pick].reshape(-1, top)
+        best[b] = vals[pick].reshape(-1, top)
+    return ids, best
 
 
 def csls_knn(

@@ -186,16 +186,13 @@ def _cmd_align_eval(args) -> int:
     score = alignment.unsupervised_score(linear_map, src, tgt, cfg, sample=args.sample)
     print(f"precision_at_{args.eval_k}\t{precision:.6f}")
     print(f"unsupervised_score\t{score:.6f}")
-    if args.warn_below_precision is not None and precision < args.warn_below_precision:
-        log.warning(
-            "precision %.4f below threshold %.4f; mapping quality is suspect",
-            precision, args.warn_below_precision,
-        )
-    if args.warn_below_unsupervised is not None and score < args.warn_below_unsupervised:
-        log.warning(
-            "unsupervised score %.4f below threshold %.4f; mapping quality is suspect",
-            score, args.warn_below_unsupervised,
-        )
+    for name, value, floor in (
+        ("precision", precision, args.warn_below_precision),
+        ("unsupervised score", score, args.warn_below_unsupervised),
+    ):
+        if floor is not None and value < floor:
+            log.warning("%s %.4f below threshold %.4f; mapping quality is suspect",
+                        name, value, floor)
     return 0
 
 

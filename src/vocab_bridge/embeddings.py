@@ -47,7 +47,7 @@ CONTINUATION_PREFIX = "##"
 
 def _is_token(text: str) -> bool:
     """True for a non-empty string without whitespace (the token rule)."""
-    return bool(text) and not any(ch.isspace() for ch in text)
+    return text.split() == [text]  # split() cuts at exactly the isspace() chars
 
 
 class Vocabulary:
@@ -176,20 +176,24 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
 
 
 @contextmanager
-def _atomic_text(path):
-    """Open a UTF-8 text file that replaces ``path`` only if the block succeeds.
-
-    Writes go to a temporary file beside ``path``.  On failure it is removed
-    and a previous file at ``path`` stays as it was.
-    """
-    tmp = Path(f"{os.fspath(path)}.{os.getpid()}.tmp")
+def _staged(*paths):
+    """Yield temporary paths beside ``paths`` that replace them all if the block succeeds."""
+    tmps = [Path(f"{os.fspath(path)}.{os.getpid()}.tmp") for path in paths]
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-        os.replace(tmp, path)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
+
+
+@contextmanager
+def _atomic_text(path):
+    """Open a UTF-8 text file that replaces ``path`` only if the block succeeds."""
+    with _staged(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
 
 def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
@@ -258,8 +262,6 @@ def normalize_rows(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     ``ZERO_NORM_TOL``.  Applying this to an already normalized matrix changes
     nothing beyond 1e-12.
     """
-    if not len(emb):
-        return EmbeddingMatrix(emb.vocab, emb.rows, normalized=True)
     norms = np.linalg.norm(emb.rows, axis=1)
     small = np.flatnonzero(norms < ZERO_NORM_TOL)
     if small.size:

@@ -25,6 +25,7 @@ from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
     _atomic_text,
+    _staged,
     save_embeddings,
     save_vocabulary,
     subset,
@@ -162,11 +163,13 @@ def expand_vocabulary(
 
 
 def emit_expanded(model: ExpandedModel, out_dir) -> None:
-    """Write vocab.txt, embeddings.vec and provenance.tsv into ``out_dir``."""
+    """Write vocab.txt, embeddings.vec and provenance.tsv into ``out_dir``, all or none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_vocabulary(model.vocab, out / VOCAB_FILE)
-    save_embeddings(model.embeddings, out / EMBEDDINGS_FILE)
-    with _atomic_text(out / PROVENANCE_FILE) as fh:
-        for rec in model.provenance:
-            fh.write(f"{rec.token}\t{rec.strategy}\t{rec.detail}\n")
+    files = (out / VOCAB_FILE, out / EMBEDDINGS_FILE, out / PROVENANCE_FILE)
+    with _staged(*files) as (vocab_tmp, emb_tmp, prov_tmp):
+        save_vocabulary(model.vocab, vocab_tmp)
+        save_embeddings(model.embeddings, emb_tmp)
+        with _atomic_text(prov_tmp) as fh:
+            for rec in model.provenance:
+                fh.write(f"{rec.token}\t{rec.strategy}\t{rec.detail}\n")

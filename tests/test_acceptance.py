@@ -39,6 +39,7 @@ from vocab_bridge import (
     select_new_subwords,
     wordpiece_segment,
 )
+from vocab_bridge import alignment
 from vocab_bridge.cli import dispatch
 from vocab_bridge.tokenizer import SegmentStatus
 
@@ -114,6 +115,12 @@ def test_criterion_3_csls_matches_exhaustive_oracle():
                     assert abs(score - want[row][j]) <= 1e-9
 
     _report(3, "CSLS scores and top-5 lists match the brute-force oracle", body)
+
+
+def test_criterion_3_with_tiny_row_blocks(monkeypatch):
+    """Criterion 3 again, with row blocks of 2 to 41 rows in the CSLS kernel."""
+    monkeypatch.setattr(alignment, "_BLOCK_CELLS", 500)
+    test_criterion_3_csls_matches_exhaustive_oracle()
 
 
 def test_criterion_4_mixture_weight_arithmetic():

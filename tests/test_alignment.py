@@ -1,5 +1,7 @@
 """Procrustes solving, CSLS retrieval, evaluation metrics and the two fits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,14 +23,14 @@ from vocab_bridge import (
     apply_map,
     compose_maps,
     csls_knn,
-    csls_score,
     eval_precision_at_k,
     fit_independent_mapping,
     fit_joint_mapping,
     procrustes_solve,
     unsupervised_score,
 )
-from vocab_bridge.alignment import _csls_topk, load_map, save_map
+from vocab_bridge import alignment
+from vocab_bridge.alignment import _csls_topk, _row_blocks, load_map, save_map
 from vocab_bridge.errors import (
     DegenerateInput,
     DimMismatch,
@@ -172,44 +174,6 @@ class TestApplyMap:
             compose_maps(b, a)
 
 
-class TestCslsScore:
-    def test_singleton_sets_score_zero(self):
-        """With k=1 and singletons, both r-terms equal the pair cosine."""
-        x = np.array([1.0, 0.0])
-        y = np.array([0.6, 0.8])
-        src = make_emb(["x"], x[None, :])
-        tgt = make_emb(["y"], y[None, :])
-        assert abs(csls_score(x, y, src, tgt, k=1)) <= 1e-12
-
-    def test_matches_exhaustive_oracle(self):
-        rng = np.random.default_rng(10)
-        src_rows = unit_rows(rng, 5, 4)
-        tgt_rows = unit_rows(rng, 5, 4)
-        src = make_emb(tok_list("s", 5), src_rows, normalized=True)
-        tgt = make_emb(tok_list("t", 5), tgt_rows, normalized=True)
-        for i in range(5):
-            for j in range(5):
-                got = csls_score(src_rows[i], tgt_rows[j], src, tgt, k=2)
-                want = oracles.csls_pair(src_rows[i], tgt_rows[j], src_rows, tgt_rows, 2)
-                assert abs(got - want) <= 1e-12
-
-    def test_scale_invariance(self):
-        """Cosines ignore magnitude, so scaled inputs score identically."""
-        rng = np.random.default_rng(11)
-        src = make_emb(tok_list("s", 6), unit_rows(rng, 6, 3), normalized=True)
-        tgt = make_emb(tok_list("t", 6), unit_rows(rng, 6, 3), normalized=True)
-        x, y = src.rows[0], tgt.rows[3]
-        a = csls_score(x, y, src, tgt, k=3)
-        b = csls_score(7.5 * x, 0.01 * y, src, tgt, k=3)
-        assert abs(a - b) <= 1e-9
-
-    def test_k_too_large(self):
-        src = make_emb(["s"], [[1.0, 0.0]])
-        tgt = make_emb(["t"], [[0.0, 1.0]])
-        with pytest.raises(KTooLarge):
-            csls_score(src.rows[0], tgt.rows[0], src, tgt, k=2)
-
-
 class TestCslsKnn:
     def test_self_retrieval_on_identical_sets(self):
         """Every token's nearest neighbor in a copy of its own space is itself."""
@@ -287,6 +251,72 @@ class TestCslsTopk:
                 want = np.lexsort((np.arange(m), -by_id))[:top]
                 assert ids[i].tolist() == want.tolist()
                 assert np.array_equal(scores[i], by_id[want])
+
+
+class TestCslsBlocks:
+    """Row blocks of ``_csls_topk`` against the single-block ranking."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        cols=st.integers(1, 12),
+        budget=st.integers(1, 500),
+    )
+    def test_row_blocks_cover_rows_without_lone_rows(self, n, cols, budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", budget)
+            blocks = _row_blocks(n, cols)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert n == 1 or min(sizes) >= 2
+        assert max(sizes) <= max(2, budget // cols) + 1
+        if n * cols <= budget:
+            assert len(blocks) == 1
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        n_src=st.integers(1, 9),
+        d=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_every_budget_ranks_like_one_block(self, seed, n, n_src, d, picks, data):
+        """Targets repeat rows of a 4-row bank, so their scores tie exactly."""
+        rng = np.random.default_rng(seed)
+        queries = unit_rows(rng, n, d)
+        src = unit_rows(rng, n_src, d)
+        targets = unit_rows(rng, 4, d)[picks]
+        m = len(picks)
+        k = data.draw(st.integers(1, min(n_src, m)), label="k")
+        top = data.draw(st.integers(1, m), label="top")
+        budget = data.draw(st.integers(1, max(n * m, m * n_src)), label="budget")
+        want_ids, want_scores = _csls_topk(queries, targets, src, k, top)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", budget)
+            ids, scores = _csls_topk(queries, targets, src, k, top)
+            all_ids, all_scores = _csls_topk(queries, targets, src, k, m)
+        assert np.array_equal(ids, want_ids)
+        np.testing.assert_allclose(scores, want_scores, rtol=0, atol=1e-12)
+        for i in range(n):
+            by_id = np.empty(m)
+            by_id[all_ids[i]] = all_scores[i]
+            assert all_ids[i].tolist() == np.lexsort((np.arange(m), -by_id)).tolist()
+
+    def test_peak_memory_follows_the_block_budget(self):
+        """3,000 x 2,500 scores are 60 MB dense; the blocked kernel stays far below."""
+        rng = np.random.default_rng(19)
+        queries = unit_rows(rng, 3000, 16)
+        targets = unit_rows(rng, 2500, 16)
+        tracemalloc.start()
+        try:
+            _csls_topk(queries, targets, queries, 10, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestPrecisionAtK:

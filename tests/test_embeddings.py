@@ -25,7 +25,7 @@ from vocab_bridge import (
     wordpiece_segment,
 )
 from vocab_bridge.cli import _read_tokens
-from vocab_bridge.embeddings import _atomic_text, _read_matrix, _write_matrix
+from vocab_bridge.embeddings import _atomic_text, _is_token, _read_matrix, _write_matrix
 from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
@@ -343,6 +343,15 @@ class TestVocabularyFiles:
 
 
 class TestTokenRule:
+    def test_rule_matches_isspace_on_every_code_point(self):
+        """A token is non-empty and holds no character for which isspace is true."""
+        assert not _is_token("")
+        for cp in range(0x110000):
+            ch = chr(cp)
+            want = not ch.isspace()
+            assert _is_token(ch) is want, hex(cp)
+            assert _is_token(f"a{ch}b") is want, hex(cp)
+
     @pytest.mark.parametrize("bad", ["a\x85b", "a\u2028b", "a\x0bb", "a\u3000b"])
     def test_every_reader_rejects_whitespace_inside_a_token(self, tmp_path, bad):
         """Vocabularies, embedding rows, merges, token files and words share one rule."""

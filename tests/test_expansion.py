@@ -1,5 +1,7 @@
 """Selecting new subwords and splicing them into a pretrained model."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from vocab_bridge import (
     load_vocabulary,
     select_new_subwords,
 )
+from vocab_bridge import expansion
 from vocab_bridge.expansion import EMBEDDINGS_FILE, PROVENANCE_FILE, VOCAB_FILE
 from vocab_bridge.errors import (
     DimMismatch,
@@ -271,3 +274,29 @@ class TestEmitExpanded:
         assert len(lines) == 2
         for line, rec in zip(lines, out.provenance):
             assert line == f"{rec.token}\t{rec.strategy}\t{rec.detail}"
+
+    def test_failed_write_leaves_every_file_as_it_was(self, tmp_path, monkeypatch):
+        """A failure while writing the embeddings replaces none of the three files."""
+        rng = np.random.default_rng(18)
+        model = make_emb(tok_list("m", 5), rng.standard_normal((5, 3)))
+        base = tmp_path / "expanded"
+        emit_expanded(
+            expand_vocabulary(
+                model.vocab, model, ["x1"], ExpansionStrategy(StrategyKind.RANDOM, seed=3)
+            ),
+            base,
+        )
+        before = {p.name: p.read_bytes() for p in base.iterdir()}
+        assert sorted(before) == sorted([VOCAB_FILE, EMBEDDINGS_FILE, PROVENANCE_FILE])
+
+        def failing_save(emb, path):
+            Path(path).write_text("2 3\npartial", encoding="utf-8")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(expansion, "save_embeddings", failing_save)
+        bigger = expand_vocabulary(
+            model.vocab, model, ["y1", "y2"], ExpansionStrategy(StrategyKind.RANDOM, seed=4)
+        )
+        with pytest.raises(OSError, match="disk full"):
+            emit_expanded(bigger, base)
+        assert {p.name: p.read_bytes() for p in base.iterdir()} == before
