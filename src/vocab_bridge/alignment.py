@@ -21,8 +21,10 @@ blocks of about ``_BLOCK_CELLS`` cells, so memory is bounded by that budget,
 not by queries x targets.  Blocking moves scores only by rounding (within
 1e-12 of one block) and leaves the ranking rule as it is.
 
-All similarity computation happens on L2-normalized copies; raw matrices are
-never modified.
+CSLS and the fits need unit rows, so each scorer and fit normalizes its own
+inputs once (``embeddings._unit_rows``) and works on plain arrays from
+there; a mapped matrix is normalized again after the map.  Raw matrices are
+never modified, and no intermediate ``EmbeddingMatrix`` is built.
 """
 
 from __future__ import annotations
@@ -34,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import BilingualDictionary
-from .embeddings import (
-    EmbeddingMatrix,
-    Vocabulary,
-    _read_matrix,
-    _write_matrix,
-    normalize_rows,
-)
+from .embeddings import EmbeddingMatrix, Vocabulary, _read_matrix, _unit_rows, _write_matrix
 from .errors import (
     DegenerateInput,
     DimMismatch,
@@ -177,16 +173,25 @@ def procrustes_solve(x, y) -> LinearMap:
 
 
 def apply_map(linear_map: LinearMap, emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Map every row of ``emb``; re-normalize when the input was normalized."""
+    """Map every row of ``emb`` (``rows @ matrix``); rows are not rescaled."""
+    _check_src_dim(linear_map, emb)
+    return EmbeddingMatrix(emb.vocab, emb.rows @ linear_map.matrix)
+
+
+def _check_src_dim(linear_map: LinearMap, emb: EmbeddingMatrix) -> None:
     if emb.dim != linear_map.src_dim:
         raise DimMismatch(
             f"embedding dim {emb.dim} does not match map source dim {linear_map.src_dim}"
         )
-    rows = emb.rows @ linear_map.matrix
-    out = EmbeddingMatrix(emb.vocab, rows)
-    if emb.normalized:
-        out = normalize_rows(out)
-    return out
+
+
+def _mapped_unit(linear_map: LinearMap, emb: EmbeddingMatrix) -> np.ndarray:
+    """Unit rows of ``emb`` mapped by ``linear_map`` and normalized again.
+
+    One expression, so the first quotient is freed before the second is made.
+    """
+    _check_src_dim(linear_map, emb)
+    return _unit_rows(_unit_rows(emb.rows, emb.vocab) @ linear_map.matrix, emb.vocab)
 
 
 def compose_maps(first: LinearMap, second: LinearMap) -> LinearMap:
@@ -196,10 +201,6 @@ def compose_maps(first: LinearMap, second: LinearMap) -> LinearMap:
             f"cannot compose {first.tgt_dim}-dim output with {second.src_dim}-dim input"
         )
     return LinearMap(first.matrix @ second.matrix)
-
-
-def _unit(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    return emb if emb.normalized else normalize_rows(emb)
 
 
 def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
@@ -278,17 +279,17 @@ def csls_knn(
         raise KTooLarge(
             f"csls_k={cfg.csls_k} exceeds a matrix size ({len(queries)}, {len(targets)})"
         )
-    q = _unit(queries)
-    t = _unit(targets)
-    ids, scores = _csls_topk(q.rows, t.rows, q.rows, cfg.csls_k, top)
+    q = _unit_rows(queries.rows, queries.vocab)
+    t = _unit_rows(targets.rows, targets.vocab)
+    ids, scores = _csls_topk(q, t, q, cfg.csls_k, top)
     return [
         NeighborList(
             query=token,
             entries=tuple(
-                (t.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)
+                (targets.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)
             ),
         )
-        for token, id_row, score_row in zip(q.vocab.tokens, ids, scores)
+        for token, id_row, score_row in zip(queries.vocab.tokens, ids, scores)
     ]
 
 
@@ -307,28 +308,28 @@ def eval_precision_at_k(
     matrix, are skipped and counted.  Raises ``EmptyEvalDict`` when nothing
     remains.
     """
-    mapped = apply_map(linear_map, _unit(src))
-    t = _unit(tgt)
+    mapped = _mapped_unit(linear_map, src)
+    t = _unit_rows(tgt.rows, tgt.vocab)
     if cfg.csls_k > len(t) or cfg.csls_k > len(mapped):
         raise KTooLarge(f"csls_k={cfg.csls_k} exceeds a matrix size")
     by_source = eval_dict.targets_by_source()
     evaluated: list[tuple[int, set[str]]] = []
     skipped = 0
     for source in eval_dict.sources():
-        targets = {t_ for t_ in by_source[source] if t_ in t.vocab}
-        if source not in mapped.vocab or not targets:
+        targets = {t_ for t_ in by_source[source] if t_ in tgt.vocab}
+        if source not in src.vocab or not targets:
             skipped += 1
             continue
-        evaluated.append((mapped.vocab.id(source), targets))
+        evaluated.append((src.vocab.id(source), targets))
     if not evaluated:
         raise EmptyEvalDict(f"no usable evaluation pairs ({skipped} sources skipped)")
     if skipped:
         log.info("precision eval skipped %d of %d sources", skipped, skipped + len(evaluated))
-    q_rows = mapped.rows[[i for i, _ in evaluated]]
+    q_rows = mapped[[i for i, _ in evaluated]]
     # r_src over the full mapped source space, not just the evaluated rows
-    ids, _ = _csls_topk(q_rows, t.rows, mapped.rows, cfg.csls_k, min(cfg.eval_k, len(t)))
+    ids, _ = _csls_topk(q_rows, t, mapped, cfg.csls_k, min(cfg.eval_k, len(t)))
     hits = sum(
-        any(t.vocab.token(int(j)) in targets for j in id_row)
+        any(tgt.vocab.token(int(j)) in targets for j in id_row)
         for id_row, (_, targets) in zip(ids, evaluated)
     )
     return hits / len(evaluated)
@@ -349,16 +350,16 @@ def unsupervised_score(
     """
     if sample < 1:
         raise ValidationError("sample must be positive")
-    mapped = apply_map(linear_map, _unit(src))
-    t = _unit(tgt)
+    mapped = _mapped_unit(linear_map, src)
+    t = _unit_rows(tgt.rows, tgt.vocab)
     n = min(sample, len(mapped))
     if n < 1:
         raise ValidationError("source matrix is empty")
-    q_rows = mapped.rows[:n]
+    q_rows = mapped[:n]
     if cfg.csls_k > len(t) or cfg.csls_k > n:
         raise KTooLarge(f"csls_k={cfg.csls_k} exceeds sample or target size")
-    ids, _ = _csls_topk(q_rows, t.rows, q_rows, cfg.csls_k, 1)
-    return float(np.mean(np.sum(q_rows * t.rows[ids[:, 0]], axis=1)))
+    ids, _ = _csls_topk(q_rows, t, q_rows, cfg.csls_k, 1)
+    return float(np.mean(np.sum(q_rows * t[ids[:, 0]], axis=1)))
 
 
 def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> tuple[LinearMap, float]:
@@ -387,10 +388,9 @@ def fit_independent_mapping(
     shared = [tok for tok in src.vocab.tokens if tok in model_emb.vocab]
     if not shared:
         raise EmptyIntersection("source and model vocabularies share no tokens")
-    s = _unit(src)
-    m = _unit(model_emb)
-    x_rows = s.rows[[s.vocab.id(t) for t in shared]]
-    y_rows = m.rows[[m.vocab.id(t) for t in shared]]
+    s, m = src.vocab, model_emb.vocab
+    x_rows = _unit_rows(src.rows, s)[[s.id(t) for t in shared]]
+    y_rows = _unit_rows(model_emb.rows, m)[[m.id(t) for t in shared]]
     solved, residual = _fit_pairs(x_rows, y_rows, "independent fit")
     log.info("independent fit: %d pairs, mean residual %.6f", len(shared), residual)
     return IndependentFit(map=solved, pair_count=len(shared), mean_residual=residual)
@@ -417,31 +417,31 @@ def fit_joint_mapping(
     Raises ``EmptyStage1Dict`` or ``EmptyStage2Anchors`` when a stage has no
     usable pairs.
     """
-    s = _unit(src)
-    e = _unit(english)
-    m = _unit(model_emb)
+    s = _unit_rows(src.rows, src.vocab)
+    e = _unit_rows(english.rows, english.vocab)
+    m = _unit_rows(model_emb.rows, model_emb.vocab)
 
     stage1 = [
-        (w, t) for w, t in dictionary.pairs if w in s.vocab and t in e.vocab
+        (w, t) for w, t in dictionary.pairs if w in src.vocab and t in english.vocab
     ]
     if not stage1:
         raise EmptyStage1Dict("no dictionary pair joins the source and English spaces")
-    x1 = s.rows[[s.vocab.id(w) for w, _ in stage1]]
-    y1 = e.rows[[e.vocab.id(t) for _, t in stage1]]
+    x1 = s[[src.vocab.id(w) for w, _ in stage1]]
+    y1 = e[[english.vocab.id(t) for _, t in stage1]]
     to_english, res1 = _fit_pairs(x1, y1, "joint fit stage 1")
 
-    mapped = apply_map(to_english, s)
+    mapped = _unit_rows(s @ to_english.matrix, src.vocab)
     stage2 = [
         (w, t)
         for w, t in dictionary.pairs
-        if w in s.vocab
-        and t in m.vocab
+        if w in src.vocab
+        and t in model_emb.vocab
         and (model_vocab is None or t in model_vocab)
     ]
     if not stage2:
         raise EmptyStage2Anchors("no dictionary target is a model token with a row")
-    x2 = mapped.rows[[mapped.vocab.id(w) for w, _ in stage2]]
-    y2 = m.rows[[m.vocab.id(t) for _, t in stage2]]
+    x2 = mapped[[src.vocab.id(w) for w, _ in stage2]]
+    y2 = m[[model_emb.vocab.id(t) for _, t in stage2]]
     to_model, res2 = _fit_pairs(x2, y2, "joint fit stage 2")
     log.info(
         "joint fit: stage1 %d pairs (residual %.6f), stage2 %d pairs (residual %.6f)",

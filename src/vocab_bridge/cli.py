@@ -23,7 +23,6 @@ from .embeddings import (
     _is_token,
     load_embeddings,
     load_vocabulary,
-    normalize_rows,
     save_vocabulary,
     Vocabulary,
 )
@@ -97,6 +96,14 @@ def _audit_lines(neighbor_lists, source_lang: str, softmax: bool):
             if probs is not None:
                 line += f"\t{probs[rank][1]:.6f}"
             yield line
+
+
+def _non_negative(text: str) -> int:
+    """argparse type of a count or seed flag: a negative value is a usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _cap_pairs(dictionary: BilingualDictionary, max_pairs: int | None) -> BilingualDictionary:
@@ -180,8 +187,6 @@ def _cmd_align_eval(args) -> int:
     linear_map = alignment.load_map(args.map)
     dictionary = _cap_pairs(load_dictionary(args.dict), args.max_pairs)
     cfg = alignment.AlignConfig(csls_k=args.csls_k, eval_k=args.eval_k)
-    # both scorers take unit rows as they are, so normalize once for the two
-    src, tgt = normalize_rows(src), normalize_rows(tgt)
     precision = alignment.eval_precision_at_k(linear_map, src, tgt, dictionary, cfg)
     score = alignment.unsupervised_score(linear_map, src, tgt, cfg, sample=args.sample)
     print(f"precision_at_{args.eval_k}\t{precision:.6f}")
@@ -242,8 +247,10 @@ def _load_counts(path) -> dict[str, int]:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0]:
+            if len(parts) != 2 or not _is_token(parts[0]):
                 raise MalformedLine(f"expected 'token<TAB>count', got {line!r}", line=lineno)
+            if parts[0] in counts:
+                raise MalformedLine(f"repeated token {parts[0]!r}", line=lineno)
             try:
                 counts[parts[0]] = int(parts[1])
             except ValueError:
@@ -357,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True, help="one token per line")
     p.add_argument("--input", required=True)
     p.add_argument("--unk", default=tokenizer.DEFAULT_UNK)
-    p.add_argument("--max-chars", type=int, default=tokenizer.DEFAULT_MAX_CHARS)
+    p.add_argument("--max-chars", type=_non_negative, default=tokenizer.DEFAULT_MAX_CHARS)
     p.add_argument("--output", help="default: stdout")
     p.set_defaults(func=_cmd_wordpiece)
 
@@ -375,7 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bert-emb", required=True)
     p.add_argument("--bert-vocab", help="default: the model embedding's vocabulary")
     p.add_argument("--dict", required=True, help="source-to-English dictionary file")
-    p.add_argument("--max-pairs", type=int, help="cap on dictionary pairs (no default cap)")
+    p.add_argument("--max-pairs", type=_non_negative,
+                   help="cap on dictionary pairs (no default cap)")
     p.add_argument("--out-b", required=True, help="source-to-English map file")
     p.add_argument("--out-a", required=True, help="English-to-model map file")
     p.set_defaults(func=_cmd_align_fit_joint)
@@ -389,7 +397,7 @@ def build_parser() -> _Parser:
     p.add_argument("--csls-k", type=int, default=10)
     p.add_argument("--sample", type=int, default=10000,
                    help="rows scored by the unsupervised metric")
-    p.add_argument("--max-pairs", type=int)
+    p.add_argument("--max-pairs", type=_non_negative)
     p.add_argument("--warn-below-precision", type=float, default=None,
                    help="warn when precision falls below this (0.20 is a common filter)")
     p.add_argument("--warn-below-unsupervised", type=float, default=None,
@@ -430,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--src-emb", help="source embeddings (joint strategy)")
     p.add_argument("--b-map", help="source-to-English map (joint strategy)")
     p.add_argument("--a-map", help="English-to-model map (joint strategy)")
-    p.add_argument("--seed", type=int, help="donor sampling seed (random strategy)")
+    p.add_argument("--seed", type=_non_negative, help="donor sampling seed (random strategy)")
     p.add_argument("--min-count", type=int, default=None,
                    help="keep only new tokens with at least this corpus count (off by default)")
     p.add_argument("--counts", help="token<TAB>count table for --min-count")
@@ -441,7 +449,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--unk", default=tokenizer.DEFAULT_UNK)
-    p.add_argument("--top", type=int, default=oov.DEFAULT_TOP_N)
+    p.add_argument("--top", type=_non_negative, default=oov.DEFAULT_TOP_N)
     p.add_argument("--types", action="store_true", help="type-level rates instead of occurrences")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="flat key/value JSON")

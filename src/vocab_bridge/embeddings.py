@@ -7,7 +7,9 @@ fastText writes it, is ignored.  Values are written with 9 significant
 digits, which round-trips float64 data to within 1e-8 relative error.  Linear
 maps use the same layout without the token column.  Vocabulary files hold one
 token per line; the 0-based line number is the token id.  Every text output is
-written atomically (see :func:`_atomic_text`).
+written atomically (see :func:`_atomic_text`).  A matrix keeps its rows as
+given; :func:`_unit_rows` is the one row normalization, and each scorer
+applies it to its own inputs.
 
 A token is a non-empty string without whitespace.  Word-internal pieces carry
 the fixed WordPiece prefix ``CONTINUATION_PREFIX`` (``"##"``); it is part of
@@ -39,8 +41,6 @@ from .errors import (
 
 # Norm below which a row counts as zero and cannot be normalized.
 ZERO_NORM_TOL = 1e-12
-# Tolerance for the unit-norm check on matrices flagged as normalized.
-UNIT_NORM_TOL = 1e-9
 # Marks a word-internal piece in the WordPiece convention.
 CONTINUATION_PREFIX = "##"
 
@@ -104,22 +104,15 @@ class EmbeddingMatrix:
     """A float64 matrix with one row per vocabulary token.
 
     Instances are immutable: the row array is copied on construction and its
-    write flag is cleared.  ``normalized`` asserts that every row has unit L2
-    norm (checked to within ``UNIT_NORM_TOL``).  ``duplicate_count`` records
-    how many duplicate rows were dropped while parsing, if the matrix came
-    from :func:`load_embeddings`.
+    write flag is cleared.  Rows are stored as given, never rescaled; the
+    scorers normalize their own inputs.  ``duplicate_count`` records how many
+    duplicate rows were dropped while parsing, if the matrix came from
+    :func:`load_embeddings`.
     """
 
-    __slots__ = ("vocab", "rows", "normalized", "duplicate_count")
+    __slots__ = ("vocab", "rows", "duplicate_count")
 
-    def __init__(
-        self,
-        vocab: Vocabulary,
-        rows,
-        *,
-        normalized: bool = False,
-        duplicate_count: int = 0,
-    ):
+    def __init__(self, vocab: Vocabulary, rows, *, duplicate_count: int = 0):
         arr = np.array(rows, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValidationError(f"rows must be 2-D, got shape {arr.shape}")
@@ -131,14 +124,9 @@ class EmbeddingMatrix:
             raise ValidationError("embedding dimension must be at least 1")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("embedding rows contain non-finite values")
-        if normalized and arr.shape[0]:
-            norms = np.linalg.norm(arr, axis=1)
-            if np.max(np.abs(norms - 1.0)) > UNIT_NORM_TOL:
-                raise ValidationError("matrix flagged normalized but rows are not unit norm")
         arr.setflags(write=False)
         self.vocab = vocab
         self.rows = arr
-        self.normalized = normalized
         self.duplicate_count = duplicate_count
 
     @property
@@ -255,18 +243,17 @@ def _write_matrix(path, labels: Sequence[str] | None, values: np.ndarray) -> Non
             fh.write(fmt % tuple(row.tolist()))
 
 
-def normalize_rows(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Return a copy of ``emb`` with unit L2 rows.
+def _unit_rows(rows: np.ndarray, vocab: Vocabulary) -> np.ndarray:
+    """A new array of ``rows`` scaled to unit L2 norm; ``vocab`` names rows.
 
     Raises ``ZeroRow`` naming the first token whose norm is below
-    ``ZERO_NORM_TOL``.  Applying this to an already normalized matrix changes
-    nothing beyond 1e-12.
+    ``ZERO_NORM_TOL``.  Applied to unit rows it changes nothing beyond 1e-12.
     """
-    norms = np.linalg.norm(emb.rows, axis=1)
+    norms = np.linalg.norm(rows, axis=1)
     small = np.flatnonzero(norms < ZERO_NORM_TOL)
     if small.size:
-        raise ZeroRow(emb.vocab.token(int(small[0])))
-    return EmbeddingMatrix(emb.vocab, emb.rows / norms[:, None], normalized=True)
+        raise ZeroRow(vocab.token(int(small[0])))
+    return rows / norms[:, None]
 
 
 def subset(emb: EmbeddingMatrix, tokens: Sequence[str]) -> EmbeddingMatrix:
@@ -282,7 +269,7 @@ def subset(emb: EmbeddingMatrix, tokens: Sequence[str]) -> EmbeddingMatrix:
             raise MissingToken(tok, pos)
         ids.append(idx)
     rows = emb.rows[ids] if ids else np.zeros((0, emb.dim))
-    return EmbeddingMatrix(Vocabulary(tokens), rows, normalized=emb.normalized)
+    return EmbeddingMatrix(Vocabulary(tokens), rows)
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -9,8 +9,9 @@ weighted sum of the anchors' raw model rows:
     e(w) = sum_u p(u | w) * model_row(u)
 
 Weights therefore sum to one and the mixed vector lies in the convex hull of
-its anchor rows.  All ranking happens on normalized copies; the raw model
-rows are only combined, never rescaled.
+its anchor rows.  Ranking happens on unit-row arrays that
+:func:`build_all_assignments` makes from its own inputs; the raw model rows
+are only combined, never rescaled.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignConfig, LinearMap, _csls_topk, apply_map, _unit
-from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text
+from .alignment import AlignConfig, LinearMap, _csls_topk, _mapped_unit
+from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text, _is_token, _unit_rows
 from .errors import (
     DimMismatch,
     EmptyAnchorPool,
@@ -105,24 +106,21 @@ def build_all_assignments(
     ]
     if not pool:
         raise EmptyAnchorPool("no English token is present in the model vocabulary")
-    mapped = apply_map(to_english, _unit(src))
-    eng_u = _unit(english)
-    if mapped.dim != eng_u.dim:
-        raise DimMismatch(f"mapped dim {mapped.dim} != English dim {eng_u.dim}")
-    pool_rows = eng_u.rows[pool]
+    mapped = _mapped_unit(to_english, src)
+    if to_english.tgt_dim != english.dim:
+        raise DimMismatch(f"mapped dim {to_english.tgt_dim} != English dim {english.dim}")
+    pool_rows = _unit_rows(english.rows, english.vocab)[pool]
     k = min(cfg.csls_k, len(pool), len(mapped))
 
     q_ids = []
     for tok in new_tokens:
-        if tok not in mapped.vocab:
+        if tok not in src.vocab:
             raise TokenNotFound(tok)
-        q_ids.append(mapped.vocab.id(tok))
+        q_ids.append(src.vocab.id(tok))
     if not q_ids:
         return []
     # pool positions follow English ids, so the kernel's tie order is theirs
-    ids, scores = _csls_topk(
-        mapped.rows[q_ids], pool_rows, mapped.rows, k, min(cfg.top_m, len(pool))
-    )
+    ids, scores = _csls_topk(mapped[q_ids], pool_rows, mapped, k, min(cfg.top_m, len(pool)))
 
     out = []
     for tok, id_row, score_row in zip(new_tokens, ids, scores):
@@ -160,14 +158,15 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
 
     Weights were rounded to 6 decimals on save, so they are renormalized to
     sum exactly to one.  Anchor tokens containing a comma are recovered by
-    re-joining split fragments until a ``:weight`` tail appears.
+    re-joining split fragments until a ``:weight`` tail appears.  The token
+    and every anchor must follow the token rule (``MalformedLine``).
     """
     out: list[tuple[str, list[tuple[str, float]]]] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
+            if len(parts) != 2 or not _is_token(parts[0]) or not parts[1]:
                 raise MalformedLine(f"expected 'token<TAB>anchors', got {line!r}", line=lineno)
             token, anchor_field = parts
             anchors: list[tuple[str, float]] = []
@@ -176,8 +175,8 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
                 buf = fragment if buf is None else buf + "," + fragment
                 if _WEIGHT_TAIL.search(buf):
                     tok, weight_text = buf.rsplit(":", 1)
-                    if not tok:
-                        raise MalformedLine(f"empty anchor token in {buf!r}", line=lineno)
+                    if not _is_token(tok):
+                        raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
                     anchors.append((tok, float(weight_text)))
                     buf = None
             if buf is not None or not anchors:

@@ -36,8 +36,8 @@ def unit_rows(rng, n: int, d: int) -> np.ndarray:
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def make_emb(tokens, rows, normalized: bool = False) -> EmbeddingMatrix:
-    return EmbeddingMatrix(Vocabulary(tokens), rows, normalized=normalized)
+def make_emb(tokens, rows) -> EmbeddingMatrix:
+    return EmbeddingMatrix(Vocabulary(tokens), rows)
 
 
 def planted_chain(rng, n: int = 500, d_src: int = 300, d_model: int = 768) -> SimpleNamespace:
@@ -59,8 +59,8 @@ def planted_chain(rng, n: int = 500, d_src: int = 300, d_model: int = 768) -> Si
         q2=q2,
         src_tokens=src_tokens,
         en_tokens=en_tokens,
-        src=make_emb(src_tokens, latent @ q1.T, normalized=True),
-        english=make_emb(en_tokens, latent, normalized=True),
-        model=make_emb(en_tokens, latent @ q2, normalized=True),
+        src=make_emb(src_tokens, latent @ q1.T),
+        english=make_emb(en_tokens, latent),
+        model=make_emb(en_tokens, latent @ q2),
         dictionary=BilingualDictionary(tuple(zip(src_tokens, en_tokens))),
     )

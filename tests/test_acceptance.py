@@ -104,8 +104,8 @@ def test_criterion_3_csls_matches_exhaustive_oracle():
             if i % 4 == 1:
                 # exact duplicate targets force ties under the id tie-break
                 t_rows[5] = t_rows[2]
-            queries = make_emb(tok_list("q", n_q), q_rows, normalized=True)
-            targets = make_emb(tok_list("t", n_t), t_rows, normalized=True)
+            queries = make_emb(tok_list("q", n_q), q_rows)
+            targets = make_emb(tok_list("t", n_t), t_rows)
             got = csls_knn(queries, targets, AlignConfig(csls_k=10), top=5)
             want = oracles.csls_all_pairs(q_rows, t_rows, 10)
             for row, nl in enumerate(got):
@@ -313,9 +313,9 @@ def test_criterion_10_cli_pipeline_reduces_subword_oov(tmp_path, capsys):
         bert_vec = tmp_path / "bert.vec"
         bert_vocab = tmp_path / "bert_vocab.txt"
         save_embeddings(
-            make_emb(lang_tokens, latent @ q1.T, normalized=True), lang_vec
+            make_emb(lang_tokens, latent @ q1.T), lang_vec
         )
-        save_embeddings(make_emb(en_tokens, latent, normalized=True), en_vec)
+        save_embeddings(make_emb(en_tokens, latent), en_vec)
         save_embeddings(make_emb(bert_tokens, bert_rows), bert_vec)
         bert_vocab.write_text(
             "".join(t + "\n" for t in bert_tokens), encoding="utf-8"

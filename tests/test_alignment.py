@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -21,6 +21,7 @@ from vocab_bridge import (
     BilingualDictionary,
     LinearMap,
     apply_map,
+    build_all_assignments,
     compose_maps,
     csls_knn,
     eval_precision_at_k,
@@ -150,19 +151,14 @@ class TestApplyMap:
 
     def test_rotation_preserves_norms(self):
         rng = np.random.default_rng(8)
-        emb = make_emb(tok_list("t", 20), unit_rows(rng, 20, 300), normalized=True)
+        emb = make_emb(tok_list("t", 20), unit_rows(rng, 20, 300))
         wide = LinearMap(random_semi_orthogonal(rng, 300, 768))
         out = apply_map(wide, emb)
-        assert out.normalized
         np.testing.assert_allclose(np.linalg.norm(out.rows, axis=1), 1.0, atol=1e-9)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             apply_map(LinearMap(np.eye(3)), make_emb(["a"], [[1.0, 2.0]]))
-
-    def test_raw_input_stays_raw(self):
-        out = apply_map(LinearMap(np.eye(2)), make_emb(["a"], [[3.0, 4.0]]))
-        assert not out.normalized
 
     def test_compose(self):
         rng = np.random.default_rng(9)
@@ -179,8 +175,8 @@ class TestCslsKnn:
         """Every token's nearest neighbor in a copy of its own space is itself."""
         rng = np.random.default_rng(12)
         rows = unit_rows(rng, 50, 16)
-        q = make_emb(tok_list("w", 50), rows, normalized=True)
-        t = make_emb(tok_list("w", 50), rows, normalized=True)
+        q = make_emb(tok_list("w", 50), rows)
+        t = make_emb(tok_list("w", 50), rows)
         for i, nl in enumerate(csls_knn(q, t, AlignConfig(csls_k=10), top=1)):
             assert nl.entries[0][0] == f"w{i:04d}"
 
@@ -188,8 +184,8 @@ class TestCslsKnn:
         rng = np.random.default_rng(13)
         q_rows = unit_rows(rng, 12, 6)
         t_rows = unit_rows(rng, 15, 6)
-        q = make_emb(tok_list("q", 12), q_rows, normalized=True)
-        t = make_emb(tok_list("t", 15), t_rows, normalized=True)
+        q = make_emb(tok_list("q", 12), q_rows)
+        t = make_emb(tok_list("t", 15), t_rows)
         cfg = AlignConfig(csls_k=4)
         got = csls_knn(q, t, cfg, top=5)
         want_scores = oracles.csls_all_pairs(q_rows, t_rows, 4)
@@ -201,15 +197,15 @@ class TestCslsKnn:
 
     def test_tie_break_ascending_target_id(self):
         """Duplicate target rows force exact ties, resolved by id order."""
-        q = make_emb(["q"], [[1.0, 0.0]], normalized=True)
-        t = make_emb(["dup0", "dup1", "dup2"], [[1.0, 0.0]] * 3, normalized=True)
+        q = make_emb(["q"], [[1.0, 0.0]])
+        t = make_emb(["dup0", "dup1", "dup2"], [[1.0, 0.0]] * 3)
         nl = csls_knn(q, t, AlignConfig(csls_k=1), top=3)[0]
         assert [e[0] for e in nl.entries] == ["dup0", "dup1", "dup2"]
 
     def test_full_depth_is_complete_and_sorted(self):
         rng = np.random.default_rng(14)
-        q = make_emb(tok_list("q", 4), unit_rows(rng, 4, 3), normalized=True)
-        t = make_emb(tok_list("t", 8), unit_rows(rng, 8, 3), normalized=True)
+        q = make_emb(tok_list("q", 4), unit_rows(rng, 4, 3))
+        t = make_emb(tok_list("t", 8), unit_rows(rng, 8, 3))
         nl = csls_knn(q, t, AlignConfig(csls_k=3), top=8)[0]
         assert len(nl.entries) == 8
         assert sorted({e[0] for e in nl.entries}) == tok_list("t", 8)
@@ -218,8 +214,8 @@ class TestCslsKnn:
 
     def test_k_too_large(self):
         rng = np.random.default_rng(15)
-        q = make_emb(tok_list("q", 3), unit_rows(rng, 3, 3), normalized=True)
-        t = make_emb(tok_list("t", 3), unit_rows(rng, 3, 3), normalized=True)
+        q = make_emb(tok_list("q", 3), unit_rows(rng, 3, 3))
+        t = make_emb(tok_list("t", 3), unit_rows(rng, 3, 3))
         with pytest.raises(KTooLarge):
             csls_knn(q, t, AlignConfig(csls_k=4), top=1)
 
@@ -319,12 +315,89 @@ class TestCslsBlocks:
         assert peak < 16e6
 
 
+class TestScaleInvariance:
+    """Each scorer normalizes its own inputs, so positive row scales change nothing."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_src=st.integers(3, 12),
+        n_tgt=st.integers(3, 12),
+        d=st.integers(2, 5),
+    )
+    def test_positive_row_scales_change_nothing(self, seed, n_src, n_tgt, d):
+        rng = np.random.default_rng(seed)
+        src = make_emb(tok_list("s", n_src), rng.standard_normal((n_src, d)))
+        tgt = make_emb(tok_list("t", n_tgt), rng.standard_normal((n_tgt, d)))
+        model = make_emb(tgt.vocab.tokens, rng.standard_normal((n_tgt, 3)))
+        linear_map = LinearMap(random_orthogonal(rng, d))
+        pairs = BilingualDictionary(
+            tuple((f"s{i:04d}", f"t{(i * 5) % n_tgt:04d}") for i in range(n_src))
+        )
+        cfg = AlignConfig(csls_k=2, top_m=3, eval_k=2)
+
+        def scaled(emb):
+            factors = np.exp(rng.uniform(-4.0, 4.0, size=(len(emb), 1)))
+            return make_emb(emb.vocab.tokens, emb.rows * factors)
+
+        def scores(s, t):
+            return (
+                csls_knn(apply_map(linear_map, s), t, cfg, top=n_tgt),
+                eval_precision_at_k(linear_map, s, t, pairs, cfg),
+                unsupervised_score(linear_map, s, t, cfg),
+                build_all_assignments(s.vocab.tokens, s, linear_map, t, model, model.vocab, cfg),
+            )
+
+        ranked, precision, score, assigned = scores(src, tgt)
+        # the other three rank prefixes of these full-depth lists (same r-term
+        # sets), so clear gaps here rule out near ties everywhere
+        assume(all(np.min(-np.diff([v for _, v in nl.entries])) > 1e-9 for nl in ranked))
+        s_ranked, s_precision, s_score, s_assigned = scores(scaled(src), scaled(tgt))
+        assert [[t for t, _ in nl.entries] for nl in s_ranked] == [
+            [t for t, _ in nl.entries] for nl in ranked
+        ]
+        assert s_precision == precision
+        assert abs(s_score - score) <= 1e-12
+        for a, b in zip(s_assigned, assigned):
+            assert [t for t, _ in a.anchors] == [t for t, _ in b.anchors]
+            np.testing.assert_allclose(
+                [w for _, w in a.anchors], [w for _, w in b.anchors], rtol=0, atol=1e-12
+            )
+
+
+class TestMappedUnitMemory:
+    """The mapped-unit path holds at most about two source-sized arrays."""
+
+    @pytest.mark.parametrize("scorer", ["eval_precision_at_k", "build_all_assignments"])
+    def test_peak_within_three_inputs(self, scorer):
+        rng = np.random.default_rng(30)
+        n, d = 20_000, 64
+        src = make_emb(tok_list("s", n), rng.standard_normal((n, d)) * 3.0)
+        english = make_emb(tok_list("e", 300), rng.standard_normal((300, d)))
+        model = make_emb(english.vocab.tokens, rng.standard_normal((300, 8)))
+        linear_map = LinearMap(random_orthogonal(rng, d))
+        cfg = AlignConfig()
+        pairs = BilingualDictionary(tuple((f"s{i:04d}", f"e{i:04d}") for i in range(100)))
+        tracemalloc.start()
+        try:
+            if scorer == "eval_precision_at_k":
+                eval_precision_at_k(linear_map, src, english, pairs, cfg)
+            else:
+                build_all_assignments(
+                    src.vocab.tokens[:100], src, linear_map, english, model, model.vocab, cfg
+                )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * src.rows.nbytes
+
+
 class TestPrecisionAtK:
     def _planted(self, rng, n=60, d=8):
         rows = unit_rows(rng, n, d)
         q = random_orthogonal(rng, d)
-        src = make_emb(tok_list("s", n), rows @ q.T, normalized=True)
-        tgt = make_emb(tok_list("t", n), rows, normalized=True)
+        src = make_emb(tok_list("s", n), rows @ q.T)
+        tgt = make_emb(tok_list("t", n), rows)
         pairs = BilingualDictionary(
             tuple(zip(tok_list("s", n), tok_list("t", n)))
         )
@@ -347,9 +420,9 @@ class TestPrecisionAtK:
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(18)
         rows = unit_rows(rng, 14, 5)
-        src = make_emb(tok_list("s", 14), rows, normalized=True)
+        src = make_emb(tok_list("s", 14), rows)
         tgt_rows = unit_rows(rng, 14, 5)
-        tgt = make_emb(tok_list("t", 14), tgt_rows, normalized=True)
+        tgt = make_emb(tok_list("t", 14), tgt_rows)
         pairs = tuple(zip(tok_list("s", 14), tok_list("t", 14)))
         cfg = AlignConfig(csls_k=3, eval_k=2)
         got = eval_precision_at_k(
@@ -365,8 +438,8 @@ class TestPrecisionAtK:
         """A multi-target source scores a hit when any target is retrieved."""
         rng = np.random.default_rng(19)
         rows = unit_rows(rng, 10, 6)
-        src = make_emb(["w"], rows[:1], normalized=True)
-        tgt = make_emb(tok_list("t", 10), rows, normalized=True)
+        src = make_emb(["w"], rows[:1])
+        tgt = make_emb(tok_list("t", 10), rows)
         pairs = BilingualDictionary((("w", "t0009"), ("w", "t0000")))
         p = eval_precision_at_k(
             LinearMap(np.eye(6)), src, tgt, pairs, AlignConfig(csls_k=1)
@@ -376,8 +449,8 @@ class TestPrecisionAtK:
     def test_missing_entries_skipped(self):
         rng = np.random.default_rng(20)
         rows = unit_rows(rng, 5, 4)
-        src = make_emb(tok_list("s", 5), rows, normalized=True)
-        tgt = make_emb(tok_list("t", 5), rows, normalized=True)
+        src = make_emb(tok_list("s", 5), rows)
+        tgt = make_emb(tok_list("t", 5), rows)
         pairs = BilingualDictionary(
             (("s0000", "t0000"), ("ghost", "t0001"), ("s0002", "absent"))
         )
@@ -389,8 +462,8 @@ class TestPrecisionAtK:
     def test_empty_eval_dict(self):
         rng = np.random.default_rng(21)
         rows = unit_rows(rng, 4, 3)
-        src = make_emb(tok_list("s", 4), rows, normalized=True)
-        tgt = make_emb(tok_list("t", 4), rows, normalized=True)
+        src = make_emb(tok_list("s", 4), rows)
+        tgt = make_emb(tok_list("t", 4), rows)
         with pytest.raises(EmptyEvalDict):
             eval_precision_at_k(
                 LinearMap(np.eye(3)), src, tgt,
@@ -405,7 +478,7 @@ class TestPrecisionAtK:
         base = eval_precision_at_k(LinearMap(q), src, tgt, pairs, cfg)
         for seed in range(3):
             r = random_orthogonal(np.random.default_rng(300 + seed), 8)
-            tgt_r = make_emb(tgt.vocab.tokens, tgt.rows @ r, normalized=True)
+            tgt_r = make_emb(tgt.vocab.tokens, tgt.rows @ r)
             rotated = eval_precision_at_k(LinearMap(q @ r), src, tgt_r, pairs, cfg)
             assert rotated == base
 
@@ -415,8 +488,8 @@ class TestUnsupervisedScore:
         rng = np.random.default_rng(23)
         rows = unit_rows(rng, 40, 6)
         q = random_orthogonal(rng, 6)
-        src = make_emb(tok_list("s", 40), rows @ q.T, normalized=True)
-        tgt = make_emb(tok_list("t", 40), rows, normalized=True)
+        src = make_emb(tok_list("s", 40), rows @ q.T)
+        tgt = make_emb(tok_list("t", 40), rows)
         s = unsupervised_score(LinearMap(q), src, tgt, AlignConfig(csls_k=5))
         np.testing.assert_allclose(s, 1.0, atol=1e-9)
 
@@ -426,16 +499,16 @@ class TestUnsupervisedScore:
         src_rows[:, :3] = unit_rows(np.random.default_rng(24), 4, 3)
         tgt_rows = np.zeros((4, 6))
         tgt_rows[:, 3:] = unit_rows(np.random.default_rng(25), 4, 3)
-        src = make_emb(tok_list("s", 4), src_rows, normalized=True)
-        tgt = make_emb(tok_list("t", 4), tgt_rows, normalized=True)
+        src = make_emb(tok_list("s", 4), src_rows)
+        tgt = make_emb(tok_list("t", 4), tgt_rows)
         s = unsupervised_score(LinearMap(np.eye(6)), src, tgt, AlignConfig(csls_k=2))
         assert abs(s) <= 1e-12
 
     def test_sample_limits_queries(self):
         rng = np.random.default_rng(26)
         rows = unit_rows(rng, 30, 5)
-        src = make_emb(tok_list("s", 30), rows, normalized=True)
-        tgt = make_emb(tok_list("t", 30), unit_rows(rng, 30, 5), normalized=True)
+        src = make_emb(tok_list("s", 30), rows)
+        tgt = make_emb(tok_list("t", 30), unit_rows(rng, 30, 5))
         cfg = AlignConfig(csls_k=3)
         full = unsupervised_score(LinearMap(np.eye(5)), src, tgt, cfg, sample=3)
         # oracle over the first three rows only
@@ -453,8 +526,8 @@ class TestUnsupervisedScore:
         rng = np.random.default_rng(27)
         rows = unit_rows(rng, 20, 7)
         q = random_orthogonal(rng, 7)
-        src = make_emb(tok_list("s", 20), rows @ q.T, normalized=True)
-        tgt = make_emb(tok_list("t", 20), unit_rows(rng, 20, 7), normalized=True)
+        src = make_emb(tok_list("s", 20), rows @ q.T)
+        tgt = make_emb(tok_list("t", 20), unit_rows(rng, 20, 7))
         got = unsupervised_score(LinearMap(q), src, tgt, AlignConfig(csls_k=4))
         mapped = rows  # src rows mapped by q
         scores = oracles.csls_all_pairs(mapped, tgt.rows, 4)
@@ -478,12 +551,10 @@ class TestFitIndependent:
         src = make_emb(
             shared + extra_src,
             np.vstack([shared_rows, unit_rows(rng, 5, 8)]),
-            normalized=True,
         )
         model = make_emb(
             extra_tgt + shared,
             np.vstack([unit_rows(rng, 7, 8), shared_rows @ q]),
-            normalized=True,
         )
         fit = fit_independent_mapping(src, model)
         assert fit.pair_count == 30
@@ -492,8 +563,8 @@ class TestFitIndependent:
 
     def test_empty_intersection(self):
         rng = np.random.default_rng(29)
-        a = make_emb(["a"], unit_rows(rng, 1, 4), normalized=True)
-        b = make_emb(["b"], unit_rows(rng, 1, 4), normalized=True)
+        a = make_emb(["a"], unit_rows(rng, 1, 4))
+        b = make_emb(["b"], unit_rows(rng, 1, 4))
         with pytest.raises(EmptyIntersection):
             fit_independent_mapping(a, b)
 
@@ -501,8 +572,8 @@ class TestFitIndependent:
         """One shared token in 4 dimensions still fits, but warns."""
         rng = np.random.default_rng(30)
         row = unit_rows(rng, 1, 4)
-        src = make_emb(["w"], row, normalized=True)
-        model = make_emb(["w"], row, normalized=True)
+        src = make_emb(["w"], row)
+        model = make_emb(["w"], row)
         with pytest.warns(LowRankWarning):
             fit = fit_independent_mapping(src, model)
         assert fit.pair_count == 1
@@ -532,9 +603,9 @@ class TestFitJoint:
         rng = np.random.default_rng(33)
         w = unit_rows(rng, 1, 3)
         t_rows = unit_rows(rng, 2, 3)
-        src = make_emb(["w"], w, normalized=True)
-        english = make_emb(["t1", "t2"], t_rows, normalized=True)
-        model = make_emb(["t1", "t2"], t_rows, normalized=True)
+        src = make_emb(["w"], w)
+        english = make_emb(["t1", "t2"], t_rows)
+        model = make_emb(["t1", "t2"], t_rows)
         pairs = BilingualDictionary((("w", "t1"), ("w", "t2")))
         with pytest.warns(LowRankWarning):
             fit = fit_joint_mapping(src, english, model, pairs)
@@ -543,9 +614,9 @@ class TestFitJoint:
 
     def test_empty_stage1(self):
         rng = np.random.default_rng(34)
-        src = make_emb(["w"], unit_rows(rng, 1, 3), normalized=True)
-        english = make_emb(["e"], unit_rows(rng, 1, 3), normalized=True)
-        model = make_emb(["m"], unit_rows(rng, 1, 3), normalized=True)
+        src = make_emb(["w"], unit_rows(rng, 1, 3))
+        english = make_emb(["e"], unit_rows(rng, 1, 3))
+        model = make_emb(["m"], unit_rows(rng, 1, 3))
         with pytest.raises(EmptyStage1Dict):
             fit_joint_mapping(
                 src, english, model, BilingualDictionary((("w", "nowhere"),))
@@ -553,9 +624,9 @@ class TestFitJoint:
 
     def test_empty_stage2(self):
         rng = np.random.default_rng(35)
-        src = make_emb(["w"], unit_rows(rng, 1, 3), normalized=True)
-        english = make_emb(["e"], unit_rows(rng, 1, 3), normalized=True)
-        model = make_emb(["m"], unit_rows(rng, 1, 3), normalized=True)
+        src = make_emb(["w"], unit_rows(rng, 1, 3))
+        english = make_emb(["e"], unit_rows(rng, 1, 3))
+        model = make_emb(["m"], unit_rows(rng, 1, 3))
         with pytest.warns(LowRankWarning):
             with pytest.raises(EmptyStage2Anchors):
                 fit_joint_mapping(
@@ -566,7 +637,7 @@ class TestFitJoint:
         """An explicit model vocabulary can veto stage-2 anchors."""
         rng = np.random.default_rng(36)
         chain = planted_chain(rng, n=10, d_src=4, d_model=6)
-        restricted = make_emb(["onlythis"], unit_rows(rng, 1, 6), normalized=True)
+        restricted = make_emb(["onlythis"], unit_rows(rng, 1, 6))
         with pytest.raises(EmptyStage2Anchors):
             fit_joint_mapping(
                 chain.src, chain.english, chain.model, chain.dictionary,

@@ -27,8 +27,8 @@ def planted_files(tmp_path):
     rng = np.random.default_rng(0)
     rows = unit_rows(rng, 30, 6)
     q = random_orthogonal(rng, 6)
-    src = make_emb(tok_list("s", 30), rows @ q.T, normalized=True)
-    tgt = make_emb(tok_list("t", 30), rows, normalized=True)
+    src = make_emb(tok_list("s", 30), rows @ q.T)
+    tgt = make_emb(tok_list("t", 30), rows)
     src_path = tmp_path / "src.vec"
     tgt_path = tmp_path / "tgt.vec"
     map_path = tmp_path / "planted.map"
@@ -78,6 +78,57 @@ class TestParsing:
              "--out", str(out)]
         )
         assert code == 2
+
+
+class TestCountFlags:
+    """A negative count or seed is a usage error (exit 1), not a slice or a crash."""
+
+    @pytest.mark.parametrize("command", ["align-fit-joint", "align-eval"])
+    def test_negative_max_pairs(self, planted_files, tmp_path, capsys, command):
+        if command == "align-fit-joint":
+            args = ["--src-emb", planted_files["src"], "--en-emb", planted_files["tgt"],
+                    "--bert-emb", planted_files["tgt"], "--out-b", str(tmp_path / "b.map"),
+                    "--out-a", str(tmp_path / "a.map")]
+        else:
+            args = ["--src-emb", planted_files["src"], "--tgt-emb", planted_files["tgt"],
+                    "--map", planted_files["map"]]
+        argv = [command, *args, "--dict", planted_files["dict"], "--max-pairs"]
+        assert dispatch(argv + ["-1"]) == 1
+        assert "--max-pairs: must not be negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "b.map").exists()
+        assert dispatch(argv + ["30"]) == 0
+
+    def test_negative_oov_top(self, tmp_path, capsys):
+        vocab = write(tmp_path / "v.txt", "a\n")
+        corpus = write(tmp_path / "c.txt", "b c d b\n")
+        argv = ["oov-stats", "--vocab", vocab, "--corpus", corpus, "--top"]
+        assert dispatch(argv + ["-1"]) == 1
+        assert "--top: must not be negative" in capsys.readouterr().err
+        assert dispatch(argv + ["0"]) == 0
+        assert "top OOV words" not in capsys.readouterr().out
+        assert dispatch(argv + ["3"]) == 0
+        out = capsys.readouterr().out
+        assert out.split("top OOV words:\n")[1] == "  b\t2\n  c\t1\n  d\t1\n"
+
+    def test_negative_seed(self, tmp_path, capsys):
+        model = tmp_path / "model.vec"
+        save_embeddings(make_emb(["a", "b"], np.eye(2)), model)
+        lang_vocab = write(tmp_path / "lang.txt", "x\n")
+        argv = ["expand", "--bert-emb", str(model), "--lang-vocab", lang_vocab,
+                "--strategy", "random", "--out-dir", str(tmp_path / "o"), "--seed"]
+        assert dispatch(argv + ["-1"]) == 1
+        assert "--seed: must not be negative" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert dispatch(argv + ["0"]) == 0
+
+    def test_negative_max_chars(self, tmp_path, capsys):
+        vocab = write(tmp_path / "v.txt", "a\n")
+        text = write(tmp_path / "c.txt", "a\n")
+        argv = ["wordpiece", "--vocab", vocab, "--input", text, "--max-chars"]
+        assert dispatch(argv + ["-1"]) == 1
+        assert "--max-chars: must not be negative" in capsys.readouterr().err
+        assert dispatch(argv + ["1"]) == 0
+        assert capsys.readouterr().out == "a\tIN_VOCAB\ta\n"
 
 
 class TestBpeCommands:
@@ -164,8 +215,8 @@ class TestAlignCommands:
         rng = np.random.default_rng(1)
         rows = unit_rows(rng, 20, 5)
         q = random_orthogonal(rng, 5)
-        src = make_emb(tok_list("w", 20), rows, normalized=True)
-        model = make_emb(tok_list("w", 20), rows @ q, normalized=True)
+        src = make_emb(tok_list("w", 20), rows)
+        model = make_emb(tok_list("w", 20), rows @ q)
         src_path, model_path = tmp_path / "src.vec", tmp_path / "model.vec"
         save_embeddings(src, src_path)
         save_embeddings(model, model_path)
@@ -359,7 +410,7 @@ class TestOovCommands:
 class TestMixtureAndExpand:
     def _english_model_files(self, tmp_path, rng):
         eng_rows = unit_rows(rng, 10, 4)
-        english = make_emb(tok_list("en", 10), eng_rows, normalized=True)
+        english = make_emb(tok_list("en", 10), eng_rows)
         model = make_emb(tok_list("en", 10), rng.standard_normal((10, 3)))
         en_path = tmp_path / "en.vec"
         model_path = tmp_path / "model.vec"
@@ -370,7 +421,7 @@ class TestMixtureAndExpand:
     def test_mixture_build_default_selection(self, tmp_path):
         rng = np.random.default_rng(2)
         english, model, en_path, model_path = self._english_model_files(tmp_path, rng)
-        src = make_emb(["en0001", "nouveau"], unit_rows(rng, 2, 4), normalized=True)
+        src = make_emb(["en0001", "nouveau"], unit_rows(rng, 2, 4))
         src_path = tmp_path / "src.vec"
         save_embeddings(src, src_path)
         b_path = tmp_path / "b.map"
@@ -454,6 +505,16 @@ class TestMixtureAndExpand:
         assert dispatch(base + ["--strategy", "joint"]) == 1
         assert dispatch(base + ["--strategy", "random", "--seed", "1",
                                 "--min-count", "2"]) == 1
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a b\t3\n", 1), ("ok\t1\nx\u3000y\t2\n", 2), ("a\t3\nb\t1\na\t-7\n", 3)],
+        ids=["space", "ideographic-space", "repeated"],
+    )
+    def test_counts_table_token_rule(self, tmp_path, text, line):
+        with pytest.raises(MalformedLine) as err:
+            cli._load_counts(write(tmp_path / "counts.tsv", text))
+        assert err.value.line == line
 
     def test_expand_mixture_from_file(self, tmp_path):
         rng = np.random.default_rng(6)

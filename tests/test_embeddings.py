@@ -18,14 +18,19 @@ from vocab_bridge import (
     load_embeddings,
     load_map,
     load_vocabulary,
-    normalize_rows,
     save_embeddings,
     save_vocabulary,
     subset,
     wordpiece_segment,
 )
 from vocab_bridge.cli import _read_tokens
-from vocab_bridge.embeddings import _atomic_text, _is_token, _read_matrix, _write_matrix
+from vocab_bridge.embeddings import (
+    _atomic_text,
+    _is_token,
+    _read_matrix,
+    _unit_rows,
+    _write_matrix,
+)
 from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
@@ -81,6 +86,14 @@ class TestEmbeddingMatrix:
         with pytest.raises(ValueError):
             m.rows[0, 0] = 5.0
 
+    def test_owns_a_frozen_copy_of_its_rows(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = make_emb(["a", "b"], arr)
+        assert not np.shares_memory(m.rows, arr)
+        assert not m.rows.flags.writeable
+        arr[0, 0] = 9.0
+        assert m.rows[0, 0] == 1.0
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):
             make_emb(["a"], [[np.nan, 1.0]])
@@ -88,11 +101,6 @@ class TestEmbeddingMatrix:
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError):
             make_emb(["a", "b"], np.eye(3))
-
-    def test_normalized_flag_is_checked(self):
-        with pytest.raises(ValidationError, match="unit norm"):
-            make_emb(["a"], [[3.0, 4.0]], normalized=True)
-        make_emb(["a"], [[0.6, 0.8]], normalized=True)
 
     def test_row_lookup(self):
         m = make_emb(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
@@ -167,7 +175,7 @@ class TestLoadEmbeddings(_TextMatrixErrors):
         m = self._load(tmp_path, "2 3\nfoo 1 2 3\nbar 4 5 6\n")
         assert m.vocab.tokens == ("foo", "bar")
         np.testing.assert_array_equal(m.rows, [[1, 2, 3], [4, 5, 6]])
-        assert not m.normalized and m.duplicate_count == 0
+        assert m.duplicate_count == 0
 
     def test_duplicate_tokens_first_wins(self, tmp_path):
         """Two rows for one token: line 2's vector survives, one drop counted."""
@@ -274,25 +282,28 @@ class TestTextMatrixFormat:
 
 
 class TestNormalizeRows:
+    """``_unit_rows``, the package's one row normalization."""
+
     def test_three_four_five(self):
-        m = normalize_rows(make_emb(["a"], [[3.0, 4.0]]))
-        np.testing.assert_allclose(m.rows, [[0.6, 0.8]], atol=1e-15)
-        assert m.normalized
+        rows = np.array([[3.0, 4.0]])
+        out = _unit_rows(rows, Vocabulary(["a"]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]], atol=1e-15)
+        np.testing.assert_array_equal(rows, [[3.0, 4.0]])
 
     def test_idempotent(self):
         rng = np.random.default_rng(3)
-        m = normalize_rows(make_emb(["a", "b", "c"], rng.standard_normal((3, 5))))
-        again = normalize_rows(m)
-        assert np.max(np.abs(again.rows - m.rows)) <= 1e-12
+        vocab = Vocabulary(["a", "b", "c"])
+        once = _unit_rows(rng.standard_normal((3, 5)), vocab)
+        again = _unit_rows(once, vocab)
+        assert np.max(np.abs(again - once)) <= 1e-12
 
     def test_zero_row_named(self):
         with pytest.raises(ZeroRow) as err:
-            normalize_rows(make_emb(["ok", "dead"], [[1.0, 0.0], [0.0, 0.0]]))
+            _unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]), Vocabulary(["ok", "dead"]))
         assert err.value.token == "dead"
 
     def test_empty_matrix(self):
-        m = normalize_rows(EmbeddingMatrix(Vocabulary([]), np.zeros((0, 2))))
-        assert m.normalized
+        assert _unit_rows(np.zeros((0, 2)), Vocabulary([])).shape == (0, 2)
 
 
 class TestSubset:
@@ -307,10 +318,6 @@ class TestSubset:
         with pytest.raises(MissingToken) as err:
             subset(m, ["a", "zz"])
         assert err.value.token == "zz" and err.value.position == 1
-
-    def test_preserves_normalized_flag(self):
-        m = normalize_rows(make_emb(["a", "b"], [[3.0, 4.0], [1.0, 0.0]]))
-        assert subset(m, ["b"]).normalized
 
     def test_permutation_round_trip(self):
         rng = np.random.default_rng(11)

@@ -148,7 +148,7 @@ class TestJointStrategy:
     def test_dim_mismatches(self):
         rng = np.random.default_rng(7)
         model = make_emb(tok_list("m", 4), rng.standard_normal((4, 3)))
-        src = make_emb(["x"], unit_rows(rng, 1, 2), normalized=True)
+        src = make_emb(["x"], unit_rows(rng, 1, 2))
         eye2, eye3 = LinearMap(np.eye(2)), LinearMap(np.eye(3))
         with pytest.raises(DimMismatch):
             expand_vocabulary(
@@ -169,7 +169,7 @@ class TestJointStrategy:
     def test_new_token_missing_from_source(self):
         rng = np.random.default_rng(8)
         model = make_emb(tok_list("m", 4), rng.standard_normal((4, 2)))
-        src = make_emb(["x"], unit_rows(rng, 1, 2), normalized=True)
+        src = make_emb(["x"], unit_rows(rng, 1, 2))
         with pytest.raises(MissingToken):
             expand_vocabulary(
                 model.vocab, model, ["ghost"], ExpansionStrategy(StrategyKind.JOINT),

@@ -137,8 +137,8 @@ class TestCandidateSet:
     def test_small_pool_clamps_neighborhood(self):
         """A 3-token pool works under the default k=10 by clamping."""
         rng = np.random.default_rng(3)
-        mapped = make_emb(tok_list("s", 4), unit_rows(rng, 4, 2), normalized=True)
-        english = make_emb(["e0", "e1", "e2"], TRIPOD, normalized=True)
+        mapped = make_emb(tok_list("s", 4), unit_rows(rng, 4, 2))
+        english = make_emb(["e0", "e1", "e2"], TRIPOD)
         model = make_emb(["e0", "e1", "e2"], np.eye(3))
         (out,) = _anchors(["s0000"], mapped, english, model, AlignConfig())
         assert len(out) == 3
@@ -147,9 +147,9 @@ class TestCandidateSet:
     def test_exact_match_ranks_first(self):
         rng = np.random.default_rng(4)
         pool_rows = unit_rows(rng, 6, 4)
-        english = make_emb(tok_list("e", 6), pool_rows, normalized=True)
+        english = make_emb(tok_list("e", 6), pool_rows)
         model = make_emb(tok_list("e", 6), np.eye(6))
-        mapped = make_emb(["w"], pool_rows[2:3], normalized=True)
+        mapped = make_emb(["w"], pool_rows[2:3])
         (out,) = _anchors(["w"], mapped, english, model, AlignConfig(top_m=3))
         assert out[0][0] == "e0002"
 
@@ -161,9 +161,9 @@ class TestCandidateSet:
         """
         rng = np.random.default_rng(5)
         mapped_rows = unit_rows(rng, 40, 8)
-        mapped = make_emb(tok_list("s", 40), mapped_rows, normalized=True)
+        mapped = make_emb(tok_list("s", 40), mapped_rows)
         eng_rows = unit_rows(rng, 60, 8)
-        english = make_emb(tok_list("e", 60), eng_rows, normalized=True)
+        english = make_emb(tok_list("e", 60), eng_rows)
         model = make_emb(tok_list("e", 60), rng.standard_normal((60, 4)))
         pool = [f"e{i:04d}" for i in range(5, 55)]
         pool_rows = eng_rows[5:55]
@@ -192,9 +192,9 @@ class TestCandidateSet:
 
     def test_pool_restricts_candidates(self):
         rng = np.random.default_rng(6)
-        english = make_emb(tok_list("e", 10), unit_rows(rng, 10, 4), normalized=True)
+        english = make_emb(tok_list("e", 10), unit_rows(rng, 10, 4))
         model = make_emb(tok_list("e", 10), np.eye(10))
-        mapped = make_emb(["w"], unit_rows(rng, 1, 4), normalized=True)
+        mapped = make_emb(["w"], unit_rows(rng, 1, 4))
         (out,) = _anchors(
             ["w"], mapped, english, model, AlignConfig(csls_k=1),
             model_vocab=Vocabulary(["e0007", "e0003"]),
@@ -203,26 +203,26 @@ class TestCandidateSet:
 
     def test_tie_break_uses_english_id_order(self):
         """Identical anchor rows tie; English order wins over model order."""
-        english = make_emb(["late", "early"], [[1.0, 0.0], [1.0, 0.0]], normalized=True)
+        english = make_emb(["late", "early"], [[1.0, 0.0], [1.0, 0.0]])
         model = make_emb(["early", "late"], np.eye(2))
-        mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
+        mapped = make_emb(["w"], [[1.0, 0.0]])
         (out,) = _anchors(["w"], mapped, english, model, AlignConfig(csls_k=1))
         assert [t for t, _ in out] == ["late", "early"]
 
     def test_empty_pool(self):
         """Shared English and model tokens outside ``model_vocab`` are no anchors."""
-        english = make_emb(["e"], [[1.0, 0.0]], normalized=True)
+        english = make_emb(["e"], [[1.0, 0.0]])
         model = make_emb(["e"], [[1.0, 0.0]])
-        mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
+        mapped = make_emb(["w"], [[1.0, 0.0]])
         with pytest.raises(EmptyAnchorPool):
             _anchors(["w"], mapped, english, model, AlignConfig(),
                      model_vocab=Vocabulary(["other"]))
 
     def test_unknown_tokens(self):
         """An unknown new token raises; unknown ``model_vocab`` tokens are skipped."""
-        english = make_emb(["e"], [[1.0, 0.0]], normalized=True)
+        english = make_emb(["e"], [[1.0, 0.0]])
         model = make_emb(["e"], [[1.0, 0.0]])
-        mapped = make_emb(["w"], [[1.0, 0.0]], normalized=True)
+        mapped = make_emb(["w"], [[1.0, 0.0]])
         with pytest.raises(TokenNotFound, match="ghost"):
             _anchors(["w", "ghost"], mapped, english, model, AlignConfig())
         (out,) = _anchors(["w"], mapped, english, model, AlignConfig(),
@@ -233,9 +233,9 @@ class TestCandidateSet:
 class TestBuildAllAssignments:
     def test_empty_token_list(self):
         rng = np.random.default_rng(7)
-        english = make_emb(["e"], unit_rows(rng, 1, 2), normalized=True)
+        english = make_emb(["e"], unit_rows(rng, 1, 2))
         model = make_emb(["e"], [[1.0, 0.0]])
-        src = make_emb(["w"], unit_rows(rng, 1, 2), normalized=True)
+        src = make_emb(["w"], unit_rows(rng, 1, 2))
         out = build_all_assignments(
             [], src, LinearMap(np.eye(2)), english, model, model.vocab, AlignConfig()
         )
@@ -243,9 +243,9 @@ class TestBuildAllAssignments:
 
     def test_no_shared_anchor_tokens(self):
         rng = np.random.default_rng(8)
-        english = make_emb(["e"], unit_rows(rng, 1, 2), normalized=True)
+        english = make_emb(["e"], unit_rows(rng, 1, 2))
         model = make_emb(["m"], [[1.0, 0.0]])
-        src = make_emb(["w"], unit_rows(rng, 1, 2), normalized=True)
+        src = make_emb(["w"], unit_rows(rng, 1, 2))
         with pytest.raises(EmptyAnchorPool):
             build_all_assignments(
                 ["w"], src, LinearMap(np.eye(2)), english, model, model.vocab,
@@ -259,8 +259,8 @@ class TestBuildAllAssignments:
         r-terms are identical across candidates, so the softmax sees raw
         cosine gaps of 2*(1 - (-1/2)) = 3.
         """
-        src = make_emb(["u0", "u1", "u2"], TRIPOD, normalized=True)
-        english = make_emb(["a0", "a1", "a2"], TRIPOD, normalized=True)
+        src = make_emb(["u0", "u1", "u2"], TRIPOD)
+        english = make_emb(["a0", "a1", "a2"], TRIPOD)
         model = make_emb(["a0", "a1", "a2"], np.eye(3) * 2.0)
         out = build_all_assignments(
             ["u1"], src, LinearMap(np.eye(2)), english, model, model.vocab,
@@ -275,8 +275,8 @@ class TestBuildAllAssignments:
         np.testing.assert_allclose(sum(w for _, w in a.anchors), 1.0, atol=1e-9)
 
     def test_antipodal_pair_concentrates_further(self):
-        src = make_emb(["p", "q"], [[1.0, 0.0], [-1.0, 0.0]], normalized=True)
-        english = make_emb(["yes", "no"], [[1.0, 0.0], [-1.0, 0.0]], normalized=True)
+        src = make_emb(["p", "q"], [[1.0, 0.0], [-1.0, 0.0]])
+        english = make_emb(["yes", "no"], [[1.0, 0.0], [-1.0, 0.0]])
         model = make_emb(["yes", "no"], [[5.0, 0.0], [0.0, 5.0]])
         (a,) = build_all_assignments(
             ["p"], src, LinearMap(np.eye(2)), english, model, model.vocab,
@@ -292,9 +292,9 @@ class TestBuildAllAssignments:
         rng = np.random.default_rng(9)
         d = 6
         src_rows = unit_rows(rng, 20, d)
-        src = make_emb(tok_list("s", 20), src_rows, normalized=True)
+        src = make_emb(tok_list("s", 20), src_rows)
         eng_rows = unit_rows(rng, 30, d)
-        english = make_emb(tok_list("e", 30), eng_rows, normalized=True)
+        english = make_emb(tok_list("e", 30), eng_rows)
         model = make_emb(tok_list("e", 30), rng.standard_normal((30, 4)))
         cfg = AlignConfig(csls_k=4, top_m=5)
         new = ["s0003", "s0017", "s0000"]
@@ -322,8 +322,8 @@ class TestBuildAllAssignments:
 
     def test_weights_sorted_descending(self):
         rng = np.random.default_rng(10)
-        src = make_emb(tok_list("s", 15), unit_rows(rng, 15, 5), normalized=True)
-        english = make_emb(tok_list("e", 20), unit_rows(rng, 20, 5), normalized=True)
+        src = make_emb(tok_list("s", 15), unit_rows(rng, 15, 5))
+        english = make_emb(tok_list("e", 20), unit_rows(rng, 20, 5))
         model = make_emb(tok_list("e", 20), rng.standard_normal((20, 3)))
         out = build_all_assignments(
             list(src.vocab.tokens), src, LinearMap(np.eye(5)), english, model,
@@ -335,8 +335,8 @@ class TestBuildAllAssignments:
 
     def test_missing_new_token(self):
         rng = np.random.default_rng(11)
-        src = make_emb(["w"], unit_rows(rng, 1, 2), normalized=True)
-        english = make_emb(["e"], unit_rows(rng, 1, 2), normalized=True)
+        src = make_emb(["w"], unit_rows(rng, 1, 2))
+        english = make_emb(["e"], unit_rows(rng, 1, 2))
         model = make_emb(["e"], [[1.0, 0.0]])
         with pytest.raises(TokenNotFound):
             build_all_assignments(
@@ -403,6 +403,9 @@ class TestAssignmentFiles:
             "w\tjustatoken",
             "w\ta:1.0",
             "w\t:0.123456",
+            "new tok\ta:1.000000",
+            "w\tan chor:1.000000",
+            "w\ta:0.500000,b\u2028c:0.500000",
         ],
     )
     def test_malformed_lines(self, tmp_path, line):
@@ -414,6 +417,14 @@ class TestAssignmentFiles:
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("ok\ta:1.000000\nbroken line\n", encoding="utf-8")
+        with pytest.raises(MalformedLine) as exc:
+            load_assignments(path)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("bad", ["new tok\ta:1.000000", "w\tan chor:1.000000"])
+    def test_token_rule_names_line(self, tmp_path, bad):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"ok\ta:1.000000\n{bad}\n", encoding="utf-8")
         with pytest.raises(MalformedLine) as exc:
             load_assignments(path)
         assert exc.value.line == 2
