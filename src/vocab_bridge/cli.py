@@ -106,6 +106,14 @@ def _non_negative(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> int:
+    """argparse type of a size or depth flag: a value below 1 is a usage error."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
 def _cap_pairs(dictionary: BilingualDictionary, max_pairs: int | None) -> BilingualDictionary:
     if max_pairs is None or len(dictionary) <= max_pairs:
         return dictionary
@@ -259,44 +267,38 @@ def _load_counts(path) -> dict[str, int]:
 
 
 def _cmd_expand(args) -> int:
+    if args.min_count is not None and not args.counts:
+        raise _UsageError("--min-count requires --counts")
+    if args.counts and args.min_count is None:
+        raise _UsageError("--counts requires --min-count")
     model_emb = load_embeddings(args.bert_emb)
     model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else model_emb.vocab
     lang_vocab = load_vocabulary(args.lang_vocab)
     new_tokens = expansion.select_new_subwords(lang_vocab, model_vocab)
     if args.min_count is not None:
-        if not args.counts:
-            raise _UsageError("--min-count requires --counts")
         counts = _load_counts(args.counts)
         new_tokens = [t for t in new_tokens if counts.get(t, 0) >= args.min_count]
 
-    kind = expansion.StrategyKind(args.strategy)
-    if kind is expansion.StrategyKind.MIXTURE:
+    if args.strategy == "mixture":
         if not args.assignments:
             raise _UsageError("--strategy mixture requires --assignments")
-        strategy = expansion.ExpansionStrategy(kind)
         table = dict(mixture.load_assignments(args.assignments))
-        model = expansion.expand_vocabulary(
-            model_vocab, model_emb, new_tokens, strategy, assignments=table
-        )
-    elif kind is expansion.StrategyKind.JOINT:
+        new_rows, provenance = expansion.mixture_rows(new_tokens, table, model_emb)
+    elif args.strategy == "joint":
         if not (args.src_emb and args.b_map and args.a_map):
             raise _UsageError("--strategy joint requires --src-emb, --b-map and --a-map")
-        strategy = expansion.ExpansionStrategy(kind)
-        model = expansion.expand_vocabulary(
-            model_vocab,
-            model_emb,
+        new_rows, provenance = expansion.joint_rows(
             new_tokens,
-            strategy,
-            src=load_embeddings(args.src_emb),
-            to_english=alignment.load_map(args.b_map),
-            to_model=alignment.load_map(args.a_map),
+            load_embeddings(args.src_emb),
+            alignment.load_map(args.b_map),
+            alignment.load_map(args.a_map),
         )
     else:
         if args.seed is None:
             raise _UsageError("--strategy random requires --seed")
-        strategy = expansion.ExpansionStrategy(kind, seed=args.seed)
-        model = expansion.expand_vocabulary(model_vocab, model_emb, new_tokens, strategy)
+        new_rows, provenance = expansion.random_rows(new_tokens, model_vocab, model_emb, args.seed)
 
+    model = expansion.expand_vocabulary(model_vocab, model_emb, new_rows, provenance)
     expansion.emit_expanded(model, args.out_dir)
     log.info("expanded %d -> %d tokens", len(model_vocab), len(model.vocab))
     return 0
@@ -347,7 +349,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("bpe-train", help="learn BPE merges from a corpus")
     p.add_argument("--corpus", required=True, help="whitespace-tokenized text file")
-    p.add_argument("--vocab-size", type=int, default=50000, help="symbol inventory target")
+    p.add_argument("--vocab-size", type=_positive, default=50000, help="symbol inventory target")
     p.add_argument("--out", required=True, help="merges file to write")
     p.add_argument("--vocab-out", help="also write the emitted subword vocabulary")
     p.set_defaults(func=_cmd_bpe_train)
@@ -393,9 +395,9 @@ def build_parser() -> _Parser:
     p.add_argument("--tgt-emb", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--dict", required=True)
-    p.add_argument("--eval-k", type=int, default=1)
-    p.add_argument("--csls-k", type=int, default=10)
-    p.add_argument("--sample", type=int, default=10000,
+    p.add_argument("--eval-k", type=_positive, default=1)
+    p.add_argument("--csls-k", type=_positive, default=10)
+    p.add_argument("--sample", type=_positive, default=10000,
                    help="rows scored by the unsupervised metric")
     p.add_argument("--max-pairs", type=_non_negative)
     p.add_argument("--warn-below-precision", type=float, default=None,
@@ -409,8 +411,8 @@ def build_parser() -> _Parser:
     p.add_argument("--targets", required=True)
     p.add_argument("--map", help="apply this map to the queries first")
     p.add_argument("--tokens", help="restrict queries to the tokens in this file")
-    p.add_argument("--top", type=int, default=5)
-    p.add_argument("--csls-k", type=int, default=10)
+    p.add_argument("--top", type=_positive, default=5)
+    p.add_argument("--csls-k", type=_positive, default=10)
     p.add_argument("--source-lang", default="src", help="label for the first column")
     p.add_argument("--softmax", action="store_true",
                    help="append a softmax probability column over each query's scores")
@@ -424,8 +426,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bert-emb", required=True)
     p.add_argument("--bert-vocab")
     p.add_argument("--tokens", help="default: every source token missing from the model vocabulary")
-    p.add_argument("--top-m", type=int, default=5)
-    p.add_argument("--csls-k", type=int, default=10)
+    p.add_argument("--top-m", type=_positive, default=5)
+    p.add_argument("--csls-k", type=_positive, default=10)
     p.add_argument("--out", required=True, help="assignment TSV to write")
     p.set_defaults(func=_cmd_mixture_build)
 
@@ -433,13 +435,13 @@ def build_parser() -> _Parser:
     p.add_argument("--bert-emb", required=True)
     p.add_argument("--bert-vocab")
     p.add_argument("--lang-vocab", required=True, help="subword vocabulary to splice in")
-    p.add_argument("--strategy", required=True, choices=[k.value for k in expansion.StrategyKind])
+    p.add_argument("--strategy", required=True, choices=("mixture", "joint", "random"))
     p.add_argument("--assignments", help="mixture assignment TSV (mixture strategy)")
     p.add_argument("--src-emb", help="source embeddings (joint strategy)")
     p.add_argument("--b-map", help="source-to-English map (joint strategy)")
     p.add_argument("--a-map", help="English-to-model map (joint strategy)")
     p.add_argument("--seed", type=_non_negative, help="donor sampling seed (random strategy)")
-    p.add_argument("--min-count", type=int, default=None,
+    p.add_argument("--min-count", type=_non_negative, default=None,
                    help="keep only new tokens with at least this corpus count (off by default)")
     p.add_argument("--counts", help="token<TAB>count table for --min-count")
     p.add_argument("--out-dir", required=True)

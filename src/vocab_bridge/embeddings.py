@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     CountMismatch,
     MalformedHeader,
-    MissingToken,
     NonFiniteValue,
     ParseError,
     RowArityMismatch,
@@ -254,22 +253,6 @@ def _unit_rows(rows: np.ndarray, vocab: Vocabulary) -> np.ndarray:
     if small.size:
         raise ZeroRow(vocab.token(int(small[0])))
     return rows / norms[:, None]
-
-
-def subset(emb: EmbeddingMatrix, tokens: Sequence[str]) -> EmbeddingMatrix:
-    """Restrict ``emb`` to ``tokens``, in the order requested.
-
-    Raises ``MissingToken`` naming the first absent token and its position in
-    the request.
-    """
-    ids = []
-    for pos, tok in enumerate(tokens):
-        idx = emb.vocab.index.get(tok)
-        if idx is None:
-            raise MissingToken(tok, pos)
-        ids.append(idx)
-    rows = emb.rows[ids] if ids else np.zeros((0, emb.dim))
-    return EmbeddingMatrix(Vocabulary(tokens), rows)
 
 
 def load_vocabulary(path) -> Vocabulary:

@@ -2,18 +2,19 @@
 
 The expanded vocabulary keeps the original vocabulary as an id-stable prefix
 and appends the new tokens; original embedding rows are copied bit for bit.
-Three strategies produce rows for the new tokens:
+Three builders make the new rows, each from only the inputs it reads:
 
-* MIXTURE: convex combination of anchor rows from a mixture assignment;
-* JOINT: the token's source-space row pushed through the two-stage maps;
-* RANDOM: a uniformly drawn donor row from the original matrix (baseline).
+* :func:`mixture_rows`: convex combination of anchor rows from a mixture
+  assignment;
+* :func:`joint_rows`: the token's source row pushed through both maps;
+* :func:`random_rows`: a uniformly drawn donor row (baseline).
 
-Every new token gets a provenance record describing how its row was built.
+Each returns ``(new_rows, provenance)``, one record per new token saying how
+its row was built; :func:`expand_vocabulary` splices them in.
 """
 
 from __future__ import annotations
 
-import enum
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,6 @@ from .embeddings import (
     _staged,
     save_embeddings,
     save_vocabulary,
-    subset,
 )
 from .errors import (
     DimMismatch,
@@ -42,24 +42,6 @@ from .mixture import format_anchors, mixture_embedding
 PROVENANCE_FILE = "provenance.tsv"
 VOCAB_FILE = "vocab.txt"
 EMBEDDINGS_FILE = "embeddings.vec"
-
-
-class StrategyKind(enum.Enum):
-    MIXTURE = "mixture"
-    JOINT = "joint"
-    RANDOM = "random"
-
-
-@dataclass(frozen=True)
-class ExpansionStrategy:
-    """Which row construction to use; RANDOM requires a seed."""
-
-    kind: StrategyKind
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.kind is StrategyKind.RANDOM and self.seed is None:
-            raise ValidationError("RANDOM strategy requires a seed")
 
 
 @dataclass(frozen=True)
@@ -81,85 +63,114 @@ def select_new_subwords(lang_vocab: Vocabulary, model_vocab: Vocabulary) -> list
     return [tok for tok in lang_vocab.tokens if tok not in model_vocab]
 
 
+def mixture_rows(
+    new_tokens: Sequence[str],
+    assignments: Mapping[str, Sequence[tuple[str, float]]],
+    model_emb: EmbeddingMatrix,
+) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+    """Each new token's row as the weighted sum of its anchors' model rows.
+
+    ``assignments`` maps every new token to its (anchor, weight) pairs;
+    a token without one raises ``MissingAssignment``.
+    """
+    rows = np.empty((len(new_tokens), model_emb.dim))
+    provenance = []
+    for i, tok in enumerate(new_tokens):
+        anchors = assignments.get(tok)
+        if anchors is None:
+            raise MissingAssignment(tok)
+        rows[i] = mixture_embedding(anchors, model_emb)
+        provenance.append(ProvenanceRecord(tok, "mixture", format_anchors(anchors)))
+    return rows, provenance
+
+
+def joint_rows(
+    new_tokens: Sequence[str],
+    src: EmbeddingMatrix,
+    to_english: LinearMap,
+    to_model: LinearMap,
+) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+    """Each new token's source row pushed through ``to_english`` then ``to_model``.
+
+    A token without a row in ``src`` raises ``MissingToken``.
+    """
+    if src.dim != to_english.src_dim:
+        raise DimMismatch(f"source dim {src.dim} != first map input {to_english.src_dim}")
+    if to_english.tgt_dim != to_model.src_dim:
+        raise DimMismatch("the two maps do not compose")
+    composed = to_english.matrix @ to_model.matrix
+    rows = np.empty((len(new_tokens), to_model.tgt_dim))
+    provenance = []
+    for i, tok in enumerate(new_tokens):
+        idx = src.vocab.index.get(tok)
+        if idx is None:
+            raise MissingToken(tok, i)
+        # one product per row: a gathered product rounds differently
+        rows[i] = src.rows[idx] @ composed
+        provenance.append(ProvenanceRecord(tok, "joint", "mapped from source row"))
+    return rows, provenance
+
+
+def random_rows(
+    new_tokens: Sequence[str],
+    model_vocab: Vocabulary,
+    model_emb: EmbeddingMatrix,
+    seed: int,
+) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+    """Each new token's row copied from a donor drawn uniformly from ``model_vocab``."""
+    if len(model_vocab) == 0:
+        raise ValidationError("cannot draw donor rows from an empty model")
+    donors = np.random.default_rng(seed).integers(0, len(model_vocab), size=len(new_tokens))
+    rows = np.empty((len(new_tokens), model_emb.dim))
+    provenance = []
+    for i, tok in enumerate(new_tokens):
+        donor = model_vocab.token(int(donors[i]))
+        rows[i] = model_emb.row(donor)
+        provenance.append(ProvenanceRecord(tok, "random", f"donor={donor}"))
+    return rows, provenance
+
+
 def expand_vocabulary(
     model_vocab: Vocabulary,
     model_emb: EmbeddingMatrix,
-    new_tokens: Sequence[str],
-    strategy: ExpansionStrategy,
-    *,
-    assignments: Mapping[str, Sequence[tuple[str, float]]] | None = None,
-    src: EmbeddingMatrix | None = None,
-    to_english: LinearMap | None = None,
-    to_model: LinearMap | None = None,
+    new_rows: np.ndarray,
+    provenance: Sequence[ProvenanceRecord],
 ) -> ExpandedModel:
-    """Build the expanded model.
+    """Append one row of ``new_rows`` per provenance record to the model.
 
     ``model_vocab`` fixes the original token order; every one of its tokens
-    must have a row in ``model_emb``.  New tokens must be distinct and
-    disjoint from the original vocabulary (``DuplicateNewToken``).  The
-    MIXTURE strategy reads anchor weights from ``assignments``, a mapping from
-    each new token to its (anchor, weight) pairs; JOINT needs ``src`` plus
-    both maps; RANDOM draws donor rows with the strategy seed.  With zero new
-    tokens the output equals the input row for row.
+    must have a row in ``model_emb`` (``MissingToken`` names the first that
+    does not, with its position).  The new tokens are the records' tokens and
+    must be distinct and disjoint from ``model_vocab`` (``DuplicateNewToken``);
+    ``new_rows`` holds their rows in the same order (``DimMismatch``
+    otherwise).  With no records the output equals the input row for row.
     """
-    if model_emb.vocab.tokens == model_vocab.tokens:
-        original_rows = model_emb.rows
-    else:
-        original_rows = subset(model_emb, model_vocab.tokens).rows
-
+    new_tokens = tuple(rec.token for rec in provenance)
     seen: set[str] = set()
     for tok in new_tokens:
         if tok in model_vocab or tok in seen:
             raise DuplicateNewToken(tok)
         seen.add(tok)
 
-    dim = model_emb.dim
-    new_rows = np.zeros((len(new_tokens), dim))
-    provenance: list[ProvenanceRecord] = []
+    n = len(model_vocab)
+    ids = np.empty(n, dtype=np.intp)
+    for pos, tok in enumerate(model_vocab.tokens):
+        idx = model_emb.vocab.index.get(tok)
+        if idx is None:
+            raise MissingToken(tok, pos)
+        ids[pos] = idx
 
-    if strategy.kind is StrategyKind.MIXTURE:
-        if assignments is None:
-            raise ValidationError("MIXTURE strategy requires assignments")
-        for i, tok in enumerate(new_tokens):
-            anchors = assignments.get(tok)
-            if anchors is None:
-                raise MissingAssignment(tok)
-            new_rows[i] = mixture_embedding(anchors, model_emb)
-            provenance.append(ProvenanceRecord(tok, "mixture", format_anchors(anchors)))
-    elif strategy.kind is StrategyKind.JOINT:
-        if src is None or to_english is None or to_model is None:
-            raise ValidationError("JOINT strategy requires src and both maps")
-        if src.dim != to_english.src_dim:
-            raise DimMismatch(f"source dim {src.dim} != first map input {to_english.src_dim}")
-        if to_english.tgt_dim != to_model.src_dim:
-            raise DimMismatch("the two maps do not compose")
-        if to_model.tgt_dim != dim:
-            raise DimMismatch(f"second map output {to_model.tgt_dim} != model dim {dim}")
-        composed = to_english.matrix @ to_model.matrix
-        for i, tok in enumerate(new_tokens):
-            idx = src.vocab.index.get(tok)
-            if idx is None:
-                raise MissingToken(tok, i)
-            new_rows[i] = src.rows[idx] @ composed
-            provenance.append(ProvenanceRecord(tok, "joint", "mapped from source row"))
-    elif strategy.kind is StrategyKind.RANDOM:
-        rng = np.random.default_rng(strategy.seed)
-        if len(model_vocab) == 0:
-            raise ValidationError("cannot draw donor rows from an empty model")
-        donors = rng.integers(0, len(model_vocab), size=len(new_tokens))
-        for i, tok in enumerate(new_tokens):
-            donor = int(donors[i])
-            new_rows[i] = original_rows[donor]
-            provenance.append(
-                ProvenanceRecord(tok, "random", f"donor={model_vocab.token(donor)}")
-            )
-    else:  # pragma: no cover - enum is closed
-        raise ValidationError(f"unknown strategy {strategy.kind}")
-
-    vocab = Vocabulary(model_vocab.tokens + tuple(new_tokens))
-    rows = np.vstack([original_rows, new_rows]) if len(new_tokens) else original_rows
-    emb = EmbeddingMatrix(vocab, rows)
-    return ExpandedModel(vocab=vocab, embeddings=emb, provenance=tuple(provenance))
+    if new_rows.shape != (len(new_tokens), model_emb.dim):
+        raise DimMismatch(
+            f"new rows have shape {new_rows.shape}, expected "
+            f"{(len(new_tokens), model_emb.dim)}"
+        )
+    rows = np.empty((n + len(new_tokens), model_emb.dim))
+    # every id is valid; numpy documents ``out`` as buffered under mode="raise"
+    np.take(model_emb.rows, ids, axis=0, out=rows[:n], mode="clip")
+    rows[n:] = new_rows
+    vocab = Vocabulary(model_vocab.tokens + new_tokens)
+    return ExpandedModel(vocab, EmbeddingMatrix(vocab, rows), tuple(provenance))
 
 
 def emit_expanded(model: ExpandedModel, out_dir) -> None:

@@ -22,8 +22,6 @@ from conftest import (
 )
 from vocab_bridge import (
     AlignConfig,
-    ExpansionStrategy,
-    StrategyKind,
     Vocabulary,
     bpe_train,
     build_all_assignments,
@@ -35,6 +33,7 @@ from vocab_bridge import (
     fit_joint_mapping,
     mixture_weights,
     procrustes_solve,
+    random_rows,
     save_embeddings,
     select_new_subwords,
     wordpiece_segment,
@@ -238,17 +237,24 @@ def test_criterion_8_expansion_integrity_at_scale():
         n, d, n_new = 10000, 32, 5000
         model = make_emb(tok_list("m", n), rng.standard_normal((n, d)))
         new_tokens = [f"x{i:04d}" for i in range(n_new)]
-        strategy = ExpansionStrategy(StrategyKind.RANDOM, seed=88)
-        first = expand_vocabulary(model.vocab, model, new_tokens, strategy)
+        new_rows, provenance = random_rows(new_tokens, model.vocab, model, seed=88)
+        first = expand_vocabulary(model.vocab, model, new_rows, provenance)
         assert np.array_equal(first.embeddings.rows[:n], model.rows)
+        assert np.array_equal(first.embeddings.rows[n:], new_rows)
         assert first.vocab.tokens[:n] == model.vocab.tokens
         for probe in (0, 137, n - 1):
             assert first.vocab.id(model.vocab.token(probe)) == probe
         assert len(first.provenance) == n_new
         assert [rec.token for rec in first.provenance] == new_tokens
-        second = expand_vocabulary(model.vocab, model, new_tokens, strategy)
+        again_rows, again_provenance = random_rows(new_tokens, model.vocab, model, seed=88)
+        second = expand_vocabulary(model.vocab, model, again_rows, again_provenance)
         assert first.provenance == second.provenance
         assert np.array_equal(first.embeddings.rows, second.embeddings.rows)
+        # a model vocabulary in another order keeps its own ids
+        flipped = Vocabulary(model.vocab.tokens[::-1])
+        third = expand_vocabulary(flipped, model, new_rows, provenance)
+        assert np.array_equal(third.embeddings.rows[:n], model.rows[::-1])
+        assert np.array_equal(third.embeddings.rows[n:], new_rows)
 
     _report(8, "10k+5k expansion keeps originals bit-identical and reproducible", body)
 

@@ -81,7 +81,7 @@ class TestParsing:
 
 
 class TestCountFlags:
-    """A negative count or seed is a usage error (exit 1), not a slice or a crash."""
+    """A negative count or seed, or a size below 1, is a usage error (exit 1), not a crash."""
 
     @pytest.mark.parametrize("command", ["align-fit-joint", "align-eval"])
     def test_negative_max_pairs(self, planted_files, tmp_path, capsys, command):
@@ -120,6 +120,45 @@ class TestCountFlags:
         assert "--seed: must not be negative" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
         assert dispatch(argv + ["0"]) == 0
+
+    def test_negative_min_count(self, tmp_path, capsys):
+        model = tmp_path / "model.vec"
+        save_embeddings(make_emb(["a", "b"], np.eye(2)), model)
+        lang_vocab = write(tmp_path / "lang.txt", "x\n")
+        counts = write(tmp_path / "counts.tsv", "x\t0\n")
+        argv = ["expand", "--bert-emb", str(model), "--lang-vocab", lang_vocab,
+                "--strategy", "random", "--seed", "0", "--counts", counts,
+                "--out-dir", str(tmp_path / "o"), "--min-count"]
+        assert dispatch(argv + ["-1"]) == 1
+        assert "--min-count: must not be negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+        assert dispatch(argv + ["0"]) == 0
+
+    @pytest.mark.parametrize(
+        "command, flag, good",
+        [("bpe-train", "--vocab-size", "1"), ("align-eval", "--csls-k", "1"),
+         ("align-eval", "--eval-k", "1"), ("align-eval", "--sample", "10"),
+         ("csls-nn", "--csls-k", "1"), ("csls-nn", "--top", "1"),
+         ("mixture-build", "--csls-k", "1"), ("mixture-build", "--top-m", "1")],
+    )
+    def test_non_positive_size(self, planted_files, tmp_path, capsys, command, flag, good):
+        """A size, depth or sample flag below 1 is a usage error, not a library error."""
+        out = tmp_path / "out"
+        args = {
+            "bpe-train": ["--corpus", write(tmp_path / "c.txt", "ab ab a\n"), "--out", str(out)],
+            "align-eval": ["--src-emb", planted_files["src"], "--tgt-emb", planted_files["tgt"],
+                           "--map", planted_files["map"], "--dict", planted_files["dict"]],
+            "csls-nn": ["--queries", planted_files["src"], "--targets", planted_files["tgt"],
+                        "--out", str(out)],
+            "mixture-build": ["--src-emb", planted_files["src"], "--b-map", planted_files["map"],
+                              "--en-emb", planted_files["tgt"], "--bert-emb", planted_files["tgt"],
+                              "--out", str(out)],
+        }[command]
+        for bad in ("0", "-5"):
+            assert dispatch([command, *args, flag, bad]) == 1
+            assert f"{flag}: must be positive, got {bad}" in capsys.readouterr().err
+        assert not out.exists()
+        assert dispatch([command, *args, flag, good]) == 0
 
     def test_negative_max_chars(self, tmp_path, capsys):
         vocab = write(tmp_path / "v.txt", "a\n")
@@ -505,6 +544,10 @@ class TestMixtureAndExpand:
         assert dispatch(base + ["--strategy", "joint"]) == 1
         assert dispatch(base + ["--strategy", "random", "--seed", "1",
                                 "--min-count", "2"]) == 1
+        counts = write(tmp_path / "counts.tsv", "x\t3\n")
+        assert dispatch(base + ["--strategy", "random", "--seed", "1",
+                                "--counts", counts]) == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(
         "text, line",

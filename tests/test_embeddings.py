@@ -20,7 +20,6 @@ from vocab_bridge import (
     load_vocabulary,
     save_embeddings,
     save_vocabulary,
-    subset,
     wordpiece_segment,
 )
 from vocab_bridge.cli import _read_tokens
@@ -35,7 +34,6 @@ from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
     MalformedLine,
-    MissingToken,
     NonFiniteValue,
     ParseError,
     RowArityMismatch,
@@ -45,7 +43,7 @@ from vocab_bridge.errors import (
 )
 from vocab_bridge.tokenizer import MERGES_HEADER, load_bpe_model
 
-from conftest import make_emb, unit_rows
+from conftest import make_emb
 
 
 class TestVocabulary:
@@ -304,28 +302,6 @@ class TestNormalizeRows:
 
     def test_empty_matrix(self):
         assert _unit_rows(np.zeros((0, 2)), Vocabulary([])).shape == (0, 2)
-
-
-class TestSubset:
-    def test_requested_order(self):
-        m = make_emb(["a", "b", "c"], np.diag([1.0, 2.0, 3.0]))
-        s = subset(m, ["c", "a"])
-        assert s.vocab.tokens == ("c", "a")
-        np.testing.assert_array_equal(s.rows[:, 2], [3.0, 0.0])
-
-    def test_missing_token_position(self):
-        m = make_emb(["a", "b"], np.eye(2))
-        with pytest.raises(MissingToken) as err:
-            subset(m, ["a", "zz"])
-        assert err.value.token == "zz" and err.value.position == 1
-
-    def test_permutation_round_trip(self):
-        rng = np.random.default_rng(11)
-        tokens = [f"t{i}" for i in range(12)]
-        m = make_emb(tokens, unit_rows(rng, 12, 4))
-        perm = list(rng.permutation(tokens))
-        back = subset(subset(m, perm), tokens)
-        np.testing.assert_array_equal(back.rows, m.rows)
 
 
 class TestVocabularyFiles:

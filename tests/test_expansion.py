@@ -1,5 +1,6 @@
 """Selecting new subwords and splicing them into a pretrained model."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,25 +8,26 @@ import pytest
 
 from conftest import make_emb, planted_chain, tok_list, unit_rows
 from vocab_bridge import (
-    ExpansionStrategy,
     LinearMap,
-    StrategyKind,
     Vocabulary,
     emit_expanded,
     expand_vocabulary,
+    joint_rows,
     load_embeddings,
     load_vocabulary,
+    mixture_rows,
+    random_rows,
     select_new_subwords,
 )
 from vocab_bridge import expansion
 from vocab_bridge.expansion import EMBEDDINGS_FILE, PROVENANCE_FILE, VOCAB_FILE
-from vocab_bridge.errors import (
-    DimMismatch,
-    DuplicateNewToken,
-    MissingAssignment,
-    MissingToken,
-    ValidationError,
-)
+from vocab_bridge.errors import DimMismatch, DuplicateNewToken, MissingAssignment, MissingToken
+
+
+def expand_random(model, new_tokens, seed, vocab=None):
+    """Splice random donor rows for ``new_tokens`` into ``model``."""
+    vocab = model.vocab if vocab is None else vocab
+    return expand_vocabulary(vocab, model, *random_rows(new_tokens, vocab, model, seed))
 
 
 class TestSelectNewSubwords:
@@ -43,17 +45,10 @@ class TestRandomStrategy:
     def _model(self, rng, n=20, d=6):
         return make_emb(tok_list("m", n), rng.standard_normal((n, d)))
 
-    def test_seed_requirement(self):
-        with pytest.raises(ValidationError):
-            ExpansionStrategy(StrategyKind.RANDOM)
-        ExpansionStrategy(StrategyKind.RANDOM, seed=0)
-
     def test_zero_new_tokens_is_identity(self):
         rng = np.random.default_rng(0)
         model = self._model(rng)
-        out = expand_vocabulary(
-            model.vocab, model, [], ExpansionStrategy(StrategyKind.RANDOM, seed=1)
-        )
+        out = expand_random(model, [], seed=1)
         assert out.vocab.tokens == model.vocab.tokens
         assert np.array_equal(out.embeddings.rows, model.rows)
         assert out.provenance == ()
@@ -62,12 +57,8 @@ class TestRandomStrategy:
         rng = np.random.default_rng(1)
         model = self._model(rng)
         new = ["x1", "x2", "x3"]
-        a = expand_vocabulary(
-            model.vocab, model, new, ExpansionStrategy(StrategyKind.RANDOM, seed=7)
-        )
-        b = expand_vocabulary(
-            model.vocab, model, new, ExpansionStrategy(StrategyKind.RANDOM, seed=7)
-        )
+        a = expand_random(model, new, seed=7)
+        b = expand_random(model, new, seed=7)
         assert np.array_equal(a.embeddings.rows, b.embeddings.rows)
         assert a.provenance == b.provenance
 
@@ -75,21 +66,14 @@ class TestRandomStrategy:
         rng = np.random.default_rng(2)
         model = self._model(rng, n=50)
         new = [f"x{i}" for i in range(10)]
-        a = expand_vocabulary(
-            model.vocab, model, new, ExpansionStrategy(StrategyKind.RANDOM, seed=0)
-        )
-        b = expand_vocabulary(
-            model.vocab, model, new, ExpansionStrategy(StrategyKind.RANDOM, seed=1)
-        )
-        assert a.provenance != b.provenance
+        assert expand_random(model, new, seed=0).provenance != expand_random(
+            model, new, seed=1
+        ).provenance
 
     def test_donor_row_matches_provenance(self):
         rng = np.random.default_rng(3)
         model = self._model(rng)
-        out = expand_vocabulary(
-            model.vocab, model, ["x1", "x2"],
-            ExpansionStrategy(StrategyKind.RANDOM, seed=11),
-        )
+        out = expand_random(model, ["x1", "x2"], seed=11)
         for i, rec in enumerate(out.provenance):
             assert rec.strategy == "random"
             assert rec.detail.startswith("donor=")
@@ -100,16 +84,25 @@ class TestRandomStrategy:
     def test_original_rows_and_ids_untouched(self):
         rng = np.random.default_rng(4)
         model = self._model(rng)
-        out = expand_vocabulary(
-            model.vocab, model, ["x1"],
-            ExpansionStrategy(StrategyKind.RANDOM, seed=5),
-        )
+        out = expand_random(model, ["x1"], seed=5)
         n = len(model.vocab)
         assert out.vocab.tokens[:n] == model.vocab.tokens
         assert out.vocab.tokens[n:] == ("x1",)
         assert np.array_equal(out.embeddings.rows[:n], model.rows)
         for tok in model.vocab.tokens:
             assert out.vocab.id(tok) == model.vocab.id(tok)
+
+    def test_donors_drawn_in_vocab_order(self):
+        """Donor ids index ``model_vocab``, not the embedding file's order."""
+        rng = np.random.default_rng(19)
+        model = self._model(rng, n=8)
+        reordered = Vocabulary(reversed(model.vocab.tokens))
+        rows, provenance = random_rows(["x1", "x2", "x3"], reordered, model, seed=2)
+        same, _ = random_rows(["x1", "x2", "x3"], model.vocab, model, seed=2)
+        for i, rec in enumerate(provenance):
+            donor = rec.detail.removeprefix("donor=")
+            assert np.array_equal(rows[i], model.row(donor))
+        assert not np.array_equal(rows, same)
 
 
 class TestJointStrategy:
@@ -120,15 +113,13 @@ class TestJointStrategy:
         to_model = LinearMap(chain.q2)
         new = list(chain.src.vocab.tokens[:6])
         out = expand_vocabulary(
-            chain.model.vocab, chain.model, new,
-            ExpansionStrategy(StrategyKind.JOINT),
-            src=chain.src, to_english=to_english, to_model=to_model,
+            chain.model.vocab, chain.model, *joint_rows(new, chain.src, to_english, to_model)
         )
         composed = chain.q1 @ chain.q2
         n = len(chain.model.vocab)
         for i, tok in enumerate(new):
-            want = chain.src.row(tok) @ composed
-            np.testing.assert_allclose(out.embeddings.rows[n + i], want, atol=1e-12)
+            # bitwise: one product per row, as the rows were always built
+            assert np.array_equal(out.embeddings.rows[n + i], chain.src.row(tok) @ composed)
             # the planted chain pairs l#### with en#### sharing one latent row
             np.testing.assert_allclose(
                 out.embeddings.rows[n + i],
@@ -137,45 +128,25 @@ class TestJointStrategy:
             )
         assert all(rec.strategy == "joint" for rec in out.provenance)
 
-    def test_requires_all_inputs(self):
-        rng = np.random.default_rng(6)
-        model = make_emb(tok_list("m", 4), rng.standard_normal((4, 3)))
-        with pytest.raises(ValidationError):
-            expand_vocabulary(
-                model.vocab, model, ["x"], ExpansionStrategy(StrategyKind.JOINT)
-            )
-
     def test_dim_mismatches(self):
         rng = np.random.default_rng(7)
         model = make_emb(tok_list("m", 4), rng.standard_normal((4, 3)))
         src = make_emb(["x"], unit_rows(rng, 1, 2))
         eye2, eye3 = LinearMap(np.eye(2)), LinearMap(np.eye(3))
         with pytest.raises(DimMismatch):
-            expand_vocabulary(
-                model.vocab, model, ["x"], ExpansionStrategy(StrategyKind.JOINT),
-                src=src, to_english=eye3, to_model=eye3,
-            )
+            joint_rows(["x"], src, eye3, eye3)
         with pytest.raises(DimMismatch):
-            expand_vocabulary(
-                model.vocab, model, ["x"], ExpansionStrategy(StrategyKind.JOINT),
-                src=src, to_english=eye2, to_model=eye3,
-            )
+            joint_rows(["x"], src, eye2, eye3)
+        # joint_rows never sees the model; the splice checks the width
+        rows, provenance = joint_rows(["x"], src, eye2, eye2)
         with pytest.raises(DimMismatch):
-            expand_vocabulary(
-                model.vocab, model, ["x"], ExpansionStrategy(StrategyKind.JOINT),
-                src=src, to_english=eye2, to_model=eye2,
-            )
+            expand_vocabulary(model.vocab, model, rows, provenance)
 
     def test_new_token_missing_from_source(self):
         rng = np.random.default_rng(8)
-        model = make_emb(tok_list("m", 4), rng.standard_normal((4, 2)))
         src = make_emb(["x"], unit_rows(rng, 1, 2))
         with pytest.raises(MissingToken):
-            expand_vocabulary(
-                model.vocab, model, ["ghost"], ExpansionStrategy(StrategyKind.JOINT),
-                src=src, to_english=LinearMap(np.eye(2)),
-                to_model=LinearMap(np.eye(2)),
-            )
+            joint_rows(["ghost"], src, LinearMap(np.eye(2)), LinearMap(np.eye(2)))
 
 
 class TestMixtureStrategy:
@@ -188,8 +159,7 @@ class TestMixtureStrategy:
         rng = np.random.default_rng(9)
         model, anchors = self._fixture(rng)
         out = expand_vocabulary(
-            model.vocab, model, ["new"], ExpansionStrategy(StrategyKind.MIXTURE),
-            assignments={"new": anchors},
+            model.vocab, model, *mixture_rows(["new"], {"new": anchors}, model)
         )
         want = 0.75 * model.row("m0001") + 0.25 * model.row("m0004")
         np.testing.assert_allclose(out.embeddings.rows[-1], want, atol=1e-12)
@@ -200,19 +170,7 @@ class TestMixtureStrategy:
         rng = np.random.default_rng(11)
         model, anchors = self._fixture(rng)
         with pytest.raises(MissingAssignment, match="orphan"):
-            expand_vocabulary(
-                model.vocab, model, ["new", "orphan"],
-                ExpansionStrategy(StrategyKind.MIXTURE),
-                assignments={"new": anchors},
-            )
-
-    def test_assignments_required(self):
-        rng = np.random.default_rng(12)
-        model, _ = self._fixture(rng)
-        with pytest.raises(ValidationError):
-            expand_vocabulary(
-                model.vocab, model, ["new"], ExpansionStrategy(StrategyKind.MIXTURE)
-            )
+            mixture_rows(["new", "orphan"], {"new": anchors}, model)
 
 
 class TestExpandValidation:
@@ -220,19 +178,13 @@ class TestExpandValidation:
         rng = np.random.default_rng(13)
         model = make_emb(["keep", "stay"], rng.standard_normal((2, 3)))
         with pytest.raises(DuplicateNewToken, match="stay"):
-            expand_vocabulary(
-                model.vocab, model, ["stay"],
-                ExpansionStrategy(StrategyKind.RANDOM, seed=0),
-            )
+            expand_random(model, ["stay"], seed=0)
 
     def test_duplicate_within_new_tokens(self):
         rng = np.random.default_rng(14)
         model = make_emb(["keep"], rng.standard_normal((1, 3)))
         with pytest.raises(DuplicateNewToken, match="twice"):
-            expand_vocabulary(
-                model.vocab, model, ["twice", "twice"],
-                ExpansionStrategy(StrategyKind.RANDOM, seed=0),
-            )
+            expand_random(model, ["twice", "twice"], seed=0)
 
     def test_vocab_row_gather_reorders(self):
         """Embeddings stored in a different order still follow the vocab."""
@@ -240,29 +192,46 @@ class TestExpandValidation:
         rows = rng.standard_normal((3, 2))
         emb = make_emb(["a", "b", "c"], rows)
         vocab = Vocabulary(["c", "a", "b"])
-        out = expand_vocabulary(
-            vocab, emb, [], ExpansionStrategy(StrategyKind.RANDOM, seed=0)
-        )
+        out = expand_random(emb, [], seed=0, vocab=vocab)
         np.testing.assert_array_equal(out.embeddings.rows, rows[[2, 0, 1]])
 
     def test_vocab_token_without_row(self):
         rng = np.random.default_rng(16)
         emb = make_emb(["a"], rng.standard_normal((1, 2)))
-        with pytest.raises(MissingToken, match="b"):
-            expand_vocabulary(
-                Vocabulary(["a", "b"]), emb, [],
-                ExpansionStrategy(StrategyKind.RANDOM, seed=0),
-            )
+        with pytest.raises(MissingToken) as err:
+            expand_vocabulary(Vocabulary(["a", "b"]), emb, np.empty((0, 2)), [])
+        assert err.value.token == "b" and err.value.position == 1
+
+    def test_row_count_must_match_records(self):
+        rng = np.random.default_rng(20)
+        model = make_emb(["a", "b"], rng.standard_normal((2, 3)))
+        rows, provenance = random_rows(["x", "y"], model.vocab, model, seed=0)
+        with pytest.raises(DimMismatch):
+            expand_vocabulary(model.vocab, model, rows[:1], provenance)
+
+    def test_reordered_splice_memory(self):
+        """A reordered model costs no more than one output buffer and its matrix copy."""
+        rng = np.random.default_rng(21)
+        n, d = 20000, 64
+        tokens = tok_list("m", n)
+        model = make_emb(tokens, rng.standard_normal((n, d)))
+        vocab = Vocabulary(tokens[::-1])
+        new_rows, provenance = random_rows(tok_list("x", 50), vocab, model, seed=3)
+        tracemalloc.start()
+        try:
+            out = expand_vocabulary(vocab, model, new_rows, provenance)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * model.rows.nbytes
+        assert np.array_equal(out.embeddings.rows[:n], model.rows[::-1])
 
 
 class TestEmitExpanded:
     def test_writes_all_three_files(self, tmp_path):
         rng = np.random.default_rng(17)
         model = make_emb(tok_list("m", 5), rng.standard_normal((5, 3)))
-        out = expand_vocabulary(
-            model.vocab, model, ["x1", "x2"],
-            ExpansionStrategy(StrategyKind.RANDOM, seed=3),
-        )
+        out = expand_random(model, ["x1", "x2"], seed=3)
         emit_expanded(out, tmp_path / "expanded")
         base = tmp_path / "expanded"
         vocab = load_vocabulary(base / VOCAB_FILE)
@@ -280,12 +249,7 @@ class TestEmitExpanded:
         rng = np.random.default_rng(18)
         model = make_emb(tok_list("m", 5), rng.standard_normal((5, 3)))
         base = tmp_path / "expanded"
-        emit_expanded(
-            expand_vocabulary(
-                model.vocab, model, ["x1"], ExpansionStrategy(StrategyKind.RANDOM, seed=3)
-            ),
-            base,
-        )
+        emit_expanded(expand_random(model, ["x1"], seed=3), base)
         before = {p.name: p.read_bytes() for p in base.iterdir()}
         assert sorted(before) == sorted([VOCAB_FILE, EMBEDDINGS_FILE, PROVENANCE_FILE])
 
@@ -294,9 +258,7 @@ class TestEmitExpanded:
             raise OSError("disk full")
 
         monkeypatch.setattr(expansion, "save_embeddings", failing_save)
-        bigger = expand_vocabulary(
-            model.vocab, model, ["y1", "y2"], ExpansionStrategy(StrategyKind.RANDOM, seed=4)
-        )
+        bigger = expand_random(model, ["y1", "y2"], seed=4)
         with pytest.raises(OSError, match="disk full"):
             emit_expanded(bigger, base)
         assert {p.name: p.read_bytes() for p in base.iterdir()} == before
