@@ -15,6 +15,7 @@ from vocab_bridge import (
     EmbeddingMatrix,
     Vocabulary,
     bpe_train,
+    expand_vocabulary,
     load_embeddings,
     load_map,
     load_vocabulary,
@@ -34,6 +35,7 @@ from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
     MalformedLine,
+    MissingToken,
     NonFiniteValue,
     ParseError,
     RowArityMismatch,
@@ -43,7 +45,7 @@ from vocab_bridge.errors import (
 )
 from vocab_bridge.tokenizer import MERGES_HEADER, load_bpe_model
 
-from conftest import make_emb
+from conftest import make_emb, unit_rows
 
 
 class TestVocabulary:
@@ -302,6 +304,34 @@ class TestNormalizeRows:
 
     def test_empty_matrix(self):
         assert _unit_rows(np.zeros((0, 2)), Vocabulary([])).shape == (0, 2)
+
+
+def _gather(emb, tokens):
+    """Rows of ``emb`` in ``tokens`` order: the expansion splice with no new rows."""
+    no_rows = np.empty((0, emb.dim))
+    return expand_vocabulary(Vocabulary(tokens), emb, no_rows, ()).embeddings
+
+
+class TestSubset:
+    def test_requested_order(self):
+        m = make_emb(["a", "b", "c"], np.diag([1.0, 2.0, 3.0]))
+        s = _gather(m, ["c", "a"])
+        assert s.vocab.tokens == ("c", "a")
+        np.testing.assert_array_equal(s.rows[:, 2], [3.0, 0.0])
+
+    def test_missing_token_position(self):
+        m = make_emb(["a", "b"], np.eye(2))
+        with pytest.raises(MissingToken) as err:
+            _gather(m, ["a", "zz"])
+        assert err.value.token == "zz" and err.value.position == 1
+
+    def test_permutation_round_trip(self):
+        rng = np.random.default_rng(11)
+        tokens = [f"t{i}" for i in range(12)]
+        m = make_emb(tokens, unit_rows(rng, 12, 4))
+        perm = list(rng.permutation(tokens))
+        back = _gather(_gather(m, perm), tokens)
+        np.testing.assert_array_equal(back.rows, m.rows)
 
 
 class TestVocabularyFiles:
