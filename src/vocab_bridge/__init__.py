@@ -2,13 +2,11 @@
 cross-lingual embedding alignment."""
 
 from .alignment import (
-    AlignConfig,
     IndependentFit,
     JointFit,
     LinearMap,
     NeighborList,
     apply_map,
-    compose_maps,
     csls_knn,
     eval_precision_at_k,
     fit_independent_mapping,
@@ -42,7 +40,6 @@ from .expansion import (
     select_new_subwords,
 )
 from .mixture import (
-    MixtureAssignment,
     build_all_assignments,
     load_assignments,
     mixture_embedding,
@@ -63,7 +60,6 @@ from .tokenizer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignConfig",
     "BilingualDictionary",
     "BpeModel",
     "EmbeddingMatrix",
@@ -71,7 +67,6 @@ __all__ = [
     "IndependentFit",
     "JointFit",
     "LinearMap",
-    "MixtureAssignment",
     "NeighborList",
     "OovDelta",
     "OovReport",
@@ -84,7 +79,6 @@ __all__ = [
     "build_all_assignments",
     "classify_corpus",
     "compare_reports",
-    "compose_maps",
     "corpus_oov_stats",
     "csls_knn",
     "emit_expanded",

@@ -14,12 +14,13 @@ target set and r_src(y) the mean cosine from y to its k nearest in the
 source set.
 
 Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
-(``csls-nn``, both ``align-eval`` scores and ``mixture-build`` anchors).  It
-lists targets best first, ties broken by ascending target id, so every
-retrieval is deterministic.  It computes both r-terms and the scores in row
-blocks of about ``_BLOCK_CELLS`` cells, so memory is bounded by that budget,
-not by queries x targets.  Blocking moves scores only by rounding (within
-1e-12 of one block) and leaves the ranking rule as it is.
+(``csls-nn``, both ``align-eval`` scores and ``mixture-build`` anchors) and
+checks their widths and depths.  It lists targets best first, ties broken by
+ascending target id, so every retrieval is deterministic.  It computes both
+r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, so
+memory is bounded by that budget, not by queries x targets.  Blocking moves
+scores only by rounding (within 1e-12 of one block) and leaves the ranking
+rule as it is.
 
 CSLS and the fits need unit rows, so each scorer and fit normalizes its own
 inputs once (``embeddings._unit_rows``) and works on plain arrays from
@@ -55,25 +56,6 @@ log = logging.getLogger(__name__)
 ORTHOGONALITY_TOL = 1e-6
 # Cells (rows x columns) of one CSLS similarity block: 1 MiB of float64.
 _BLOCK_CELLS = 1 << 17
-
-
-@dataclass(frozen=True)
-class AlignConfig:
-    """Retrieval hyperparameters.
-
-    ``csls_k`` is the neighborhood size for the CSLS r-terms, ``top_m`` the
-    anchor count used by mixture construction, ``eval_k`` the retrieval depth
-    for precision evaluation.
-    """
-
-    csls_k: int = 10
-    top_m: int = 5
-    eval_k: int = 1
-
-    def __post_init__(self):
-        for name in ("csls_k", "top_m", "eval_k"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
 
 
 class LinearMap:
@@ -194,15 +176,6 @@ def _mapped_unit(linear_map: LinearMap, emb: EmbeddingMatrix) -> np.ndarray:
     return _unit_rows(_unit_rows(emb.rows, emb.vocab) @ linear_map.matrix, emb.vocab)
 
 
-def compose_maps(first: LinearMap, second: LinearMap) -> LinearMap:
-    """The map applying ``first`` then ``second``."""
-    if first.tgt_dim != second.src_dim:
-        raise DimMismatch(
-            f"cannot compose {first.tgt_dim}-dim output with {second.src_dim}-dim input"
-        )
-    return LinearMap(first.matrix @ second.matrix)
-
-
 def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
     """Row-wise mean of the k largest entries."""
     return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
@@ -234,7 +207,20 @@ def _csls_topk(
     ties by ascending target id.  The query r-term is taken over ``targets``
     themselves, the target r-term over ``src_rset``.  Each row's r-term and
     ranking depend only on that row, so both run in row blocks.
+
+    Every CSLS caller's argument checks live here: ``DimMismatch`` when query
+    and target widths differ, ``ValidationError`` when ``k`` or ``top`` is
+    below 1 or ``top`` exceeds the targets, and ``KTooLarge`` when ``k``
+    exceeds the targets or the ``src_rset`` rows.
     """
+    if queries.shape[1] != targets.shape[1]:
+        raise DimMismatch(f"query dim {queries.shape[1]} != target dim {targets.shape[1]}")
+    if k < 1:
+        raise ValidationError(f"csls_k={k} must be positive")
+    if top < 1 or top > len(targets):
+        raise ValidationError(f"top={top} outside [1, {len(targets)}]")
+    if k > len(targets) or k > len(src_rset):
+        raise KTooLarge(f"csls_k={k} exceeds a matrix size ({len(src_rset)}, {len(targets)})")
     r_t = np.empty(len(targets))
     for b in _row_blocks(len(targets), len(src_rset)):
         r_t[b] = _topk_mean(targets[b] @ src_rset.T, k)
@@ -263,25 +249,19 @@ def _csls_topk(
 def csls_knn(
     queries: EmbeddingMatrix,
     targets: EmbeddingMatrix,
-    cfg: AlignConfig,
     top: int,
+    *,
+    csls_k: int = 10,
 ) -> list[NeighborList]:
     """Top CSLS neighbors in ``targets`` for every query row.
 
-    The r-terms use the full query and target matrices.  Results are sorted
-    by descending score, ties by ascending target id.
+    The r-terms use the full query and target matrices, over ``csls_k``
+    neighbors.  Results are sorted by descending score, ties by ascending
+    target id.
     """
-    if queries.dim != targets.dim:
-        raise DimMismatch(f"query dim {queries.dim} != target dim {targets.dim}")
-    if top < 1 or top > len(targets):
-        raise ValidationError(f"top={top} outside [1, {len(targets)}]")
-    if cfg.csls_k > len(targets) or cfg.csls_k > len(queries):
-        raise KTooLarge(
-            f"csls_k={cfg.csls_k} exceeds a matrix size ({len(queries)}, {len(targets)})"
-        )
     q = _unit_rows(queries.rows, queries.vocab)
     t = _unit_rows(targets.rows, targets.vocab)
-    ids, scores = _csls_topk(q, t, q, cfg.csls_k, top)
+    ids, scores = _csls_topk(q, t, q, csls_k, top)
     return [
         NeighborList(
             query=token,
@@ -298,9 +278,11 @@ def eval_precision_at_k(
     src: EmbeddingMatrix,
     tgt: EmbeddingMatrix,
     eval_dict: BilingualDictionary,
-    cfg: AlignConfig,
+    *,
+    csls_k: int = 10,
+    eval_k: int = 1,
 ) -> float:
-    """Precision at ``cfg.eval_k`` over unique evaluated source tokens.
+    """Precision at ``eval_k`` over unique evaluated source tokens.
 
     A source scores a hit when any of its listed targets appears in the top
     ``eval_k`` CSLS retrieval of its mapped vector.  Sources missing from the
@@ -310,8 +292,6 @@ def eval_precision_at_k(
     """
     mapped = _mapped_unit(linear_map, src)
     t = _unit_rows(tgt.rows, tgt.vocab)
-    if cfg.csls_k > len(t) or cfg.csls_k > len(mapped):
-        raise KTooLarge(f"csls_k={cfg.csls_k} exceeds a matrix size")
     by_source = eval_dict.targets_by_source()
     evaluated: list[tuple[int, set[str]]] = []
     skipped = 0
@@ -327,7 +307,7 @@ def eval_precision_at_k(
         log.info("precision eval skipped %d of %d sources", skipped, skipped + len(evaluated))
     q_rows = mapped[[i for i, _ in evaluated]]
     # r_src over the full mapped source space, not just the evaluated rows
-    ids, _ = _csls_topk(q_rows, t, mapped, cfg.csls_k, min(cfg.eval_k, len(t)))
+    ids, _ = _csls_topk(q_rows, t, mapped, csls_k, min(eval_k, len(t)))
     hits = sum(
         any(tgt.vocab.token(int(j)) in targets for j in id_row)
         for id_row, (_, targets) in zip(ids, evaluated)
@@ -339,8 +319,9 @@ def unsupervised_score(
     linear_map: LinearMap,
     src: EmbeddingMatrix,
     tgt: EmbeddingMatrix,
-    cfg: AlignConfig,
     sample: int = 10000,
+    *,
+    csls_k: int = 10,
 ) -> float:
     """Mean cosine between sampled mapped sources and their CSLS best match.
 
@@ -356,9 +337,7 @@ def unsupervised_score(
     if n < 1:
         raise ValidationError("source matrix is empty")
     q_rows = mapped[:n]
-    if cfg.csls_k > len(t) or cfg.csls_k > n:
-        raise KTooLarge(f"csls_k={cfg.csls_k} exceeds sample or target size")
-    ids, _ = _csls_topk(q_rows, t, q_rows, cfg.csls_k, 1)
+    ids, _ = _csls_topk(q_rows, t, q_rows, csls_k, 1)
     return float(np.mean(np.sum(q_rows * t[ids[:, 0]], axis=1)))
 
 

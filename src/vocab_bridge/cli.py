@@ -194,9 +194,12 @@ def _cmd_align_eval(args) -> int:
     tgt = load_embeddings(args.tgt_emb)
     linear_map = alignment.load_map(args.map)
     dictionary = _cap_pairs(load_dictionary(args.dict), args.max_pairs)
-    cfg = alignment.AlignConfig(csls_k=args.csls_k, eval_k=args.eval_k)
-    precision = alignment.eval_precision_at_k(linear_map, src, tgt, dictionary, cfg)
-    score = alignment.unsupervised_score(linear_map, src, tgt, cfg, sample=args.sample)
+    precision = alignment.eval_precision_at_k(
+        linear_map, src, tgt, dictionary, csls_k=args.csls_k, eval_k=args.eval_k
+    )
+    score = alignment.unsupervised_score(
+        linear_map, src, tgt, sample=args.sample, csls_k=args.csls_k
+    )
     print(f"precision_at_{args.eval_k}\t{precision:.6f}")
     print(f"unsupervised_score\t{score:.6f}")
     for name, value, floor in (
@@ -214,9 +217,8 @@ def _cmd_csls_nn(args) -> int:
     targets = load_embeddings(args.targets)
     if args.map:
         queries = alignment.apply_map(alignment.load_map(args.map), queries)
-    cfg = alignment.AlignConfig(csls_k=args.csls_k)
     top = min(args.top, len(targets))
-    lists = alignment.csls_knn(queries, targets, cfg, top)
+    lists = alignment.csls_knn(queries, targets, top, csls_k=args.csls_k)
     if args.tokens:
         # scores stay relative to the full query set; the token list only
         # restricts which queries are reported
@@ -240,9 +242,9 @@ def _cmd_mixture_build(args) -> int:
         new_tokens = _read_tokens(args.tokens)
     else:
         new_tokens = expansion.select_new_subwords(src.vocab, model_vocab)
-    cfg = alignment.AlignConfig(csls_k=args.csls_k, top_m=args.top_m)
     assignments = mixture.build_all_assignments(
-        new_tokens, src, to_english, english, model_emb, model_vocab, cfg
+        new_tokens, src, to_english, english, model_emb, model_vocab,
+        csls_k=args.csls_k, top_m=args.top_m,
     )
     mixture.save_assignments(assignments, args.out)
     log.info("built %d mixture assignments", len(assignments))

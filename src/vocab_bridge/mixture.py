@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignConfig, LinearMap, _csls_topk, _mapped_unit
+from .alignment import LinearMap, _csls_topk, _mapped_unit
 from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text, _is_token, _unit_rows
 from .errors import (
-    DimMismatch,
     EmptyAnchorPool,
     MalformedLine,
     MissingAnchor,
@@ -34,19 +32,6 @@ from .errors import (
 )
 
 WEIGHT_DECIMALS = 6
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureAssignment:
-    """Anchors, weights and the resulting vector for one new token.
-
-    ``anchors`` is sorted by descending weight, ties by ascending anchor id
-    in the English vocabulary; weights sum to 1 within 1e-9.
-    """
-
-    source_token: str
-    anchors: tuple[tuple[str, float], ...]
-    mixed_vector: np.ndarray = field(repr=False)
 
 
 def mixture_weights(candidates: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -87,9 +72,16 @@ def build_all_assignments(
     english: EmbeddingMatrix,
     model_emb: EmbeddingMatrix,
     model_vocab: Vocabulary,
-    cfg: AlignConfig,
-) -> list[MixtureAssignment]:
-    """Mixture assignments for every new token, in input order.
+    *,
+    csls_k: int = 10,
+    top_m: int = 5,
+) -> list[tuple[str, list[tuple[str, float]]]]:
+    """``(token, [(anchor, weight), ...])`` for every new token, in input order.
+
+    These are the records :func:`save_assignments` writes and
+    :func:`load_assignments` reads back; each anchor list is sorted by
+    descending weight, ties by ascending anchor id in the English
+    vocabulary, and its weights sum to 1 within 1e-9.
 
     The anchor pool is computed once as the English tokens also present in
     ``model_vocab`` (English vocabulary order).  Each new token must have a
@@ -98,8 +90,7 @@ def build_all_assignments(
     Scores are CSLS with the source r-term over all mapped source rows and
     the target r-term over the anchor-pool rows only.  The neighborhood size
     is clamped to the pool and source sizes, so small pools stay usable.
-    Each token keeps its ``min(cfg.top_m, len(pool))`` best anchors, ties by
-    ascending id in the English vocabulary.
+    Each token keeps its ``min(top_m, len(pool))`` best anchors.
     """
     pool = [
         i for i, t in enumerate(english.vocab.tokens) if t in model_vocab and t in model_emb.vocab
@@ -107,35 +98,26 @@ def build_all_assignments(
     if not pool:
         raise EmptyAnchorPool("no English token is present in the model vocabulary")
     mapped = _mapped_unit(to_english, src)
-    if to_english.tgt_dim != english.dim:
-        raise DimMismatch(f"mapped dim {to_english.tgt_dim} != English dim {english.dim}")
     pool_rows = _unit_rows(english.rows, english.vocab)[pool]
-    k = min(cfg.csls_k, len(pool), len(mapped))
 
     q_ids = []
     for tok in new_tokens:
         if tok not in src.vocab:
             raise TokenNotFound(tok)
         q_ids.append(src.vocab.id(tok))
-    if not q_ids:
-        return []
     # pool positions follow English ids, so the kernel's tie order is theirs
-    ids, scores = _csls_topk(mapped[q_ids], pool_rows, mapped, k, min(cfg.top_m, len(pool)))
-
+    ids, scores = _csls_topk(
+        mapped[q_ids], pool_rows, mapped,
+        min(csls_k, len(pool), len(mapped)), min(top_m, len(pool)),
+    )
     out = []
     for tok, id_row, score_row in zip(new_tokens, ids, scores):
         candidates = [
             (english.vocab.token(pool[int(j)]), float(s)) for j, s in zip(id_row, score_row)
         ]
-        weighted = mixture_weights(candidates)
         # softmax preserves the score order, so the weight sort is already
         # descending with ties on ascending English id
-        mixed = mixture_embedding(weighted, model_emb)
-        out.append(
-            MixtureAssignment(
-                source_token=tok, anchors=tuple(weighted), mixed_vector=mixed
-            )
-        )
+        out.append((tok, mixture_weights(candidates)))
     return out
 
 
@@ -146,11 +128,13 @@ def format_anchors(anchors: Sequence[tuple[str, float]]) -> str:
 _WEIGHT_TAIL = re.compile(r":\d+\.\d{6}$")
 
 
-def save_assignments(assignments: Sequence[MixtureAssignment], path) -> None:
-    """Write one ``token<TAB>anchor:weight,...`` line per assignment."""
+def save_assignments(
+    assignments: Sequence[tuple[str, Sequence[tuple[str, float]]]], path
+) -> None:
+    """Write one ``token<TAB>anchor:weight,...`` line per (token, anchors) record."""
     with _atomic_text(path) as fh:
-        for a in assignments:
-            fh.write(f"{a.source_token}\t{format_anchors(a.anchors)}\n")
+        for token, anchors in assignments:
+            fh.write(f"{token}\t{format_anchors(anchors)}\n")
 
 
 def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:

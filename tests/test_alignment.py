@@ -17,12 +17,10 @@ from conftest import (
     unit_rows,
 )
 from vocab_bridge import (
-    AlignConfig,
     BilingualDictionary,
     LinearMap,
     apply_map,
     build_all_assignments,
-    compose_maps,
     csls_knn,
     eval_precision_at_k,
     fit_independent_mapping,
@@ -160,15 +158,6 @@ class TestApplyMap:
         with pytest.raises(DimMismatch):
             apply_map(LinearMap(np.eye(3)), make_emb(["a"], [[1.0, 2.0]]))
 
-    def test_compose(self):
-        rng = np.random.default_rng(9)
-        a = LinearMap(random_orthogonal(rng, 4))
-        b = LinearMap(random_semi_orthogonal(rng, 4, 6))
-        c = compose_maps(a, b)
-        np.testing.assert_allclose(c.matrix, a.matrix @ b.matrix)
-        with pytest.raises(DimMismatch):
-            compose_maps(b, a)
-
 
 class TestCslsKnn:
     def test_self_retrieval_on_identical_sets(self):
@@ -177,7 +166,7 @@ class TestCslsKnn:
         rows = unit_rows(rng, 50, 16)
         q = make_emb(tok_list("w", 50), rows)
         t = make_emb(tok_list("w", 50), rows)
-        for i, nl in enumerate(csls_knn(q, t, AlignConfig(csls_k=10), top=1)):
+        for i, nl in enumerate(csls_knn(q, t, top=1, csls_k=10)):
             assert nl.entries[0][0] == f"w{i:04d}"
 
     def test_matches_oracle_with_ties(self):
@@ -186,8 +175,7 @@ class TestCslsKnn:
         t_rows = unit_rows(rng, 15, 6)
         q = make_emb(tok_list("q", 12), q_rows)
         t = make_emb(tok_list("t", 15), t_rows)
-        cfg = AlignConfig(csls_k=4)
-        got = csls_knn(q, t, cfg, top=5)
+        got = csls_knn(q, t, top=5, csls_k=4)
         want_scores = oracles.csls_all_pairs(q_rows, t_rows, 4)
         for i, nl in enumerate(got):
             ids = oracles.top_ids(want_scores[i], 5)
@@ -199,14 +187,14 @@ class TestCslsKnn:
         """Duplicate target rows force exact ties, resolved by id order."""
         q = make_emb(["q"], [[1.0, 0.0]])
         t = make_emb(["dup0", "dup1", "dup2"], [[1.0, 0.0]] * 3)
-        nl = csls_knn(q, t, AlignConfig(csls_k=1), top=3)[0]
+        nl = csls_knn(q, t, top=3, csls_k=1)[0]
         assert [e[0] for e in nl.entries] == ["dup0", "dup1", "dup2"]
 
     def test_full_depth_is_complete_and_sorted(self):
         rng = np.random.default_rng(14)
         q = make_emb(tok_list("q", 4), unit_rows(rng, 4, 3))
         t = make_emb(tok_list("t", 8), unit_rows(rng, 8, 3))
-        nl = csls_knn(q, t, AlignConfig(csls_k=3), top=8)[0]
+        nl = csls_knn(q, t, top=8, csls_k=3)[0]
         assert len(nl.entries) == 8
         assert sorted({e[0] for e in nl.entries}) == tok_list("t", 8)
         scores = [s for _, s in nl.entries]
@@ -217,7 +205,74 @@ class TestCslsKnn:
         q = make_emb(tok_list("q", 3), unit_rows(rng, 3, 3))
         t = make_emb(tok_list("t", 3), unit_rows(rng, 3, 3))
         with pytest.raises(KTooLarge):
-            csls_knn(q, t, AlignConfig(csls_k=4), top=1)
+            csls_knn(q, t, top=1, csls_k=4)
+
+
+SCORERS = ["csls_knn", "eval_precision_at_k", "unsupervised_score", "build_all_assignments"]
+
+
+def _scorer(name, to_tgt=None):
+    """One call of ``name`` on 12 source and 12 target rows of width 4.
+
+    ``to_tgt`` maps the source rows first (identity by default); the
+    returned function takes the retrieval keyword arguments.
+    """
+    rng = np.random.default_rng(40)
+    src = make_emb(tok_list("s", 12), unit_rows(rng, 12, 4))
+    tgt = make_emb(tok_list("t", 12), unit_rows(rng, 12, 4))
+    model = make_emb(tgt.vocab.tokens, unit_rows(rng, 12, 3))
+    pairs = BilingualDictionary(tuple(zip(src.vocab.tokens, tgt.vocab.tokens)))
+    m = LinearMap(np.eye(4)) if to_tgt is None else to_tgt
+    return {
+        "csls_knn": lambda top=1, **kw: csls_knn(apply_map(m, src), tgt, top, **kw),
+        "eval_precision_at_k": lambda **kw: eval_precision_at_k(m, src, tgt, pairs, **kw),
+        "unsupervised_score": lambda **kw: unsupervised_score(m, src, tgt, **kw),
+        "build_all_assignments": lambda **kw: build_all_assignments(
+            ["s0000"], src, m, tgt, model, model.vocab, **kw
+        ),
+    }[name]
+
+
+class TestRetrievalArguments:
+    """Every CSLS caller takes its argument checks from the one kernel."""
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_defaults_run(self, scorer):
+        _scorer(scorer)()
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_non_positive_csls_k(self, scorer):
+        with pytest.raises(ValidationError, match="csls_k=0"):
+            _scorer(scorer)(csls_k=0)
+
+    @pytest.mark.parametrize(
+        "scorer, kwargs",
+        [("csls_knn", {"top": 0}), ("eval_precision_at_k", {"eval_k": 0}),
+         ("build_all_assignments", {"top_m": 0})],
+    )
+    def test_non_positive_depth(self, scorer, kwargs):
+        with pytest.raises(ValidationError, match="top=0"):
+            _scorer(scorer)(**kwargs)
+
+    def test_top_beyond_targets(self):
+        with pytest.raises(ValidationError, match="top=13"):
+            _scorer("csls_knn")(top=13)
+
+    @pytest.mark.parametrize(
+        "scorer, kwargs",
+        [("eval_precision_at_k", {"csls_k": 13}), ("unsupervised_score", {"csls_k": 13}),
+         ("unsupervised_score", {"csls_k": 4, "sample": 3})],
+    )
+    def test_k_too_large(self, scorer, kwargs):
+        with pytest.raises(KTooLarge):
+            _scorer(scorer)(**kwargs)
+
+    @pytest.mark.parametrize("scorer", SCORERS)
+    def test_mapped_width_mismatch(self, scorer):
+        """A 4 -> 6 map against 4-dim targets is a ``DimMismatch``."""
+        wide = LinearMap(random_semi_orthogonal(np.random.default_rng(41), 4, 6))
+        with pytest.raises(DimMismatch):
+            _scorer(scorer, wide)()
 
 
 class TestCslsTopk:
@@ -334,7 +389,6 @@ class TestScaleInvariance:
         pairs = BilingualDictionary(
             tuple((f"s{i:04d}", f"t{(i * 5) % n_tgt:04d}") for i in range(n_src))
         )
-        cfg = AlignConfig(csls_k=2, top_m=3, eval_k=2)
 
         def scaled(emb):
             factors = np.exp(rng.uniform(-4.0, 4.0, size=(len(emb), 1)))
@@ -342,10 +396,12 @@ class TestScaleInvariance:
 
         def scores(s, t):
             return (
-                csls_knn(apply_map(linear_map, s), t, cfg, top=n_tgt),
-                eval_precision_at_k(linear_map, s, t, pairs, cfg),
-                unsupervised_score(linear_map, s, t, cfg),
-                build_all_assignments(s.vocab.tokens, s, linear_map, t, model, model.vocab, cfg),
+                csls_knn(apply_map(linear_map, s), t, top=n_tgt, csls_k=2),
+                eval_precision_at_k(linear_map, s, t, pairs, csls_k=2, eval_k=2),
+                unsupervised_score(linear_map, s, t, csls_k=2),
+                build_all_assignments(
+                    s.vocab.tokens, s, linear_map, t, model, model.vocab, csls_k=2, top_m=3
+                ),
             )
 
         ranked, precision, score, assigned = scores(src, tgt)
@@ -358,11 +414,9 @@ class TestScaleInvariance:
         ]
         assert s_precision == precision
         assert abs(s_score - score) <= 1e-12
-        for a, b in zip(s_assigned, assigned):
-            assert [t for t, _ in a.anchors] == [t for t, _ in b.anchors]
-            np.testing.assert_allclose(
-                [w for _, w in a.anchors], [w for _, w in b.anchors], rtol=0, atol=1e-12
-            )
+        for (_, a), (_, b) in zip(s_assigned, assigned):
+            assert [t for t, _ in a] == [t for t, _ in b]
+            np.testing.assert_allclose([w for _, w in a], [w for _, w in b], rtol=0, atol=1e-12)
 
 
 class TestMappedUnitMemory:
@@ -376,15 +430,14 @@ class TestMappedUnitMemory:
         english = make_emb(tok_list("e", 300), rng.standard_normal((300, d)))
         model = make_emb(english.vocab.tokens, rng.standard_normal((300, 8)))
         linear_map = LinearMap(random_orthogonal(rng, d))
-        cfg = AlignConfig()
         pairs = BilingualDictionary(tuple((f"s{i:04d}", f"e{i:04d}") for i in range(100)))
         tracemalloc.start()
         try:
             if scorer == "eval_precision_at_k":
-                eval_precision_at_k(linear_map, src, english, pairs, cfg)
+                eval_precision_at_k(linear_map, src, english, pairs)
             else:
                 build_all_assignments(
-                    src.vocab.tokens[:100], src, linear_map, english, model, model.vocab, cfg
+                    src.vocab.tokens[:100], src, linear_map, english, model, model.vocab
                 )
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -406,7 +459,7 @@ class TestPrecisionAtK:
     def test_planted_rotation_scores_one(self):
         rng = np.random.default_rng(16)
         src, tgt, pairs, q = self._planted(rng)
-        p = eval_precision_at_k(LinearMap(q), src, tgt, pairs, AlignConfig())
+        p = eval_precision_at_k(LinearMap(q), src, tgt, pairs)
         assert p == 1.0
 
     def test_random_map_scores_low(self):
@@ -414,7 +467,7 @@ class TestPrecisionAtK:
         rng = np.random.default_rng(17)
         src, tgt, pairs, _ = self._planted(rng, n=200)
         wrong = LinearMap(random_orthogonal(rng, 8))
-        p = eval_precision_at_k(wrong, src, tgt, pairs, AlignConfig())
+        p = eval_precision_at_k(wrong, src, tgt, pairs)
         assert p < 0.2
 
     def test_matches_loop_oracle(self):
@@ -424,9 +477,8 @@ class TestPrecisionAtK:
         tgt_rows = unit_rows(rng, 14, 5)
         tgt = make_emb(tok_list("t", 14), tgt_rows)
         pairs = tuple(zip(tok_list("s", 14), tok_list("t", 14)))
-        cfg = AlignConfig(csls_k=3, eval_k=2)
         got = eval_precision_at_k(
-            LinearMap(np.eye(5)), src, tgt, BilingualDictionary(pairs), cfg
+            LinearMap(np.eye(5)), src, tgt, BilingualDictionary(pairs), csls_k=3, eval_k=2
         )
         want = oracles.precision_at_k_oracle(
             rows, {f"s{i:04d}": i for i in range(14)}, tgt_rows,
@@ -442,7 +494,7 @@ class TestPrecisionAtK:
         tgt = make_emb(tok_list("t", 10), rows)
         pairs = BilingualDictionary((("w", "t0009"), ("w", "t0000")))
         p = eval_precision_at_k(
-            LinearMap(np.eye(6)), src, tgt, pairs, AlignConfig(csls_k=1)
+            LinearMap(np.eye(6)), src, tgt, pairs, csls_k=1
         )
         assert p == 1.0
 
@@ -455,7 +507,7 @@ class TestPrecisionAtK:
             (("s0000", "t0000"), ("ghost", "t0001"), ("s0002", "absent"))
         )
         p = eval_precision_at_k(
-            LinearMap(np.eye(4)), src, tgt, pairs, AlignConfig(csls_k=2)
+            LinearMap(np.eye(4)), src, tgt, pairs, csls_k=2
         )
         assert p == 1.0  # only s0000 evaluated
 
@@ -467,19 +519,18 @@ class TestPrecisionAtK:
         with pytest.raises(EmptyEvalDict):
             eval_precision_at_k(
                 LinearMap(np.eye(3)), src, tgt,
-                BilingualDictionary((("ghost", "t0000"),)), AlignConfig(csls_k=2),
+                BilingualDictionary((("ghost", "t0000"),)), csls_k=2,
             )
 
     def test_invariant_under_target_space_rotation(self):
         """Rotating the target space and the map together changes nothing."""
         rng = np.random.default_rng(22)
         src, tgt, pairs, q = self._planted(rng, n=30)
-        cfg = AlignConfig(csls_k=5)
-        base = eval_precision_at_k(LinearMap(q), src, tgt, pairs, cfg)
+        base = eval_precision_at_k(LinearMap(q), src, tgt, pairs, csls_k=5)
         for seed in range(3):
             r = random_orthogonal(np.random.default_rng(300 + seed), 8)
             tgt_r = make_emb(tgt.vocab.tokens, tgt.rows @ r)
-            rotated = eval_precision_at_k(LinearMap(q @ r), src, tgt_r, pairs, cfg)
+            rotated = eval_precision_at_k(LinearMap(q @ r), src, tgt_r, pairs, csls_k=5)
             assert rotated == base
 
 
@@ -490,7 +541,7 @@ class TestUnsupervisedScore:
         q = random_orthogonal(rng, 6)
         src = make_emb(tok_list("s", 40), rows @ q.T)
         tgt = make_emb(tok_list("t", 40), rows)
-        s = unsupervised_score(LinearMap(q), src, tgt, AlignConfig(csls_k=5))
+        s = unsupervised_score(LinearMap(q), src, tgt, csls_k=5)
         np.testing.assert_allclose(s, 1.0, atol=1e-9)
 
     def test_orthogonal_spans_score_zero(self):
@@ -501,7 +552,7 @@ class TestUnsupervisedScore:
         tgt_rows[:, 3:] = unit_rows(np.random.default_rng(25), 4, 3)
         src = make_emb(tok_list("s", 4), src_rows)
         tgt = make_emb(tok_list("t", 4), tgt_rows)
-        s = unsupervised_score(LinearMap(np.eye(6)), src, tgt, AlignConfig(csls_k=2))
+        s = unsupervised_score(LinearMap(np.eye(6)), src, tgt, csls_k=2)
         assert abs(s) <= 1e-12
 
     def test_sample_limits_queries(self):
@@ -509,8 +560,7 @@ class TestUnsupervisedScore:
         rows = unit_rows(rng, 30, 5)
         src = make_emb(tok_list("s", 30), rows)
         tgt = make_emb(tok_list("t", 30), unit_rows(rng, 30, 5))
-        cfg = AlignConfig(csls_k=3)
-        full = unsupervised_score(LinearMap(np.eye(5)), src, tgt, cfg, sample=3)
+        full = unsupervised_score(LinearMap(np.eye(5)), src, tgt, sample=3, csls_k=3)
         # oracle over the first three rows only
         sample_rows = rows[:3]
         scores = oracles.csls_all_pairs(sample_rows, tgt.rows, 3)
@@ -528,7 +578,7 @@ class TestUnsupervisedScore:
         q = random_orthogonal(rng, 7)
         src = make_emb(tok_list("s", 20), rows @ q.T)
         tgt = make_emb(tok_list("t", 20), unit_rows(rng, 20, 7))
-        got = unsupervised_score(LinearMap(q), src, tgt, AlignConfig(csls_k=4))
+        got = unsupervised_score(LinearMap(q), src, tgt, csls_k=4)
         mapped = rows  # src rows mapped by q
         scores = oracles.csls_all_pairs(mapped, tgt.rows, 4)
         want = np.mean(
@@ -592,9 +642,9 @@ class TestFitJoint:
         rng = np.random.default_rng(32)
         chain = planted_chain(rng, n=60, d_src=12, d_model=20)
         fit = fit_joint_mapping(chain.src, chain.english, chain.model, chain.dictionary)
-        composed = compose_maps(fit.to_english, fit.to_model)
+        composed = LinearMap(fit.to_english.matrix @ fit.to_model.matrix)
         p = eval_precision_at_k(
-            composed, chain.src, chain.model, chain.dictionary, AlignConfig()
+            composed, chain.src, chain.model, chain.dictionary
         )
         assert p == 1.0
 

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_emb, random_orthogonal, tok_list, unit_rows
+from conftest import make_emb, random_orthogonal, random_semi_orthogonal, tok_list, unit_rows
 from test_tokenizer import repeat_corpus
 from vocab_bridge import LinearMap, bpe_apply, bpe_train, load_embeddings, save_embeddings
 from vocab_bridge import cli
@@ -299,6 +299,23 @@ class TestAlignCommands:
         )
         assert code == 0
         assert "precision_at_1\t1.000000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["align-eval", "csls-nn"])
+    def test_map_width_mismatch_is_data_error(self, tmp_path, capsys, command):
+        """A 4 -> 6 map against 4-dim targets exits 2 with ``DimMismatch``."""
+        rng = np.random.default_rng(2)
+        src_path, tgt_path, map_path = tmp_path / "s.vec", tmp_path / "t.vec", tmp_path / "w.map"
+        save_embeddings(make_emb(tok_list("s", 12), unit_rows(rng, 12, 4)), src_path)
+        save_embeddings(make_emb(tok_list("t", 12), unit_rows(rng, 12, 4)), tgt_path)
+        save_map(LinearMap(random_semi_orthogonal(rng, 4, 6)), map_path)
+        pairs = write(tmp_path / "p.dict", "".join(f"s{i:04d}\tt{i:04d}\n" for i in range(12)))
+        argv = {
+            "align-eval": ["--src-emb", str(src_path), "--tgt-emb", str(tgt_path),
+                           "--dict", pairs],
+            "csls-nn": ["--queries", str(src_path), "--targets", str(tgt_path)],
+        }[command]
+        assert dispatch([command, *argv, "--map", str(map_path)]) == 2
+        assert "DimMismatch" in capsys.readouterr().err
 
 
 class TestCslsNn:

@@ -8,13 +8,12 @@ import pytest
 import oracles
 from conftest import make_emb, tok_list, unit_rows
 from vocab_bridge import (
-    AlignConfig,
     LinearMap,
-    MixtureAssignment,
     Vocabulary,
     build_all_assignments,
     load_assignments,
     mixture_embedding,
+    mixture_rows,
     mixture_weights,
     save_assignments,
 )
@@ -122,13 +121,13 @@ class TestMixtureEmbedding:
             assert np.linalg.norm(out) <= max_norm + 1e-9
 
 
-def _anchors(new_tokens, src, english, model, cfg, model_vocab=None):
+def _anchors(new_tokens, src, english, model, model_vocab=None, **retrieval):
     """Anchor lists that build_all_assignments picks under an identity map."""
     out = build_all_assignments(
         new_tokens, src, LinearMap(np.eye(src.dim)), english, model,
-        model.vocab if model_vocab is None else model_vocab, cfg,
+        model.vocab if model_vocab is None else model_vocab, **retrieval,
     )
-    return [a.anchors for a in out]
+    return [anchors for _, anchors in out]
 
 
 class TestCandidateSet:
@@ -140,7 +139,7 @@ class TestCandidateSet:
         mapped = make_emb(tok_list("s", 4), unit_rows(rng, 4, 2))
         english = make_emb(["e0", "e1", "e2"], TRIPOD)
         model = make_emb(["e0", "e1", "e2"], np.eye(3))
-        (out,) = _anchors(["s0000"], mapped, english, model, AlignConfig())
+        (out,) = _anchors(["s0000"], mapped, english, model)
         assert len(out) == 3
         assert {t for t, _ in out} == {"e0", "e1", "e2"}
 
@@ -150,7 +149,7 @@ class TestCandidateSet:
         english = make_emb(tok_list("e", 6), pool_rows)
         model = make_emb(tok_list("e", 6), np.eye(6))
         mapped = make_emb(["w"], pool_rows[2:3])
-        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(top_m=3))
+        (out,) = _anchors(["w"], mapped, english, model, top_m=3)
         assert out[0][0] == "e0002"
 
     def test_matches_oracle_on_large_pool(self):
@@ -167,28 +166,29 @@ class TestCandidateSet:
         model = make_emb(tok_list("e", 60), rng.standard_normal((60, 4)))
         pool = [f"e{i:04d}" for i in range(5, 55)]
         pool_rows = eng_rows[5:55]
-        cfg = AlignConfig(csls_k=5, top_m=7)
         new = ["s0012", "s0031", "s0000"]
         out = build_all_assignments(
-            new, mapped, LinearMap(np.eye(8)), english, model, Vocabulary(pool), cfg
+            new, mapped, LinearMap(np.eye(8)), english, model, Vocabulary(pool),
+            csls_k=5, top_m=7,
         )
-        assert [a.source_token for a in out] == new
-        for a in out:
-            q = mapped_rows[mapped.vocab.id(a.source_token)]
+        assert [tok for tok, _ in out] == new
+        rows, _ = mixture_rows(new, dict(out), model)
+        for (tok, anchors), row in zip(out, rows):
+            q = mapped_rows[mapped.vocab.id(tok)]
             scores = [
                 oracles.csls_pair(q, pool_rows[j], mapped_rows, pool_rows, 5)
                 for j in range(len(pool))
             ]
             ids = oracles.top_ids(scores, 7)
-            assert [t for t, _ in a.anchors] == [pool[j] for j in ids]
+            assert [t for t, _ in anchors] == [pool[j] for j in ids]
             np.testing.assert_allclose(
-                [w for _, w in a.anchors], oracles.softmax([scores[j] for j in ids]),
+                [w for _, w in anchors], oracles.softmax([scores[j] for j in ids]),
                 atol=1e-9,
             )
             manual = np.zeros(4)
-            for tok, w in a.anchors:
-                manual += w * model.rows[model.vocab.id(tok)]
-            np.testing.assert_allclose(a.mixed_vector, manual, atol=1e-12)
+            for anchor, w in anchors:
+                manual += w * model.rows[model.vocab.id(anchor)]
+            np.testing.assert_allclose(row, manual, atol=1e-12)
 
     def test_pool_restricts_candidates(self):
         rng = np.random.default_rng(6)
@@ -196,7 +196,7 @@ class TestCandidateSet:
         model = make_emb(tok_list("e", 10), np.eye(10))
         mapped = make_emb(["w"], unit_rows(rng, 1, 4))
         (out,) = _anchors(
-            ["w"], mapped, english, model, AlignConfig(csls_k=1),
+            ["w"], mapped, english, model, csls_k=1,
             model_vocab=Vocabulary(["e0007", "e0003"]),
         )
         assert {t for t, _ in out} == {"e0003", "e0007"}
@@ -206,7 +206,7 @@ class TestCandidateSet:
         english = make_emb(["late", "early"], [[1.0, 0.0], [1.0, 0.0]])
         model = make_emb(["early", "late"], np.eye(2))
         mapped = make_emb(["w"], [[1.0, 0.0]])
-        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(csls_k=1))
+        (out,) = _anchors(["w"], mapped, english, model, csls_k=1)
         assert [t for t, _ in out] == ["late", "early"]
 
     def test_empty_pool(self):
@@ -215,8 +215,7 @@ class TestCandidateSet:
         model = make_emb(["e"], [[1.0, 0.0]])
         mapped = make_emb(["w"], [[1.0, 0.0]])
         with pytest.raises(EmptyAnchorPool):
-            _anchors(["w"], mapped, english, model, AlignConfig(),
-                     model_vocab=Vocabulary(["other"]))
+            _anchors(["w"], mapped, english, model, model_vocab=Vocabulary(["other"]))
 
     def test_unknown_tokens(self):
         """An unknown new token raises; unknown ``model_vocab`` tokens are skipped."""
@@ -224,10 +223,9 @@ class TestCandidateSet:
         model = make_emb(["e"], [[1.0, 0.0]])
         mapped = make_emb(["w"], [[1.0, 0.0]])
         with pytest.raises(TokenNotFound, match="ghost"):
-            _anchors(["w", "ghost"], mapped, english, model, AlignConfig())
-        (out,) = _anchors(["w"], mapped, english, model, AlignConfig(),
-                          model_vocab=Vocabulary(["ghost", "e"]))
-        assert out == (("e", 1.0),)
+            _anchors(["w", "ghost"], mapped, english, model)
+        (out,) = _anchors(["w"], mapped, english, model, model_vocab=Vocabulary(["ghost", "e"]))
+        assert out == [("e", 1.0)]
 
 
 class TestBuildAllAssignments:
@@ -237,7 +235,7 @@ class TestBuildAllAssignments:
         model = make_emb(["e"], [[1.0, 0.0]])
         src = make_emb(["w"], unit_rows(rng, 1, 2))
         out = build_all_assignments(
-            [], src, LinearMap(np.eye(2)), english, model, model.vocab, AlignConfig()
+            [], src, LinearMap(np.eye(2)), english, model, model.vocab
         )
         assert out == []
 
@@ -248,8 +246,7 @@ class TestBuildAllAssignments:
         src = make_emb(["w"], unit_rows(rng, 1, 2))
         with pytest.raises(EmptyAnchorPool):
             build_all_assignments(
-                ["w"], src, LinearMap(np.eye(2)), english, model, model.vocab,
-                AlignConfig(),
+                ["w"], src, LinearMap(np.eye(2)), english, model, model.vocab
             )
 
     def test_well_separated_anchor_dominates(self):
@@ -263,28 +260,26 @@ class TestBuildAllAssignments:
         english = make_emb(["a0", "a1", "a2"], TRIPOD)
         model = make_emb(["a0", "a1", "a2"], np.eye(3) * 2.0)
         out = build_all_assignments(
-            ["u1"], src, LinearMap(np.eye(2)), english, model, model.vocab,
-            AlignConfig(),
+            ["u1"], src, LinearMap(np.eye(2)), english, model, model.vocab
         )
-        (a,) = out
-        top_token, top_weight = a.anchors[0]
+        ((_, anchors),) = out
+        top_token, top_weight = anchors[0]
         assert top_token == "a1"
         assert top_weight > 0.9
         expect = 1.0 / (1.0 + 2.0 * math.exp(-3.0))
         np.testing.assert_allclose(top_weight, expect, atol=1e-9)
-        np.testing.assert_allclose(sum(w for _, w in a.anchors), 1.0, atol=1e-9)
+        np.testing.assert_allclose(sum(w for _, w in anchors), 1.0, atol=1e-9)
 
     def test_antipodal_pair_concentrates_further(self):
         src = make_emb(["p", "q"], [[1.0, 0.0], [-1.0, 0.0]])
         english = make_emb(["yes", "no"], [[1.0, 0.0], [-1.0, 0.0]])
         model = make_emb(["yes", "no"], [[5.0, 0.0], [0.0, 5.0]])
-        (a,) = build_all_assignments(
-            ["p"], src, LinearMap(np.eye(2)), english, model, model.vocab,
-            AlignConfig(),
+        ((_, anchors),) = build_all_assignments(
+            ["p"], src, LinearMap(np.eye(2)), english, model, model.vocab
         )
-        assert a.anchors[0][0] == "yes"
+        assert anchors[0][0] == "yes"
         np.testing.assert_allclose(
-            a.anchors[0][1], 1.0 / (1.0 + math.exp(-4.0)), atol=1e-9
+            anchors[0][1], 1.0 / (1.0 + math.exp(-4.0)), atol=1e-9
         )
 
     def test_agrees_with_per_token_candidate_set(self):
@@ -296,29 +291,29 @@ class TestBuildAllAssignments:
         eng_rows = unit_rows(rng, 30, d)
         english = make_emb(tok_list("e", 30), eng_rows)
         model = make_emb(tok_list("e", 30), rng.standard_normal((30, 4)))
-        cfg = AlignConfig(csls_k=4, top_m=5)
         new = ["s0003", "s0017", "s0000"]
         out = build_all_assignments(
-            new, src, LinearMap(np.eye(d)), english, model, model.vocab, cfg
+            new, src, LinearMap(np.eye(d)), english, model, model.vocab, csls_k=4, top_m=5
         )
-        assert [a.source_token for a in out] == new
+        assert [tok for tok, _ in out] == new
+        rows, _ = mixture_rows(new, dict(out), model)
         pool = list(english.vocab.tokens)
-        for a in out:
-            q = src_rows[src.vocab.id(a.source_token)]
+        for (tok, anchors), row in zip(out, rows):
+            q = src_rows[src.vocab.id(tok)]
             scores = [
-                oracles.csls_pair(q, eng_rows[j], src_rows, eng_rows, cfg.csls_k)
+                oracles.csls_pair(q, eng_rows[j], src_rows, eng_rows, 4)
                 for j in range(len(pool))
             ]
-            cands = [(pool[j], scores[j]) for j in oracles.top_ids(scores, cfg.top_m)]
+            cands = [(pool[j], scores[j]) for j in oracles.top_ids(scores, 5)]
             want = mixture_weights(cands)
-            assert [t for t, _ in a.anchors] == [t for t, _ in want]
+            assert [t for t, _ in anchors] == [t for t, _ in want]
             np.testing.assert_allclose(
-                [w for _, w in a.anchors], [w for _, w in want], atol=1e-12
+                [w for _, w in anchors], [w for _, w in want], atol=1e-12
             )
             manual = np.zeros(4)
-            for tok, w in a.anchors:
-                manual += w * model.rows[model.vocab.id(tok)]
-            np.testing.assert_allclose(a.mixed_vector, manual, atol=1e-12)
+            for anchor, w in anchors:
+                manual += w * model.rows[model.vocab.id(anchor)]
+            np.testing.assert_allclose(row, manual, atol=1e-12)
 
     def test_weights_sorted_descending(self):
         rng = np.random.default_rng(10)
@@ -327,10 +322,10 @@ class TestBuildAllAssignments:
         model = make_emb(tok_list("e", 20), rng.standard_normal((20, 3)))
         out = build_all_assignments(
             list(src.vocab.tokens), src, LinearMap(np.eye(5)), english, model,
-            model.vocab, AlignConfig(csls_k=3),
+            model.vocab, csls_k=3,
         )
-        for a in out:
-            ws = [w for _, w in a.anchors]
+        for _, anchors in out:
+            ws = [w for _, w in anchors]
             assert all(x >= y for x, y in zip(ws, ws[1:]))
 
     def test_missing_new_token(self):
@@ -340,27 +335,15 @@ class TestBuildAllAssignments:
         model = make_emb(["e"], [[1.0, 0.0]])
         with pytest.raises(TokenNotFound):
             build_all_assignments(
-                ["ghost"], src, LinearMap(np.eye(2)), english, model, model.vocab,
-                AlignConfig(),
+                ["ghost"], src, LinearMap(np.eye(2)), english, model, model.vocab
             )
 
 
 class TestAssignmentFiles:
-    def _assignment(self, token, anchors):
-        return MixtureAssignment(
-            source_token=token,
-            anchors=tuple(anchors),
-            mixed_vector=np.zeros(2),
-        )
-
     def test_round_trip(self, tmp_path):
         path = tmp_path / "mix.tsv"
         save_assignments(
-            [
-                self._assignment("##er", [("her", 0.75), ("a", 0.25)]),
-                self._assignment("ça", [("that", 1.0)]),
-            ],
-            path,
+            [("##er", [("her", 0.75), ("a", 0.25)]), ("ça", [("that", 1.0)])], path
         )
         text = path.read_text(encoding="utf-8")
         assert text == "##er\ther:0.750000,a:0.250000\nça\tthat:1.000000\n"
@@ -370,12 +353,29 @@ class TestAssignmentFiles:
             [w for _, w in back[0][1]], [0.75, 0.25], atol=1e-9
         )
 
+    def test_built_records_round_trip(self, tmp_path):
+        """Built records load back with their tokens, anchor order and weights."""
+        rng = np.random.default_rng(12)
+        src = make_emb(tok_list("s", 15), unit_rows(rng, 15, 5))
+        english = make_emb(tok_list("e", 20), unit_rows(rng, 20, 5))
+        model = make_emb(tok_list("e", 20), rng.standard_normal((20, 3)))
+        built = build_all_assignments(
+            ["s0004", "s0011", "s0000"], src, LinearMap(np.eye(5)), english, model,
+            model.vocab, csls_k=3,
+        )
+        path = tmp_path / "mix.tsv"
+        save_assignments(built, path)
+        back = load_assignments(path)
+        assert [tok for tok, _ in back] == [tok for tok, _ in built]
+        for (_, got), (_, want) in zip(back, built):
+            assert [t for t, _ in got] == [t for t, _ in want]
+            np.testing.assert_allclose(
+                [w for _, w in got], [w for _, w in want], rtol=0, atol=1e-6
+            )
+
     def test_anchor_tokens_with_commas_and_colons(self, tmp_path):
         path = tmp_path / "mix.tsv"
-        save_assignments(
-            [self._assignment("w", [("a,b", 0.5), ("x:y", 0.3), (",", 0.2)])],
-            path,
-        )
+        save_assignments([("w", [("a,b", 0.5), ("x:y", 0.3), (",", 0.2)])], path)
         (record,) = load_assignments(path)
         assert [t for t, _ in record[1]] == ["a,b", "x:y", ","]
         np.testing.assert_allclose(
@@ -384,10 +384,7 @@ class TestAssignmentFiles:
 
     def test_rounded_weights_renormalize(self, tmp_path):
         path = tmp_path / "mix.tsv"
-        save_assignments(
-            [self._assignment("w", [("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 3)])],
-            path,
-        )
+        save_assignments([("w", [("a", 1 / 3), ("b", 1 / 3), ("c", 1 / 3)])], path)
         assert "0.333333" in path.read_text(encoding="utf-8")
         (record,) = load_assignments(path)
         weights = [w for _, w in record[1]]

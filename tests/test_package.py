@@ -1,8 +1,14 @@
-"""The package's public surface: ``__all__`` names exactly what ``__init__`` binds."""
+"""The package's public surface: ``__all__`` names exactly what ``__init__`` binds,
+and README's library example runs as written."""
 
 import types
+from pathlib import Path
 
+import numpy as np
+
+from conftest import make_emb, planted_chain
 import vocab_bridge
+from vocab_bridge import load_assignments, save_embeddings
 
 
 def test_all_matches_the_bound_public_names():
@@ -18,3 +24,30 @@ def test_every_listed_name_resolves_into_the_package():
     for name in vocab_bridge.__all__:
         value = getattr(vocab_bridge, name)
         assert value.__module__.startswith("vocab_bridge."), name
+
+
+def _library_example() -> str:
+    """The python block under README's ``## Library example`` heading."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library example\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The example runs as written on a planted chain whose first two source
+    tokens are the example's new tokens, and finds their English twins."""
+    chain = planted_chain(np.random.default_rng(0), n=40, d_src=8, d_model=12)
+    src_tokens = ["##zko", "ça", *chain.src_tokens[2:]]
+    save_embeddings(make_emb(src_tokens, chain.src.rows), tmp_path / "lang.vec")
+    save_embeddings(chain.english, tmp_path / "en.vec")
+    save_embeddings(chain.model, tmp_path / "bert.vec")
+    (tmp_path / "lang-en.dict").write_text(
+        "".join(f"{s}\t{e}\n" for s, e in zip(src_tokens, chain.en_tokens)), encoding="utf-8"
+    )
+    monkeypatch.chdir(tmp_path)
+    exec(compile(_library_example(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("##zko [('en0000', ")
+    assert lines[1].startswith("ça [('en0001', ")
+    assert lines[2] == "42"
+    assert [tok for tok, _ in load_assignments(tmp_path / "mix.tsv")] == ["##zko", "ça"]
