@@ -24,6 +24,7 @@ import numpy as np
 from .alignment import LinearMap, _csls_topk, _mapped_unit
 from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text, _is_token, _unit_rows
 from .errors import (
+    DuplicateNewToken,
     EmptyAnchorPool,
     MalformedLine,
     MissingAnchor,
@@ -84,8 +85,9 @@ def build_all_assignments(
     vocabulary, and its weights sum to 1 within 1e-9.
 
     The anchor pool is computed once as the English tokens also present in
-    ``model_vocab`` (English vocabulary order).  Each new token must have a
-    source-space row; rows are mapped through ``to_english`` before scoring.
+    ``model_vocab`` (English vocabulary order).  Each new token must be
+    distinct (``DuplicateNewToken``) and have a source-space row; rows are
+    mapped through ``to_english`` before scoring.
 
     Scores are CSLS with the source r-term over all mapped source rows and
     the target r-term over the anchor-pool rows only.  The neighborhood size
@@ -100,14 +102,16 @@ def build_all_assignments(
     mapped = _mapped_unit(to_english, src)
     pool_rows = _unit_rows(english.rows, english.vocab)[pool]
 
-    q_ids = []
+    q_ids: dict[str, int] = {}
     for tok in new_tokens:
         if tok not in src.vocab:
             raise TokenNotFound(tok)
-        q_ids.append(src.vocab.id(tok))
+        if tok in q_ids:
+            raise DuplicateNewToken(tok)
+        q_ids[tok] = src.vocab.id(tok)
     # pool positions follow English ids, so the kernel's tie order is theirs
     ids, scores = _csls_topk(
-        mapped[q_ids], pool_rows, mapped,
+        mapped[list(q_ids.values())], pool_rows, mapped,
         min(csls_k, len(pool), len(mapped)), min(top_m, len(pool)),
     )
     out = []
@@ -143,9 +147,10 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
     Weights were rounded to 6 decimals on save, so they are renormalized to
     sum exactly to one.  Anchor tokens containing a comma are recovered by
     re-joining split fragments until a ``:weight`` tail appears.  The token
-    and every anchor must follow the token rule (``MalformedLine``).
+    and every anchor must follow the token rule, and no token may repeat
+    (``MalformedLine``).
     """
-    out: list[tuple[str, list[tuple[str, float]]]] = []
+    out: dict[str, list[tuple[str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -153,6 +158,8 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
             if len(parts) != 2 or not _is_token(parts[0]) or not parts[1]:
                 raise MalformedLine(f"expected 'token<TAB>anchors', got {line!r}", line=lineno)
             token, anchor_field = parts
+            if token in out:
+                raise MalformedLine(f"repeated token {token!r}", line=lineno)
             anchors: list[tuple[str, float]] = []
             buf: str | None = None
             for fragment in anchor_field.split(","):
@@ -168,6 +175,5 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
             total = sum(w for _, w in anchors)
             if total <= 0:
                 raise MalformedLine("anchor weights sum to zero", line=lineno)
-            anchors = [(t, w / total) for t, w in anchors]
-            out.append((token, anchors))
-    return out
+            out[token] = [(t, w / total) for t, w in anchors]
+    return list(out.items())

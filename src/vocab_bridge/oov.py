@@ -46,27 +46,8 @@ class OovReport:
             )
 
 
-def _make_report(
-    counts: Counter,
-    occurrences: Counter,
-    statuses: dict[str, SegmentStatus],
-    top_n: int,
-) -> OovReport:
-    total = sum(counts.values())
-    word_oov = sum(c for w, c in counts.items() if statuses[w] is not SegmentStatus.IN_VOCAB)
-    subword_oov = sum(c for w, c in counts.items() if statuses[w] is SegmentStatus.SUBWORD_OOV)
-    oov_items = sorted(
-        ((w, c) for w, c in occurrences.items() if statuses[w] is not SegmentStatus.IN_VOCAB),
-        key=lambda item: (-item[1], item[0]),
-    )
-    return OovReport(
-        total_words=total,
-        word_oov=word_oov,
-        subword_oov=subword_oov,
-        word_oov_rate=word_oov / total if total else 0.0,
-        subword_oov_rate=subword_oov / total if total else 0.0,
-        top_oov_tokens=tuple(oov_items[:top_n]),
-    )
+def _rate(count: int, total: int) -> float:
+    return count / total if total else 0.0
 
 
 def corpus_oov_stats(
@@ -91,7 +72,21 @@ def corpus_oov_stats(
             statuses[seg.word] = seg.status
         occurrences[seg.word] += 1
     counts = Counter({w: 1 for w in occurrences}) if count_types else occurrences
-    return _make_report(counts, occurrences, statuses, top_n)
+    total = sum(counts.values())
+    word_oov = sum(c for w, c in counts.items() if statuses[w] is not SegmentStatus.IN_VOCAB)
+    subword_oov = sum(c for w, c in counts.items() if statuses[w] is SegmentStatus.SUBWORD_OOV)
+    oov_items = sorted(
+        ((w, c) for w, c in occurrences.items() if statuses[w] is not SegmentStatus.IN_VOCAB),
+        key=lambda item: (-item[1], item[0]),
+    )
+    return OovReport(
+        total_words=total,
+        word_oov=word_oov,
+        subword_oov=subword_oov,
+        word_oov_rate=_rate(word_oov, total),
+        subword_oov_rate=_rate(subword_oov, total),
+        top_oov_tokens=tuple(oov_items[:top_n]),
+    )
 
 
 @dataclass(frozen=True)
@@ -144,20 +139,21 @@ def report_tsv_line(report: OovReport) -> str:
 
 
 def parse_report_tsv(text: str) -> OovReport:
-    """Inverse of :func:`report_tsv_line` (top tokens are not round-tripped)."""
+    """Inverse of :func:`report_tsv_line` (top tokens are not round-tripped).
+
+    Each rate must equal its count / ``total_words`` (0.0 for no words).
+    """
     parts = text.strip().split("\t")
     if len(parts) != len(_TSV_FIELDS):
         raise MalformedLine(f"expected {len(_TSV_FIELDS)} fields, got {len(parts)}", line=1)
     try:
-        return OovReport(
-            total_words=int(parts[0]),
-            word_oov=int(parts[1]),
-            subword_oov=int(parts[2]),
-            word_oov_rate=float(parts[3]),
-            subword_oov_rate=float(parts[4]),
-        )
+        total, word_oov, subword_oov = map(int, parts[:3])
+        rates = [float(p) for p in parts[3:]]
     except ValueError:
         raise MalformedLine(f"unparseable report line {text!r}", line=1) from None
+    if rates != [_rate(word_oov, total), _rate(subword_oov, total)]:
+        raise MalformedLine(f"rates in {text.strip()!r} do not equal count / total_words", line=1)
+    return OovReport(total, word_oov, subword_oov, *rates)
 
 
 def report_human_block(report: OovReport) -> str:
@@ -175,15 +171,7 @@ def report_human_block(report: OovReport) -> str:
 
 def report_json(report: OovReport) -> str:
     """Flat key/value JSON object (no nested structures)."""
-    return json.dumps(
-        {
-            "total_words": report.total_words,
-            "word_oov": report.word_oov,
-            "subword_oov": report.subword_oov,
-            "word_oov_rate": report.word_oov_rate,
-            "subword_oov_rate": report.subword_oov_rate,
-        }
-    )
+    return json.dumps({name: getattr(report, name) for name in _TSV_FIELDS})
 
 
 def delta_json(delta: OovDelta) -> str:

@@ -62,9 +62,9 @@ class BpeModel:
     have priority during application.  ``END_OF_WORD`` is fused onto a word's
     final character, so word-final symbols carry a ``"</w>"`` suffix
     internally; application output strips it.  ``wordpiece_vocab`` holds the
-    subword inventory observed when segmenting the training corpus, rendered
-    in the WordPiece convention and ordered by descending frequency (ties by
-    ascending token).
+    subwords of the training loop's final segmentation of each training
+    word, rendered in the WordPiece convention and ordered by descending
+    frequency (ties by ascending token).
     """
 
     merges: tuple[tuple[str, str], ...]
@@ -84,6 +84,11 @@ def _symbolize(word: str) -> tuple[str, ...]:
     if not _is_token(word):
         raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
     return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
+
+
+def _unmark(symbols: tuple[str, ...]) -> list[str]:
+    # ('a', 'bc</w>') -> ['a', 'bc']
+    return [*symbols[:-1], symbols[-1].removesuffix(END_OF_WORD)]
 
 
 def _merge_pair(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
@@ -119,13 +124,11 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
         raise ValidationError(f"target_vocab must be positive, got {target_vocab}")
     words: list[tuple[str, ...]] = []
     freqs: list[int] = []
-    corpus_words: list[tuple[str, int]] = []
     for word, freq in corpus.items():
         if freq <= 0:
             continue
         words.append(_symbolize(word))
         freqs.append(freq)
-        corpus_words.append((word, freq))
     if not words:
         raise EmptyCorpus("no words with positive frequency")
 
@@ -182,13 +185,13 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
             if not symbols_seen[s]:
                 del symbols_seen[s]
 
-    model = BpeModel(merges=tuple(merges))
+    # the loop's final symbols are each training word's segmentation
     entry_counts: Counter = Counter()
-    for word, freq in corpus_words:
-        for piece in wordpiece_style(bpe_apply(model, word)):
+    for symbols, freq in zip(words, freqs):
+        for piece in wordpiece_style(_unmark(symbols)):
             entry_counts[piece] += freq
     entries = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
-    return BpeModel(merges=model.merges, wordpiece_vocab=entries)
+    return BpeModel(merges=tuple(merges), wordpiece_vocab=entries)
 
 
 def bpe_apply(model: BpeModel, word: str) -> list[str]:
@@ -197,7 +200,7 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
     Always succeeds: with no applicable merge the word falls back to single
     characters.  The end-of-word marker is stripped from the output.
     """
-    symbols = list(_symbolize(word))
+    symbols = _symbolize(word)
     ranks = model._ranks
     while len(symbols) > 1:
         best: tuple[str, str] | None = None
@@ -209,9 +212,8 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
                 best = pair
         if best is None:
             break
-        symbols = list(_merge_pair(tuple(symbols), *best))
-    symbols[-1] = symbols[-1].removesuffix(END_OF_WORD)
-    return symbols
+        symbols = _merge_pair(symbols, *best)
+    return _unmark(symbols)
 
 
 def wordpiece_style(pieces: list[str]) -> list[str]:

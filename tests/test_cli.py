@@ -462,6 +462,16 @@ class TestOovCommands:
         after = write(tmp_path / "after.tsv", "5\t2\t1\t0.4\t0.2\n")
         assert dispatch(["compare-oov", "--before", before, "--after", after]) == 2
 
+    @pytest.mark.parametrize("rates", ["nan\t0.1", "0.9\t0.1"])
+    def test_compare_oov_rates_contradict_counts(self, tmp_path, capsys, rates):
+        """A rate must equal its count / total_words; NaN never does."""
+        before = write(tmp_path / "before.tsv", f"10\t3\t1\t{rates}\n")
+        after = write(tmp_path / "after.tsv", "10\t2\t1\t0.2\t0.1\n")
+        assert dispatch(
+            ["compare-oov", "--before", before, "--after", after, "--json"]
+        ) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestMixtureAndExpand:
     def _english_model_files(self, tmp_path, rng):
@@ -593,6 +603,41 @@ class TestMixtureAndExpand:
         out = load_embeddings(out_dir / "embeddings.vec")
         want = 0.6 * model.row("en0002") + 0.4 * model.row("en0005")
         np.testing.assert_allclose(out.row("nouveau"), want, rtol=1e-6)
+
+    def test_expand_rejects_repeated_assignment(self, tmp_path, capsys):
+        """A token assigned twice is a data error, not a silent last-line win."""
+        rng = np.random.default_rng(6)
+        _, _, _, model_path = self._english_model_files(tmp_path, rng)
+        lang_vocab = write(tmp_path / "lang.txt", "nouveau\n")
+        assignments = write(
+            tmp_path / "assign.tsv", "nouveau\ten0001:1.000000\nnouveau\ten0002:1.000000\n"
+        )
+        out_dir = tmp_path / "mixed"
+        code = dispatch(
+            ["expand", "--bert-emb", model_path, "--lang-vocab", lang_vocab,
+             "--strategy", "mixture", "--assignments", assignments,
+             "--out-dir", str(out_dir)]
+        )
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_mixture_build_rejects_repeated_token(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        _, _, en_path, model_path = self._english_model_files(tmp_path, rng)
+        src_path = tmp_path / "src.vec"
+        save_embeddings(make_emb(["nouveau", "mot"], unit_rows(rng, 2, 4)), src_path)
+        save_map(LinearMap(np.eye(4)), tmp_path / "b.map")
+        tokens = write(tmp_path / "tokens.txt", "nouveau\nmot\nnouveau\n")
+        out = tmp_path / "assignments.tsv"
+        code = dispatch(
+            ["mixture-build", "--src-emb", str(src_path), "--b-map", str(tmp_path / "b.map"),
+             "--en-emb", en_path, "--bert-emb", model_path, "--tokens", tokens,
+             "--out", str(out)]
+        )
+        assert code == 2
+        assert "'nouveau'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLoggingConfig:

@@ -19,6 +19,7 @@ from vocab_bridge import (
 )
 from vocab_bridge.mixture import format_anchors
 from vocab_bridge.errors import (
+    DuplicateNewToken,
     EmptyAnchorPool,
     MalformedLine,
     MissingAnchor,
@@ -338,6 +339,17 @@ class TestBuildAllAssignments:
                 ["ghost"], src, LinearMap(np.eye(2)), english, model, model.vocab
             )
 
+    def test_repeated_new_token(self):
+        """A token listed twice would write two records; the build refuses it."""
+        rng = np.random.default_rng(11)
+        src = make_emb(["w", "v"], unit_rows(rng, 2, 2))
+        english = make_emb(["e"], unit_rows(rng, 1, 2))
+        model = make_emb(["e"], [[1.0, 0.0]])
+        with pytest.raises(DuplicateNewToken, match="'w'"):
+            build_all_assignments(
+                ["w", "v", "w"], src, LinearMap(np.eye(2)), english, model, model.vocab
+            )
+
 
 class TestAssignmentFiles:
     def test_round_trip(self, tmp_path):
@@ -418,7 +430,9 @@ class TestAssignmentFiles:
             load_assignments(path)
         assert exc.value.line == 2
 
-    @pytest.mark.parametrize("bad", ["new tok\ta:1.000000", "w\tan chor:1.000000"])
+    @pytest.mark.parametrize(
+        "bad", ["new tok\ta:1.000000", "w\tan chor:1.000000", "ok\tb:1.000000"]
+    )
     def test_token_rule_names_line(self, tmp_path, bad):
         path = tmp_path / "bad.tsv"
         path.write_text(f"ok\ta:1.000000\n{bad}\n", encoding="utf-8")

@@ -195,7 +195,17 @@ class TestSerialization:
         assert back.word_oov_rate == 3 / 7
         assert back.subword_oov_rate == 1 / 7
 
-    @pytest.mark.parametrize("text", ["", "1\t2\t3", "a\tb\tc\td\te", "1\t2\t3\t4\t5\t6"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "1\t2\t3",
+            "a\tb\tc\td\te",
+            "1\t2\t3\t4\t5\t6",
+            "10\t3\t1\tnan\t0.1",
+            "10\t3\t1\t0.9\t0.1",
+        ],
+    )
     def test_malformed_tsv(self, text):
         with pytest.raises(MalformedLine):
             parse_report_tsv(text)

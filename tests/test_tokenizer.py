@@ -100,6 +100,9 @@ class TestBpeTrain:
     @given(corpus=bpe_corpora(), target=st.integers(1, 60))
     @example(corpus={"aaaa": 3, "aa": 2, "a": 1}, target=60)
     @example(corpus={"ab</w": 4, "w>": 3, "b</w>": 2}, target=60)
+    @example(corpus={"aaaaaaa": 4, "aaaaa": 3, "aaa": 2}, target=60)
+    @example(corpus={"abababa": 3, "baba": 2, "bab": 2}, target=60)
+    @example(corpus={"abc": 3, "bcd": 3, "abcd": 2, "bc": 2}, target=60)
     def test_matches_rescanning_trainer(self, tmp_path_factory, corpus, target):
         """Merges, emitted vocabulary and merges file equal the reference's,
         and both files reload to a model and vocabulary that act the same."""
