@@ -16,12 +16,7 @@ from .alignment import (
     save_map,
     unsupervised_score,
 )
-from .dictionary import (
-    BilingualDictionary,
-    identical_subword_dictionary,
-    load_dictionary,
-    split_dictionary,
-)
+from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
@@ -86,7 +81,6 @@ __all__ = [
     "expand_vocabulary",
     "fit_independent_mapping",
     "fit_joint_mapping",
-    "identical_subword_dictionary",
     "joint_rows",
     "load_assignments",
     "load_dictionary",
@@ -103,7 +97,6 @@ __all__ = [
     "save_map",
     "save_vocabulary",
     "select_new_subwords",
-    "split_dictionary",
     "unsupervised_score",
     "wordpiece_segment",
 ]

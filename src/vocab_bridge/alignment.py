@@ -292,11 +292,10 @@ def eval_precision_at_k(
     """
     mapped = _mapped_unit(linear_map, src)
     t = _unit_rows(tgt.rows, tgt.vocab)
-    by_source = eval_dict.targets_by_source()
     evaluated: list[tuple[int, set[str]]] = []
     skipped = 0
-    for source in eval_dict.sources():
-        targets = {t_ for t_ in by_source[source] if t_ in tgt.vocab}
+    for source, listed in eval_dict.targets_by_source().items():
+        targets = {t_ for t_ in listed if t_ in tgt.vocab}
         if source not in src.vocab or not targets:
             skipped += 1
             continue

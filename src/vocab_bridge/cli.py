@@ -262,9 +262,12 @@ def _load_counts(path) -> dict[str, int]:
             if parts[0] in counts:
                 raise MalformedLine(f"repeated token {parts[0]!r}", line=lineno)
             try:
-                counts[parts[0]] = int(parts[1])
+                count = int(parts[1])
             except ValueError:
                 raise MalformedLine(f"non-integer count in {line!r}", line=lineno) from None
+            if count < 0:
+                raise MalformedLine(f"negative count in {line!r}", line=lineno)
+            counts[parts[0]] = count
     return counts
 
 

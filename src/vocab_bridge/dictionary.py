@@ -1,14 +1,10 @@
-"""Bilingual dictionaries: loading, identity construction and splitting."""
+"""Bilingual dictionaries: parsing translation-pair files."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
-from .embeddings import Vocabulary
-from .errors import EmptyIntersectionWarning, MalformedLine, TooFewPairs, ValidationError
+from .errors import MalformedLine
 
 
 @dataclass(frozen=True)
@@ -25,14 +21,8 @@ class BilingualDictionary:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def sources(self) -> list[str]:
-        """Unique source tokens in first-occurrence order."""
-        seen: dict[str, None] = {}
-        for src, _ in self.pairs:
-            seen.setdefault(src)
-        return list(seen)
-
     def targets_by_source(self) -> dict[str, list[str]]:
+        """Each source's targets, with sources in first-occurrence order."""
         out: dict[str, list[str]] = {}
         for src, tgt in self.pairs:
             out.setdefault(src, []).append(tgt)
@@ -69,51 +59,3 @@ def load_dictionary(path) -> BilingualDictionary:
             seen.add(pair)
             pairs.append(pair)
     return BilingualDictionary(tuple(pairs), dedup_count=duplicates)
-
-
-def identical_subword_dictionary(
-    src_vocab: Vocabulary, tgt_vocab: Vocabulary
-) -> BilingualDictionary:
-    """Pair every token the two vocabularies share with itself.
-
-    Pairs follow ``src_vocab`` order.  An empty intersection is legal but
-    suspicious, so it emits an ``EmptyIntersectionWarning`` rather than
-    failing.
-    """
-    pairs = tuple((t, t) for t in src_vocab.tokens if t in tgt_vocab)
-    if not pairs:
-        warnings.warn(
-            "vocabularies share no tokens; identity dictionary is empty",
-            EmptyIntersectionWarning,
-            stacklevel=2,
-        )
-    return BilingualDictionary(pairs)
-
-
-def split_dictionary(
-    dictionary: BilingualDictionary, eval_fraction: float, seed: int
-) -> tuple[BilingualDictionary, BilingualDictionary]:
-    """Split into train and eval parts at source-token granularity.
-
-    All pairs of one source land on the same side, so no eval source was seen
-    in training.  The eval side receives ``round(unique_sources *
-    eval_fraction)`` sources (half up, at least 1); the train side always
-    keeps at least one source.  Deterministic for a given seed.
-
-    Raises ``TooFewPairs`` with fewer than two unique sources.
-    """
-    if not 0.0 < eval_fraction < 1.0:
-        raise ValidationError(f"eval_fraction must be in (0, 1), got {eval_fraction}")
-    sources = dictionary.sources()
-    if len(dictionary) < 2 or len(sources) < 2:
-        raise TooFewPairs(
-            f"need at least 2 pairs over 2 unique sources, have {len(dictionary)} "
-            f"pairs over {len(sources)} sources"
-        )
-    n_eval = int(len(sources) * eval_fraction + 0.5)
-    n_eval = max(1, min(n_eval, len(sources) - 1))
-    perm = np.random.default_rng(seed).permutation(len(sources))
-    eval_sources = {sources[i] for i in perm[:n_eval]}
-    train = tuple(p for p in dictionary.pairs if p[0] not in eval_sources)
-    evaluation = tuple(p for p in dictionary.pairs if p[0] in eval_sources)
-    return BilingualDictionary(train), BilingualDictionary(evaluation)

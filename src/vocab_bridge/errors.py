@@ -81,10 +81,6 @@ class EmptyCorpus(ValidationError):
     pass
 
 
-class TooFewPairs(ValidationError):
-    pass
-
-
 class EmptyIntersection(ValidationError):
     pass
 
@@ -133,7 +129,3 @@ class CorpusMismatch(ValidationError):
 
 class LowRankWarning(UserWarning):
     """Fewer training pairs than dimensions; the fitted map is underdetermined."""
-
-
-class EmptyIntersectionWarning(UserWarning):
-    """Two vocabularies share no tokens where an overlap was expected."""

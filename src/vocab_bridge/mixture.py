@@ -147,8 +147,8 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
     Weights were rounded to 6 decimals on save, so they are renormalized to
     sum exactly to one.  Anchor tokens containing a comma are recovered by
     re-joining split fragments until a ``:weight`` tail appears.  The token
-    and every anchor must follow the token rule, and no token may repeat
-    (``MalformedLine``).
+    and every anchor must follow the token rule, no token may repeat, and no
+    anchor may repeat within its record (``MalformedLine``).
     """
     out: dict[str, list[tuple[str, float]]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -168,6 +168,8 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
                     tok, weight_text = buf.rsplit(":", 1)
                     if not _is_token(tok):
                         raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
+                    if any(tok == seen for seen, _ in anchors):
+                        raise MalformedLine(f"repeated anchor {tok!r}", line=lineno)
                     anchors.append((tok, float(weight_text)))
                     buf = None
             if buf is not None or not anchors:

@@ -578,8 +578,9 @@ class TestMixtureAndExpand:
 
     @pytest.mark.parametrize(
         "text, line",
-        [("a b\t3\n", 1), ("ok\t1\nx\u3000y\t2\n", 2), ("a\t3\nb\t1\na\t-7\n", 3)],
-        ids=["space", "ideographic-space", "repeated"],
+        [("a b\t3\n", 1), ("ok\t1\nx\u3000y\t2\n", 2), ("a\t3\nb\t1\na\t-7\n", 3),
+         ("a\t3\nb\t-1\n", 2)],
+        ids=["space", "ideographic-space", "repeated", "negative"],
     )
     def test_counts_table_token_rule(self, tmp_path, text, line):
         with pytest.raises(MalformedLine) as err:

@@ -1,20 +1,10 @@
-"""Dictionary loading, identity construction and source-level splitting."""
+"""Dictionary loading: separators, duplicate counting, multi-target sources
+and numbered parse errors."""
 
 import pytest
 
-from vocab_bridge import (
-    BilingualDictionary,
-    Vocabulary,
-    identical_subword_dictionary,
-    load_dictionary,
-    split_dictionary,
-)
-from vocab_bridge.errors import (
-    EmptyIntersectionWarning,
-    MalformedLine,
-    TooFewPairs,
-    ValidationError,
-)
+from vocab_bridge import load_dictionary
+from vocab_bridge.errors import MalformedLine
 
 
 def write_dict(tmp_path, text, name="dict.tsv"):
@@ -50,76 +40,3 @@ class TestLoadDictionary:
         d = load_dictionary(write_dict(tmp_path, "new york\tville\n"))
         assert d.pairs == (("new york", "ville"),)
 
-
-class TestIdenticalSubwordDictionary:
-    def test_source_order(self):
-        src = Vocabulary(["b", "a", "c"])
-        tgt = Vocabulary(["a", "b", "x"])
-        d = identical_subword_dictionary(src, tgt)
-        assert d.pairs == (("b", "b"), ("a", "a"))
-
-    def test_empty_intersection_warns(self):
-        with pytest.warns(EmptyIntersectionWarning):
-            d = identical_subword_dictionary(Vocabulary(["a"]), Vocabulary(["b"]))
-        assert d.pairs == ()
-
-    def test_pairs_are_identities(self):
-        src = Vocabulary(["t1", "t2", "t3"])
-        d = identical_subword_dictionary(src, src)
-        assert all(s == t for s, t in d.pairs)
-        assert len(d) == 3
-
-
-class TestSplitDictionary:
-    def make(self, n_sources, targets_per_source=1):
-        pairs = []
-        for i in range(n_sources):
-            for j in range(targets_per_source):
-                pairs.append((f"s{i}", f"t{i}_{j}"))
-        return BilingualDictionary(tuple(pairs))
-
-    def test_seven_three_split(self):
-        """10 sources at 0.3: eval takes round(3.0) = 3, train keeps 7."""
-        train, ev = split_dictionary(self.make(10), 0.3, seed=0)
-        assert len(ev) == 3 and len(train) == 7
-
-    def test_extreme_fraction_keeps_train_nonempty(self):
-        """0.999 of 2 sources rounds to 2 but train must keep one."""
-        train, ev = split_dictionary(self.make(2), 0.999, seed=0)
-        assert len(ev) == 1 and len(train) == 1
-
-    def test_source_granularity(self):
-        d = self.make(6, targets_per_source=3)
-        train, ev = split_dictionary(d, 0.5, seed=4)
-        train_sources = {s for s, _ in train.pairs}
-        eval_sources = {s for s, _ in ev.pairs}
-        assert not (train_sources & eval_sources)
-        for side in (train, ev):
-            counts = {}
-            for s, _ in side.pairs:
-                counts[s] = counts.get(s, 0) + 1
-            assert all(c == 3 for c in counts.values())
-
-    def test_partition(self):
-        d = self.make(9, targets_per_source=2)
-        train, ev = split_dictionary(d, 0.4, seed=123)
-        assert sorted(train.pairs + ev.pairs) == sorted(d.pairs)
-
-    def test_deterministic_given_seed(self):
-        d = self.make(20)
-        assert split_dictionary(d, 0.25, seed=8) == split_dictionary(d, 0.25, seed=8)
-        assert split_dictionary(d, 0.25, seed=8) != split_dictionary(d, 0.25, seed=9)
-
-    def test_too_few_pairs(self):
-        with pytest.raises(TooFewPairs):
-            split_dictionary(BilingualDictionary((("a", "b"),)), 0.5, seed=0)
-        with pytest.raises(TooFewPairs):
-            split_dictionary(
-                BilingualDictionary((("a", "b"), ("a", "c"))), 0.5, seed=0
-            )
-
-    def test_fraction_bounds(self):
-        d = self.make(4)
-        for bad in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValidationError):
-                split_dictionary(d, bad, seed=0)

@@ -431,7 +431,9 @@ class TestAssignmentFiles:
         assert exc.value.line == 2
 
     @pytest.mark.parametrize(
-        "bad", ["new tok\ta:1.000000", "w\tan chor:1.000000", "ok\tb:1.000000"]
+        "bad",
+        ["new tok\ta:1.000000", "w\tan chor:1.000000", "ok\tb:1.000000",
+         "new\tx:0.500000,x:0.500000"],
     )
     def test_token_rule_names_line(self, tmp_path, bad):
         path = tmp_path / "bad.tsv"

@@ -1,6 +1,9 @@
 """The package's public surface: ``__all__`` names exactly what ``__init__`` binds,
-and README's library example runs as written."""
+every public function has a caller inside the package, and README's library
+example runs as written."""
 
+import ast
+import inspect
 import types
 from pathlib import Path
 
@@ -24,6 +27,26 @@ def test_every_listed_name_resolves_into_the_package():
     for name in vocab_bridge.__all__:
         value = getattr(vocab_bridge, name)
         assert value.__module__.startswith("vocab_bridge."), name
+
+
+def test_every_public_function_is_referenced_inside_the_package():
+    """A public function that no package module (``__init__`` aside) names is
+    library-only dead code: the pipeline never runs it."""
+    package_dir = Path(vocab_bridge.__file__).parent
+    referenced = set()
+    for module in package_dir.glob("*.py"):
+        if module.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    public_functions = [
+        name for name in vocab_bridge.__all__ if inspect.isfunction(getattr(vocab_bridge, name))
+    ]
+    assert public_functions
+    assert [name for name in public_functions if name not in referenced] == []
 
 
 def _library_example() -> str:
