@@ -2,10 +2,8 @@
 cross-lingual embedding alignment."""
 
 from .alignment import (
-    IndependentFit,
-    JointFit,
+    Fit,
     LinearMap,
-    NeighborList,
     apply_map,
     csls_knn,
     eval_precision_at_k,
@@ -26,7 +24,6 @@ from .embeddings import (
     save_vocabulary,
 )
 from .expansion import (
-    ExpandedModel,
     emit_expanded,
     expand_vocabulary,
     joint_rows,
@@ -58,11 +55,8 @@ __all__ = [
     "BilingualDictionary",
     "BpeModel",
     "EmbeddingMatrix",
-    "ExpandedModel",
-    "IndependentFit",
-    "JointFit",
+    "Fit",
     "LinearMap",
-    "NeighborList",
     "OovDelta",
     "OovReport",
     "Segmentation",

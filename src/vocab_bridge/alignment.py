@@ -99,36 +99,12 @@ class LinearMap:
 
 
 @dataclass(frozen=True)
-class NeighborList:
-    """Retrieved neighbors for one query: (token, score), best first."""
-
-    query: str
-    entries: tuple[tuple[str, float], ...]
-
-
-@dataclass(frozen=True)
-class IndependentFit:
-    """A direct source-to-model map with its training statistics."""
+class Fit:
+    """A fitted map with its training pair count and mean residual."""
 
     map: LinearMap
     pair_count: int
     mean_residual: float
-
-
-@dataclass(frozen=True)
-class JointFit:
-    """The two maps of the two-stage route, with per-stage statistics.
-
-    ``to_english`` carries the source language into the English anchor space;
-    ``to_model`` carries the result into the pretrained model space.
-    """
-
-    to_english: LinearMap
-    to_model: LinearMap
-    stage1_pair_count: int
-    stage2_pair_count: int
-    stage1_residual: float
-    stage2_residual: float
 
 
 def procrustes_solve(x, y) -> LinearMap:
@@ -252,23 +228,19 @@ def csls_knn(
     top: int,
     *,
     csls_k: int = 10,
-) -> list[NeighborList]:
+) -> list[tuple[str, list[tuple[str, float]]]]:
     """Top CSLS neighbors in ``targets`` for every query row.
 
-    The r-terms use the full query and target matrices, over ``csls_k``
-    neighbors.  Results are sorted by descending score, ties by ascending
-    target id.
+    Returns one ``(query, [(target, score), ...])`` record per query row, in
+    query order.  The r-terms use the full query and target matrices, over
+    ``csls_k`` neighbors.  Each record's targets are sorted by descending
+    score, ties by ascending target id.
     """
     q = _unit_rows(queries.rows, queries.vocab)
     t = _unit_rows(targets.rows, targets.vocab)
     ids, scores = _csls_topk(q, t, q, csls_k, top)
     return [
-        NeighborList(
-            query=token,
-            entries=tuple(
-                (targets.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)
-            ),
-        )
+        (token, [(targets.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)])
         for token, id_row, score_row in zip(queries.vocab.tokens, ids, scores)
     ]
 
@@ -340,7 +312,7 @@ def unsupervised_score(
     return float(np.mean(np.sum(q_rows * t[ids[:, 0]], axis=1)))
 
 
-def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> tuple[LinearMap, float]:
+def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> Fit:
     n = x_rows.shape[0]
     d = min(x_rows.shape[1], y_rows.shape[1])
     if n < d:
@@ -351,12 +323,11 @@ def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> tuple[Line
         )
     solved = procrustes_solve(x_rows, y_rows)
     residual = float(np.mean(np.linalg.norm(x_rows @ solved.matrix - y_rows, axis=1)))
-    return solved, residual
+    log.info("%s: %d pairs, mean residual %.6f", label, n, residual)
+    return Fit(solved, n, residual)
 
 
-def fit_independent_mapping(
-    src: EmbeddingMatrix, model_emb: EmbeddingMatrix
-) -> IndependentFit:
+def fit_independent_mapping(src: EmbeddingMatrix, model_emb: EmbeddingMatrix) -> Fit:
     """Fit a single map from the source space straight into the model space.
 
     Training pairs are the tokens the two vocabularies share, matched
@@ -369,9 +340,7 @@ def fit_independent_mapping(
     s, m = src.vocab, model_emb.vocab
     x_rows = _unit_rows(src.rows, s)[[s.id(t) for t in shared]]
     y_rows = _unit_rows(model_emb.rows, m)[[m.id(t) for t in shared]]
-    solved, residual = _fit_pairs(x_rows, y_rows, "independent fit")
-    log.info("independent fit: %d pairs, mean residual %.6f", len(shared), residual)
-    return IndependentFit(map=solved, pair_count=len(shared), mean_residual=residual)
+    return _fit_pairs(x_rows, y_rows, "independent fit")
 
 
 def fit_joint_mapping(
@@ -379,18 +348,16 @@ def fit_joint_mapping(
     english: EmbeddingMatrix,
     model_emb: EmbeddingMatrix,
     dictionary: BilingualDictionary,
-    model_vocab: Vocabulary | None = None,
-) -> JointFit:
+    model_vocab: Vocabulary,
+) -> tuple[Fit, Fit]:
     """Fit the two-stage route: source -> English -> model space.
 
-    Stage 1 fits ``to_english`` on every dictionary pair whose source has a
-    source-space row and whose target has an English row (all pairs of a
-    multi-target source are used).  Stage 2 maps the source rows through
-    ``to_english`` and fits ``to_model`` on every dictionary pair whose
-    target is a model token with an embedding row.
-
-    ``model_vocab`` optionally restricts which targets count as model tokens;
-    by default the model embedding's own vocabulary is used.
+    Returns ``(to_english, to_model)``.  Stage 1 fits ``to_english`` on
+    every dictionary pair whose source has a source-space row and whose
+    target has an English row (all pairs of a multi-target source are used).
+    Stage 2 maps the source rows through ``to_english`` and fits ``to_model``
+    on every dictionary pair whose target is in ``model_vocab`` and has a row
+    in ``model_emb``.
 
     Raises ``EmptyStage1Dict`` or ``EmptyStage2Anchors`` when a stage has no
     usable pairs.
@@ -406,33 +373,19 @@ def fit_joint_mapping(
         raise EmptyStage1Dict("no dictionary pair joins the source and English spaces")
     x1 = s[[src.vocab.id(w) for w, _ in stage1]]
     y1 = e[[english.vocab.id(t) for _, t in stage1]]
-    to_english, res1 = _fit_pairs(x1, y1, "joint fit stage 1")
+    to_english = _fit_pairs(x1, y1, "joint fit stage 1")
 
-    mapped = _unit_rows(s @ to_english.matrix, src.vocab)
+    mapped = _unit_rows(s @ to_english.map.matrix, src.vocab)
     stage2 = [
         (w, t)
         for w, t in dictionary.pairs
-        if w in src.vocab
-        and t in model_emb.vocab
-        and (model_vocab is None or t in model_vocab)
+        if w in src.vocab and t in model_emb.vocab and t in model_vocab
     ]
     if not stage2:
         raise EmptyStage2Anchors("no dictionary target is a model token with a row")
     x2 = mapped[[src.vocab.id(w) for w, _ in stage2]]
     y2 = m[[model_emb.vocab.id(t) for _, t in stage2]]
-    to_model, res2 = _fit_pairs(x2, y2, "joint fit stage 2")
-    log.info(
-        "joint fit: stage1 %d pairs (residual %.6f), stage2 %d pairs (residual %.6f)",
-        len(stage1), res1, len(stage2), res2,
-    )
-    return JointFit(
-        to_english=to_english,
-        to_model=to_model,
-        stage1_pair_count=len(stage1),
-        stage2_pair_count=len(stage2),
-        stage1_residual=res1,
-        stage2_residual=res2,
-    )
+    return to_english, _fit_pairs(x2, y2, "joint fit stage 2")
 
 
 def save_map(linear_map: LinearMap, path) -> None:

@@ -83,16 +83,17 @@ def _read_tokens(path) -> list[str]:
     return tokens
 
 
-def _audit_lines(neighbor_lists, source_lang: str, softmax: bool):
+def _audit_lines(records, source_lang: str, softmax: bool):
     """Yield retrieval audit TSV lines, sorted by source token then rank.
 
+    ``records`` are ``csls_knn``'s ``(query, [(target, score), ...])``.
     Columns are source_lang, source, target, score; with ``softmax`` a fifth
     column holds the softmax of each query's displayed scores.
     """
-    for nl in sorted(neighbor_lists, key=lambda n: n.query):
-        probs = mixture.mixture_weights(nl.entries) if softmax and nl.entries else None
-        for rank, (target, score) in enumerate(nl.entries):
-            line = f"{source_lang}\t{nl.query}\t{target}\t{score:.6f}"
+    for query, entries in sorted(records):
+        probs = mixture.mixture_weights(entries) if softmax else None
+        for rank, (target, score) in enumerate(entries):
+            line = f"{source_lang}\t{query}\t{target}\t{score:.6f}"
             if probs is not None:
                 line += f"\t{probs[rank][1]:.6f}"
             yield line
@@ -177,15 +178,16 @@ def _cmd_align_fit_joint(args) -> int:
     src = load_embeddings(args.src_emb)
     english = load_embeddings(args.en_emb)
     model_emb = load_embeddings(args.bert_emb)
-    model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else None
+    model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else model_emb.vocab
     dictionary = _cap_pairs(load_dictionary(args.dict), args.max_pairs)
-    fit = alignment.fit_joint_mapping(src, english, model_emb, dictionary, model_vocab)
-    alignment.save_map(fit.to_english, args.out_b)
-    alignment.save_map(fit.to_model, args.out_a)
-    print(f"stage1_pairs\t{fit.stage1_pair_count}")
-    print(f"stage1_residual\t{fit.stage1_residual:.6f}")
-    print(f"stage2_pairs\t{fit.stage2_pair_count}")
-    print(f"stage2_residual\t{fit.stage2_residual:.6f}")
+    to_english, to_model = alignment.fit_joint_mapping(
+        src, english, model_emb, dictionary, model_vocab
+    )
+    alignment.save_map(to_english.map, args.out_b)
+    alignment.save_map(to_model.map, args.out_a)
+    for stage, fit in enumerate((to_english, to_model), start=1):
+        print(f"stage{stage}_pairs\t{fit.pair_count}")
+        print(f"stage{stage}_residual\t{fit.mean_residual:.6f}")
     return 0
 
 
@@ -214,21 +216,21 @@ def _cmd_align_eval(args) -> int:
 
 def _cmd_csls_nn(args) -> int:
     queries = load_embeddings(args.queries)
+    wanted = _read_tokens(args.tokens) if args.tokens else []
+    for tok in wanted:
+        if tok not in queries.vocab:
+            raise TokenNotFound(tok)
     targets = load_embeddings(args.targets)
     if args.map:
         queries = alignment.apply_map(alignment.load_map(args.map), queries)
     top = min(args.top, len(targets))
-    lists = alignment.csls_knn(queries, targets, top, csls_k=args.csls_k)
+    records = alignment.csls_knn(queries, targets, top, csls_k=args.csls_k)
     if args.tokens:
         # scores stay relative to the full query set; the token list only
         # restricts which queries are reported
-        wanted = _read_tokens(args.tokens)
-        for tok in wanted:
-            if tok not in queries.vocab:
-                raise TokenNotFound(tok)
         keep = set(wanted)
-        lists = [nl for nl in lists if nl.query in keep]
-    _write_lines(_audit_lines(lists, args.source_lang, args.softmax), args.out)
+        records = [record for record in records if record[0] in keep]
+    _write_lines(_audit_lines(records, args.source_lang, args.softmax), args.out)
     return 0
 
 
@@ -276,6 +278,12 @@ def _cmd_expand(args) -> int:
         raise _UsageError("--min-count requires --counts")
     if args.counts and args.min_count is None:
         raise _UsageError("--counts requires --min-count")
+    if args.strategy == "mixture" and not args.assignments:
+        raise _UsageError("--strategy mixture requires --assignments")
+    if args.strategy == "joint" and not (args.src_emb and args.b_map and args.a_map):
+        raise _UsageError("--strategy joint requires --src-emb, --b-map and --a-map")
+    if args.strategy == "random" and args.seed is None:
+        raise _UsageError("--strategy random requires --seed")
     model_emb = load_embeddings(args.bert_emb)
     model_vocab = load_vocabulary(args.bert_vocab) if args.bert_vocab else model_emb.vocab
     lang_vocab = load_vocabulary(args.lang_vocab)
@@ -285,13 +293,9 @@ def _cmd_expand(args) -> int:
         new_tokens = [t for t in new_tokens if counts.get(t, 0) >= args.min_count]
 
     if args.strategy == "mixture":
-        if not args.assignments:
-            raise _UsageError("--strategy mixture requires --assignments")
         table = dict(mixture.load_assignments(args.assignments))
         new_rows, provenance = expansion.mixture_rows(new_tokens, table, model_emb)
     elif args.strategy == "joint":
-        if not (args.src_emb and args.b_map and args.a_map):
-            raise _UsageError("--strategy joint requires --src-emb, --b-map and --a-map")
         new_rows, provenance = expansion.joint_rows(
             new_tokens,
             load_embeddings(args.src_emb),
@@ -299,12 +303,10 @@ def _cmd_expand(args) -> int:
             alignment.load_map(args.a_map),
         )
     else:
-        if args.seed is None:
-            raise _UsageError("--strategy random requires --seed")
         new_rows, provenance = expansion.random_rows(new_tokens, model_vocab, model_emb, args.seed)
 
     model = expansion.expand_vocabulary(model_vocab, model_emb, new_rows, provenance)
-    expansion.emit_expanded(model, args.out_dir)
+    expansion.emit_expanded(model, provenance, args.out_dir)
     log.info("expanded %d -> %d tokens", len(model_vocab), len(model.vocab))
     return 0
 
@@ -489,7 +491,7 @@ def dispatch(argv) -> int:
     except VocabBridgeError as exc:
         sys.stderr.write(f"{parser.prog}: error: {type(exc).__name__}: {exc}\n")
         return 2
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
 

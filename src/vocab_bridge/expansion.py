@@ -9,14 +9,14 @@ Three builders make the new rows, each from only the inputs it reads:
 * :func:`joint_rows`: the token's source row pushed through both maps;
 * :func:`random_rows`: a uniformly drawn donor row (baseline).
 
-Each returns ``(new_rows, provenance)``, one record per new token saying how
-its row was built; :func:`expand_vocabulary` splices them in.
+Each returns ``(new_rows, provenance)``, one ``(token, strategy, detail)``
+record per new token saying how its row was built; :func:`expand_vocabulary`
+splices the rows in and :func:`emit_expanded` writes the result.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,20 +44,6 @@ VOCAB_FILE = "vocab.txt"
 EMBEDDINGS_FILE = "embeddings.vec"
 
 
-@dataclass(frozen=True)
-class ProvenanceRecord:
-    token: str
-    strategy: str
-    detail: str
-
-
-@dataclass(frozen=True, eq=False)
-class ExpandedModel:
-    vocab: Vocabulary
-    embeddings: EmbeddingMatrix
-    provenance: tuple[ProvenanceRecord, ...]
-
-
 def select_new_subwords(lang_vocab: Vocabulary, model_vocab: Vocabulary) -> list[str]:
     """Language-vocabulary tokens absent from the model vocabulary, in order."""
     return [tok for tok in lang_vocab.tokens if tok not in model_vocab]
@@ -67,7 +53,7 @@ def mixture_rows(
     new_tokens: Sequence[str],
     assignments: Mapping[str, Sequence[tuple[str, float]]],
     model_emb: EmbeddingMatrix,
-) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
     """Each new token's row as the weighted sum of its anchors' model rows.
 
     ``assignments`` maps every new token to its (anchor, weight) pairs;
@@ -80,7 +66,7 @@ def mixture_rows(
         if anchors is None:
             raise MissingAssignment(tok)
         rows[i] = mixture_embedding(anchors, model_emb)
-        provenance.append(ProvenanceRecord(tok, "mixture", format_anchors(anchors)))
+        provenance.append((tok, "mixture", format_anchors(anchors)))
     return rows, provenance
 
 
@@ -89,7 +75,7 @@ def joint_rows(
     src: EmbeddingMatrix,
     to_english: LinearMap,
     to_model: LinearMap,
-) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
     """Each new token's source row pushed through ``to_english`` then ``to_model``.
 
     A token without a row in ``src`` raises ``MissingToken``.
@@ -107,7 +93,7 @@ def joint_rows(
             raise MissingToken(tok, i)
         # one product per row: a gathered product rounds differently
         rows[i] = src.rows[idx] @ composed
-        provenance.append(ProvenanceRecord(tok, "joint", "mapped from source row"))
+        provenance.append((tok, "joint", "mapped from source row"))
     return rows, provenance
 
 
@@ -116,7 +102,7 @@ def random_rows(
     model_vocab: Vocabulary,
     model_emb: EmbeddingMatrix,
     seed: int,
-) -> tuple[np.ndarray, list[ProvenanceRecord]]:
+) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
     """Each new token's row copied from a donor drawn uniformly from ``model_vocab``."""
     if len(model_vocab) == 0:
         raise ValidationError("cannot draw donor rows from an empty model")
@@ -126,7 +112,7 @@ def random_rows(
     for i, tok in enumerate(new_tokens):
         donor = model_vocab.token(int(donors[i]))
         rows[i] = model_emb.row(donor)
-        provenance.append(ProvenanceRecord(tok, "random", f"donor={donor}"))
+        provenance.append((tok, "random", f"donor={donor}"))
     return rows, provenance
 
 
@@ -134,9 +120,9 @@ def expand_vocabulary(
     model_vocab: Vocabulary,
     model_emb: EmbeddingMatrix,
     new_rows: np.ndarray,
-    provenance: Sequence[ProvenanceRecord],
-) -> ExpandedModel:
-    """Append one row of ``new_rows`` per provenance record to the model.
+    provenance: Sequence[tuple[str, str, str]],
+) -> EmbeddingMatrix:
+    """The model with one row of ``new_rows`` appended per provenance record.
 
     ``model_vocab`` fixes the original token order; every one of its tokens
     must have a row in ``model_emb`` (``MissingToken`` names the first that
@@ -145,7 +131,7 @@ def expand_vocabulary(
     ``new_rows`` holds their rows in the same order (``DimMismatch``
     otherwise).  With no records the output equals the input row for row.
     """
-    new_tokens = tuple(rec.token for rec in provenance)
+    new_tokens = tuple(token for token, _, _ in provenance)
     seen: set[str] = set()
     for tok in new_tokens:
         if tok in model_vocab or tok in seen:
@@ -169,18 +155,19 @@ def expand_vocabulary(
     # every id is valid; numpy documents ``out`` as buffered under mode="raise"
     np.take(model_emb.rows, ids, axis=0, out=rows[:n], mode="clip")
     rows[n:] = new_rows
-    vocab = Vocabulary(model_vocab.tokens + new_tokens)
-    return ExpandedModel(vocab, EmbeddingMatrix(vocab, rows), tuple(provenance))
+    return EmbeddingMatrix(Vocabulary(model_vocab.tokens + new_tokens), rows)
 
 
-def emit_expanded(model: ExpandedModel, out_dir) -> None:
+def emit_expanded(
+    model: EmbeddingMatrix, provenance: Sequence[tuple[str, str, str]], out_dir
+) -> None:
     """Write vocab.txt, embeddings.vec and provenance.tsv into ``out_dir``, all or none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = (out / VOCAB_FILE, out / EMBEDDINGS_FILE, out / PROVENANCE_FILE)
     with _staged(*files) as (vocab_tmp, emb_tmp, prov_tmp):
         save_vocabulary(model.vocab, vocab_tmp)
-        save_embeddings(model.embeddings, emb_tmp)
+        save_embeddings(model, emb_tmp)
         with _atomic_text(prov_tmp) as fh:
-            for rec in model.provenance:
-                fh.write(f"{rec.token}\t{rec.strategy}\t{rec.detail}\n")
+            for record in provenance:
+                fh.write("\t".join(record) + "\n")

@@ -12,11 +12,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .embeddings import Vocabulary
 from .errors import CorpusMismatch, MalformedLine, ValidationError
-from .tokenizer import DEFAULT_MAX_CHARS, SegmentStatus, classify_corpus
+from .tokenizer import DEFAULT_MAX_CHARS, SegmentStatus, wordpiece_segment
 
 DEFAULT_TOP_N = 50
 
@@ -59,18 +59,14 @@ def corpus_oov_stats(
     count_types: bool = False,
     max_chars: int = DEFAULT_MAX_CHARS,
 ) -> OovReport:
-    """Classify every word of the corpus and tally both OOV levels.
+    """Classify every distinct word of the corpus once and tally both OOV levels.
 
     ``count_types`` switches to the type-level view, where each distinct
     word contributes one count regardless of how often it occurs.  The top
     OOV list always ranks by occurrence frequency.
     """
-    occurrences: Counter = Counter()
-    statuses: dict[str, SegmentStatus] = {}
-    for seg in classify_corpus(vocab, unk, lines, max_chars):
-        if seg.word not in statuses:
-            statuses[seg.word] = seg.status
-        occurrences[seg.word] += 1
+    occurrences = Counter(word for line in lines for word in line.split())
+    statuses = {w: wordpiece_segment(vocab, unk, w, max_chars).status for w in occurrences}
     counts = Counter({w: 1 for w in occurrences}) if count_types else occurrences
     total = sum(counts.values())
     word_oov = sum(c for w, c in counts.items() if statuses[w] is not SegmentStatus.IN_VOCAB)
@@ -175,13 +171,4 @@ def report_json(report: OovReport) -> str:
 
 
 def delta_json(delta: OovDelta) -> str:
-    return json.dumps(
-        {
-            "total_words": delta.total_words,
-            "word_oov_delta": delta.word_oov_delta,
-            "subword_oov_delta": delta.subword_oov_delta,
-            "word_oov_rate_delta": delta.word_oov_rate_delta,
-            "subword_oov_rate_delta": delta.subword_oov_rate_delta,
-            "any_rate_increase": delta.any_rate_increase,
-        }
-    )
+    return json.dumps(asdict(delta))

@@ -106,10 +106,11 @@ def test_criterion_3_csls_matches_exhaustive_oracle():
             targets = make_emb(tok_list("t", n_t), t_rows)
             got = csls_knn(queries, targets, top=5, csls_k=10)
             want = oracles.csls_all_pairs(q_rows, t_rows, 10)
-            for row, nl in enumerate(got):
+            assert [query for query, _ in got] == tok_list("q", n_q)
+            for row, (_, entries) in enumerate(got):
                 ids = oracles.top_ids(want[row], 5)
-                assert [e[0] for e in nl.entries] == [f"t{j:04d}" for j in ids]
-                for (_, score), j in zip(nl.entries, ids):
+                assert [e[0] for e in entries] == [f"t{j:04d}" for j in ids]
+                for (_, score), j in zip(entries, ids):
                     assert abs(score - want[row][j]) <= 1e-9
 
     _report(3, "CSLS scores and top-5 lists match the brute-force oracle", body)
@@ -147,18 +148,18 @@ def test_criterion_5_two_stage_planted_pipeline():
         start = time.perf_counter()
         rng = np.random.default_rng(55)
         chain = planted_chain(rng, n=500, d_src=300, d_model=768)
-        fit = fit_joint_mapping(
-            chain.src, chain.english, chain.model, chain.dictionary
+        to_english, to_model = fit_joint_mapping(
+            chain.src, chain.english, chain.model, chain.dictionary, chain.model.vocab
         )
-        assert np.linalg.norm(fit.to_english.matrix - chain.q1) <= 1e-6
-        assert np.linalg.norm(fit.to_model.matrix - chain.q2) <= 1e-6
-        composed = LinearMap(fit.to_english.matrix @ fit.to_model.matrix)
+        assert np.linalg.norm(to_english.map.matrix - chain.q1) <= 1e-6
+        assert np.linalg.norm(to_model.map.matrix - chain.q2) <= 1e-6
+        composed = LinearMap(to_english.map.matrix @ to_model.map.matrix)
         precision = eval_precision_at_k(
             composed, chain.src, chain.model, chain.dictionary
         )
         assert precision == 1.0
         assignments = build_all_assignments(
-            list(chain.src.vocab.tokens), chain.src, fit.to_english,
+            list(chain.src.vocab.tokens), chain.src, to_english.map,
             chain.english, chain.model, chain.model.vocab,
         )
         hits = sum(
@@ -237,22 +238,23 @@ def test_criterion_8_expansion_integrity_at_scale():
         new_tokens = [f"x{i:04d}" for i in range(n_new)]
         new_rows, provenance = random_rows(new_tokens, model.vocab, model, seed=88)
         first = expand_vocabulary(model.vocab, model, new_rows, provenance)
-        assert np.array_equal(first.embeddings.rows[:n], model.rows)
-        assert np.array_equal(first.embeddings.rows[n:], new_rows)
+        assert np.array_equal(first.rows[:n], model.rows)
+        assert np.array_equal(first.rows[n:], new_rows)
         assert first.vocab.tokens[:n] == model.vocab.tokens
         for probe in (0, 137, n - 1):
             assert first.vocab.id(model.vocab.token(probe)) == probe
-        assert len(first.provenance) == n_new
-        assert [rec.token for rec in first.provenance] == new_tokens
+        assert len(provenance) == n_new
+        assert [token for token, _, _ in provenance] == new_tokens
+        assert list(first.vocab.tokens[n:]) == new_tokens
         again_rows, again_provenance = random_rows(new_tokens, model.vocab, model, seed=88)
         second = expand_vocabulary(model.vocab, model, again_rows, again_provenance)
-        assert first.provenance == second.provenance
-        assert np.array_equal(first.embeddings.rows, second.embeddings.rows)
+        assert provenance == again_provenance
+        assert np.array_equal(first.rows, second.rows)
         # a model vocabulary in another order keeps its own ids
         flipped = Vocabulary(model.vocab.tokens[::-1])
         third = expand_vocabulary(flipped, model, new_rows, provenance)
-        assert np.array_equal(third.embeddings.rows[:n], model.rows[::-1])
-        assert np.array_equal(third.embeddings.rows[n:], new_rows)
+        assert np.array_equal(third.rows[:n], model.rows[::-1])
+        assert np.array_equal(third.rows[n:], new_rows)
 
     _report(8, "10k+5k expansion keeps originals bit-identical and reproducible", body)
 

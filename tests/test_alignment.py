@@ -166,8 +166,9 @@ class TestCslsKnn:
         rows = unit_rows(rng, 50, 16)
         q = make_emb(tok_list("w", 50), rows)
         t = make_emb(tok_list("w", 50), rows)
-        for i, nl in enumerate(csls_knn(q, t, top=1, csls_k=10)):
-            assert nl.entries[0][0] == f"w{i:04d}"
+        for i, (query, entries) in enumerate(csls_knn(q, t, top=1, csls_k=10)):
+            assert query == f"w{i:04d}"
+            assert entries[0][0] == f"w{i:04d}"
 
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(13)
@@ -177,27 +178,29 @@ class TestCslsKnn:
         t = make_emb(tok_list("t", 15), t_rows)
         got = csls_knn(q, t, top=5, csls_k=4)
         want_scores = oracles.csls_all_pairs(q_rows, t_rows, 4)
-        for i, nl in enumerate(got):
+        assert [query for query, _ in got] == tok_list("q", 12)
+        for i, (_, entries) in enumerate(got):
             ids = oracles.top_ids(want_scores[i], 5)
-            assert [e[0] for e in nl.entries] == [f"t{j:04d}" for j in ids]
-            for (tok, score), j in zip(nl.entries, ids):
+            assert [e[0] for e in entries] == [f"t{j:04d}" for j in ids]
+            for (tok, score), j in zip(entries, ids):
                 assert abs(score - want_scores[i][j]) <= 1e-9
 
     def test_tie_break_ascending_target_id(self):
         """Duplicate target rows force exact ties, resolved by id order."""
         q = make_emb(["q"], [[1.0, 0.0]])
         t = make_emb(["dup0", "dup1", "dup2"], [[1.0, 0.0]] * 3)
-        nl = csls_knn(q, t, top=3, csls_k=1)[0]
-        assert [e[0] for e in nl.entries] == ["dup0", "dup1", "dup2"]
+        ((query, entries),) = csls_knn(q, t, top=3, csls_k=1)
+        assert query == "q"
+        assert [e[0] for e in entries] == ["dup0", "dup1", "dup2"]
 
     def test_full_depth_is_complete_and_sorted(self):
         rng = np.random.default_rng(14)
         q = make_emb(tok_list("q", 4), unit_rows(rng, 4, 3))
         t = make_emb(tok_list("t", 8), unit_rows(rng, 8, 3))
-        nl = csls_knn(q, t, top=8, csls_k=3)[0]
-        assert len(nl.entries) == 8
-        assert sorted({e[0] for e in nl.entries}) == tok_list("t", 8)
-        scores = [s for _, s in nl.entries]
+        _, entries = csls_knn(q, t, top=8, csls_k=3)[0]
+        assert len(entries) == 8
+        assert sorted({e[0] for e in entries}) == tok_list("t", 8)
+        scores = [s for _, s in entries]
         assert all(a >= b - 1e-15 for a, b in zip(scores, scores[1:]))
 
     def test_k_too_large(self):
@@ -407,10 +410,10 @@ class TestScaleInvariance:
         ranked, precision, score, assigned = scores(src, tgt)
         # the other three rank prefixes of these full-depth lists (same r-term
         # sets), so clear gaps here rule out near ties everywhere
-        assume(all(np.min(-np.diff([v for _, v in nl.entries])) > 1e-9 for nl in ranked))
+        assume(all(np.min(-np.diff([v for _, v in entries])) > 1e-9 for _, entries in ranked))
         s_ranked, s_precision, s_score, s_assigned = scores(scaled(src), scaled(tgt))
-        assert [[t for t, _ in nl.entries] for nl in s_ranked] == [
-            [t for t, _ in nl.entries] for nl in ranked
+        assert [[t for t, _ in entries] for _, entries in s_ranked] == [
+            [t for t, _ in entries] for _, entries in ranked
         ]
         assert s_precision == precision
         assert abs(s_score - score) <= 1e-12
@@ -633,16 +636,21 @@ class TestFitJoint:
     def test_recovers_planted_chain(self):
         rng = np.random.default_rng(31)
         chain = planted_chain(rng, n=80, d_src=16, d_model=24)
-        fit = fit_joint_mapping(chain.src, chain.english, chain.model, chain.dictionary)
-        assert np.linalg.norm(fit.to_english.matrix - chain.q1) <= 1e-8
-        assert np.linalg.norm(fit.to_model.matrix - chain.q2) <= 1e-8
-        assert fit.stage1_pair_count == 80 and fit.stage2_pair_count == 80
+        to_english, to_model = fit_joint_mapping(
+            chain.src, chain.english, chain.model, chain.dictionary, chain.model.vocab
+        )
+        assert np.linalg.norm(to_english.map.matrix - chain.q1) <= 1e-8
+        assert np.linalg.norm(to_model.map.matrix - chain.q2) <= 1e-8
+        assert to_english.pair_count == 80 and to_model.pair_count == 80
+        assert to_english.mean_residual <= 1e-9 and to_model.mean_residual <= 1e-9
 
     def test_end_to_end_precision(self):
         rng = np.random.default_rng(32)
         chain = planted_chain(rng, n=60, d_src=12, d_model=20)
-        fit = fit_joint_mapping(chain.src, chain.english, chain.model, chain.dictionary)
-        composed = LinearMap(fit.to_english.matrix @ fit.to_model.matrix)
+        to_english, to_model = fit_joint_mapping(
+            chain.src, chain.english, chain.model, chain.dictionary, chain.model.vocab
+        )
+        composed = LinearMap(to_english.map.matrix @ to_model.map.matrix)
         p = eval_precision_at_k(
             composed, chain.src, chain.model, chain.dictionary
         )
@@ -658,9 +666,9 @@ class TestFitJoint:
         model = make_emb(["t1", "t2"], t_rows)
         pairs = BilingualDictionary((("w", "t1"), ("w", "t2")))
         with pytest.warns(LowRankWarning):
-            fit = fit_joint_mapping(src, english, model, pairs)
-        assert fit.stage1_pair_count == 2
-        assert fit.stage2_pair_count == 2
+            to_english, to_model = fit_joint_mapping(src, english, model, pairs, model.vocab)
+        assert to_english.pair_count == 2
+        assert to_model.pair_count == 2
 
     def test_empty_stage1(self):
         rng = np.random.default_rng(34)
@@ -669,7 +677,7 @@ class TestFitJoint:
         model = make_emb(["m"], unit_rows(rng, 1, 3))
         with pytest.raises(EmptyStage1Dict):
             fit_joint_mapping(
-                src, english, model, BilingualDictionary((("w", "nowhere"),))
+                src, english, model, BilingualDictionary((("w", "nowhere"),)), model.vocab
             )
 
     def test_empty_stage2(self):
@@ -680,7 +688,7 @@ class TestFitJoint:
         with pytest.warns(LowRankWarning):
             with pytest.raises(EmptyStage2Anchors):
                 fit_joint_mapping(
-                    src, english, model, BilingualDictionary((("w", "e"),))
+                    src, english, model, BilingualDictionary((("w", "e"),)), model.vocab
                 )
 
     def test_model_vocab_restriction(self):

@@ -6,11 +6,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import make_emb, random_orthogonal, random_semi_orthogonal, tok_list, unit_rows
+from conftest import (
+    make_emb,
+    planted_chain,
+    random_orthogonal,
+    random_semi_orthogonal,
+    tok_list,
+    unit_rows,
+)
 from test_tokenizer import repeat_corpus
 from vocab_bridge import LinearMap, bpe_apply, bpe_train, load_embeddings, save_embeddings
-from vocab_bridge import cli
-from vocab_bridge.alignment import save_map
+from vocab_bridge import alignment, cli
+from vocab_bridge.alignment import load_map, save_map
 from vocab_bridge.cli import _read_tokens, dispatch
 from vocab_bridge.errors import MalformedLine
 from vocab_bridge.tokenizer import MERGES_HEADER, save_bpe_model, wordpiece_style
@@ -78,6 +85,34 @@ class TestParsing:
              "--out", str(out)]
         )
         assert code == 2
+
+
+class TestUndecodableInput:
+    """A file that is not UTF-8 is a data error (exit 2), not a traceback."""
+
+    @pytest.mark.parametrize("flag", ["--input", "--corpus", "--src-emb", "--dict"])
+    def test_exits_two_with_one_error_line(self, planted_files, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes({
+            "--input": b"caf\xe9\n",
+            "--corpus": b"a caf\xe9\n",
+            "--src-emb": b"1 2\ncaf\xe9 0.5 0.5\n",
+            "--dict": b"s0000\tcaf\xe9\n",
+        }[flag])
+        vocab = write(tmp_path / "v.txt", "a\n")
+        src, tgt, linear_map = planted_files["src"], planted_files["tgt"], planted_files["map"]
+        argv = {
+            "--input": ["wordpiece", "--vocab", vocab],
+            "--corpus": ["oov-stats", "--vocab", vocab],
+            "--src-emb": ["align-eval", "--tgt-emb", tgt, "--map", linear_map,
+                          "--dict", planted_files["dict"]],
+            "--dict": ["align-eval", "--src-emb", src, "--tgt-emb", tgt, "--map", linear_map],
+        }[flag]
+        assert dispatch([*argv, flag, str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("vocab-bridge: error: ") and "can't decode byte 0xe9" in line
 
 
 class TestCountFlags:
@@ -271,6 +306,33 @@ class TestAlignCommands:
         first = out.read_text(encoding="utf-8").splitlines()[0]
         assert first == "5 5"
 
+    def test_fit_joint_prints_both_stages(self, tmp_path, capsys):
+        """Exactly four stdout lines, stage 1 then stage 2; without --bert-vocab
+        every dictionary target with a model row anchors stage 2."""
+        chain = planted_chain(np.random.default_rng(8), n=12, d_src=4, d_model=6)
+        paths = {name: str(tmp_path / f"{name}.vec") for name in ("src", "english", "model")}
+        for name, path in paths.items():
+            save_embeddings(getattr(chain, name), path)
+        pairs = write(tmp_path / "pairs.dict",
+                      "".join(f"{s}\t{e}\n" for s, e in chain.dictionary.pairs))
+        bert_vocab = write(tmp_path / "bert.txt", "".join(f"{t}\n" for t in chain.en_tokens[:8]))
+        b_map, a_map = tmp_path / "b.map", tmp_path / "a.map"
+        argv = ["align-fit-joint", "--src-emb", paths["src"], "--en-emb", paths["english"],
+                "--bert-emb", paths["model"], "--dict", pairs,
+                "--out-b", str(b_map), "--out-a", str(a_map)]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == (
+            "stage1_pairs\t12\nstage1_residual\t0.000000\n"
+            "stage2_pairs\t12\nstage2_residual\t0.000000\n"
+        )
+        np.testing.assert_allclose(load_map(b_map).matrix, chain.q1, atol=1e-8)
+        np.testing.assert_allclose(load_map(a_map).matrix, chain.q2, atol=1e-8)
+        assert dispatch(argv + ["--bert-vocab", bert_vocab]) == 0
+        assert capsys.readouterr().out == (
+            "stage1_pairs\t12\nstage1_residual\t0.000000\n"
+            "stage2_pairs\t8\nstage2_residual\t0.000000\n"
+        )
+
     def test_align_eval_prints_metrics(self, planted_files, capsys):
         code = dispatch(
             ["align-eval", "--src-emb", planted_files["src"],
@@ -361,14 +423,20 @@ class TestCslsNn:
         lines = capsys.readouterr().out.splitlines()
         assert [line.split("\t")[1] for line in lines] == ["s0003", "s0017"]
 
-    def test_unknown_token_in_restriction(self, planted_files, tmp_path):
-        tokens = write(tmp_path / "only.txt", "ghost\n")
+    def test_unknown_token_in_restriction(self, planted_files, tmp_path, capsys, monkeypatch):
+        """An unknown --tokens entry exits 2 before any query is scored."""
+        def no_retrieval(*args, **kwargs):
+            raise AssertionError("csls_knn ran before the token check")
+
+        monkeypatch.setattr(alignment, "csls_knn", no_retrieval)
+        tokens = write(tmp_path / "only.txt", "s0003\nghost\n")
         code = dispatch(
             ["csls-nn", "--queries", planted_files["src"],
              "--targets", planted_files["tgt"], "--map", planted_files["map"],
              "--tokens", tokens]
         )
         assert code == 2
+        assert "TokenNotFound" in capsys.readouterr().err
 
     def test_unicode_line_separator_in_token_file_rejected(self, tmp_path):
         """U+0085 is whitespace inside a token, not a line end."""
@@ -574,6 +642,11 @@ class TestMixtureAndExpand:
         counts = write(tmp_path / "counts.tsv", "x\t3\n")
         assert dispatch(base + ["--strategy", "random", "--seed", "1",
                                 "--counts", counts]) == 1
+        # a missing strategy flag is reported before any input file is read
+        missing = ["expand", "--bert-emb", str(tmp_path / "missing.vec"),
+                   "--lang-vocab", lang_vocab, "--out-dir", str(tmp_path / "o")]
+        for strategy in ("random", "mixture", "joint"):
+            assert dispatch(missing + ["--strategy", strategy]) == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

@@ -309,7 +309,7 @@ class TestNormalizeRows:
 def _gather(emb, tokens):
     """Rows of ``emb`` in ``tokens`` order: the expansion splice with no new rows."""
     no_rows = np.empty((0, emb.dim))
-    return expand_vocabulary(Vocabulary(tokens), emb, no_rows, ()).embeddings
+    return expand_vocabulary(Vocabulary(tokens), emb, no_rows, ())
 
 
 class TestSubset:

@@ -25,9 +25,13 @@ from vocab_bridge.errors import DimMismatch, DuplicateNewToken, MissingAssignmen
 
 
 def expand_random(model, new_tokens, seed, vocab=None):
-    """Splice random donor rows for ``new_tokens`` into ``model``."""
+    """Splice random donor rows for ``new_tokens`` into ``model``.
+
+    Returns the expanded matrix and the provenance records.
+    """
     vocab = model.vocab if vocab is None else vocab
-    return expand_vocabulary(vocab, model, *random_rows(new_tokens, vocab, model, seed))
+    rows, provenance = random_rows(new_tokens, vocab, model, seed)
+    return expand_vocabulary(vocab, model, rows, provenance), provenance
 
 
 class TestSelectNewSubwords:
@@ -48,47 +52,46 @@ class TestRandomStrategy:
     def test_zero_new_tokens_is_identity(self):
         rng = np.random.default_rng(0)
         model = self._model(rng)
-        out = expand_random(model, [], seed=1)
+        out, provenance = expand_random(model, [], seed=1)
         assert out.vocab.tokens == model.vocab.tokens
-        assert np.array_equal(out.embeddings.rows, model.rows)
-        assert out.provenance == ()
+        assert np.array_equal(out.rows, model.rows)
+        assert provenance == []
 
     def test_same_seed_reproduces_rows(self):
         rng = np.random.default_rng(1)
         model = self._model(rng)
         new = ["x1", "x2", "x3"]
-        a = expand_random(model, new, seed=7)
-        b = expand_random(model, new, seed=7)
-        assert np.array_equal(a.embeddings.rows, b.embeddings.rows)
-        assert a.provenance == b.provenance
+        a, a_provenance = expand_random(model, new, seed=7)
+        b, b_provenance = expand_random(model, new, seed=7)
+        assert np.array_equal(a.rows, b.rows)
+        assert a_provenance == b_provenance
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(2)
         model = self._model(rng, n=50)
         new = [f"x{i}" for i in range(10)]
-        assert expand_random(model, new, seed=0).provenance != expand_random(
-            model, new, seed=1
-        ).provenance
+        assert expand_random(model, new, seed=0)[1] != expand_random(model, new, seed=1)[1]
 
     def test_donor_row_matches_provenance(self):
         rng = np.random.default_rng(3)
         model = self._model(rng)
-        out = expand_random(model, ["x1", "x2"], seed=11)
-        for i, rec in enumerate(out.provenance):
-            assert rec.strategy == "random"
-            assert rec.detail.startswith("donor=")
-            donor = rec.detail.removeprefix("donor=")
-            new_row = out.embeddings.rows[len(model.vocab) + i]
+        out, provenance = expand_random(model, ["x1", "x2"], seed=11)
+        for i, (token, strategy, detail) in enumerate(provenance):
+            assert token == out.vocab.token(len(model.vocab) + i)
+            assert strategy == "random"
+            assert detail.startswith("donor=")
+            donor = detail.removeprefix("donor=")
+            new_row = out.rows[len(model.vocab) + i]
             assert np.array_equal(new_row, model.row(donor))
 
     def test_original_rows_and_ids_untouched(self):
         rng = np.random.default_rng(4)
         model = self._model(rng)
-        out = expand_random(model, ["x1"], seed=5)
+        out, _ = expand_random(model, ["x1"], seed=5)
         n = len(model.vocab)
         assert out.vocab.tokens[:n] == model.vocab.tokens
         assert out.vocab.tokens[n:] == ("x1",)
-        assert np.array_equal(out.embeddings.rows[:n], model.rows)
+        assert np.array_equal(out.rows[:n], model.rows)
         for tok in model.vocab.tokens:
             assert out.vocab.id(tok) == model.vocab.id(tok)
 
@@ -99,8 +102,8 @@ class TestRandomStrategy:
         reordered = Vocabulary(reversed(model.vocab.tokens))
         rows, provenance = random_rows(["x1", "x2", "x3"], reordered, model, seed=2)
         same, _ = random_rows(["x1", "x2", "x3"], model.vocab, model, seed=2)
-        for i, rec in enumerate(provenance):
-            donor = rec.detail.removeprefix("donor=")
+        for i, (_, _, detail) in enumerate(provenance):
+            donor = detail.removeprefix("donor=")
             assert np.array_equal(rows[i], model.row(donor))
         assert not np.array_equal(rows, same)
 
@@ -112,21 +115,20 @@ class TestJointStrategy:
         to_english = LinearMap(chain.q1)
         to_model = LinearMap(chain.q2)
         new = list(chain.src.vocab.tokens[:6])
-        out = expand_vocabulary(
-            chain.model.vocab, chain.model, *joint_rows(new, chain.src, to_english, to_model)
-        )
+        rows, provenance = joint_rows(new, chain.src, to_english, to_model)
+        out = expand_vocabulary(chain.model.vocab, chain.model, rows, provenance)
         composed = chain.q1 @ chain.q2
         n = len(chain.model.vocab)
         for i, tok in enumerate(new):
             # bitwise: one product per row, as the rows were always built
-            assert np.array_equal(out.embeddings.rows[n + i], chain.src.row(tok) @ composed)
+            assert np.array_equal(out.rows[n + i], chain.src.row(tok) @ composed)
             # the planted chain pairs l#### with en#### sharing one latent row
             np.testing.assert_allclose(
-                out.embeddings.rows[n + i],
+                out.rows[n + i],
                 chain.model.row(tok.replace("l", "en", 1)),
                 atol=1e-8,
             )
-        assert all(rec.strategy == "joint" for rec in out.provenance)
+        assert provenance == [(tok, "joint", "mapped from source row") for tok in new]
 
     def test_dim_mismatches(self):
         rng = np.random.default_rng(7)
@@ -158,13 +160,11 @@ class TestMixtureStrategy:
     def test_rows_are_weighted_sums(self):
         rng = np.random.default_rng(9)
         model, anchors = self._fixture(rng)
-        out = expand_vocabulary(
-            model.vocab, model, *mixture_rows(["new"], {"new": anchors}, model)
-        )
+        rows, provenance = mixture_rows(["new"], {"new": anchors}, model)
+        out = expand_vocabulary(model.vocab, model, rows, provenance)
         want = 0.75 * model.row("m0001") + 0.25 * model.row("m0004")
-        np.testing.assert_allclose(out.embeddings.rows[-1], want, atol=1e-12)
-        (rec,) = out.provenance
-        assert rec == type(rec)("new", "mixture", "m0001:0.750000,m0004:0.250000")
+        np.testing.assert_allclose(out.rows[-1], want, atol=1e-12)
+        assert provenance == [("new", "mixture", "m0001:0.750000,m0004:0.250000")]
 
     def test_missing_assignment(self):
         rng = np.random.default_rng(11)
@@ -192,8 +192,8 @@ class TestExpandValidation:
         rows = rng.standard_normal((3, 2))
         emb = make_emb(["a", "b", "c"], rows)
         vocab = Vocabulary(["c", "a", "b"])
-        out = expand_random(emb, [], seed=0, vocab=vocab)
-        np.testing.assert_array_equal(out.embeddings.rows, rows[[2, 0, 1]])
+        out, _ = expand_random(emb, [], seed=0, vocab=vocab)
+        np.testing.assert_array_equal(out.rows, rows[[2, 0, 1]])
 
     def test_vocab_token_without_row(self):
         rng = np.random.default_rng(16)
@@ -224,32 +224,32 @@ class TestExpandValidation:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * model.rows.nbytes
-        assert np.array_equal(out.embeddings.rows[:n], model.rows[::-1])
+        assert np.array_equal(out.rows[:n], model.rows[::-1])
 
 
 class TestEmitExpanded:
     def test_writes_all_three_files(self, tmp_path):
         rng = np.random.default_rng(17)
         model = make_emb(tok_list("m", 5), rng.standard_normal((5, 3)))
-        out = expand_random(model, ["x1", "x2"], seed=3)
-        emit_expanded(out, tmp_path / "expanded")
+        out, provenance = expand_random(model, ["x1", "x2"], seed=3)
+        emit_expanded(out, provenance, tmp_path / "expanded")
         base = tmp_path / "expanded"
         vocab = load_vocabulary(base / VOCAB_FILE)
         assert vocab.tokens == out.vocab.tokens
         emb = load_embeddings(base / EMBEDDINGS_FILE)
         assert emb.vocab.tokens == out.vocab.tokens
-        np.testing.assert_allclose(emb.rows, out.embeddings.rows, rtol=1e-8)
+        np.testing.assert_allclose(emb.rows, out.rows, rtol=1e-8)
         lines = (base / PROVENANCE_FILE).read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
-        for line, rec in zip(lines, out.provenance):
-            assert line == f"{rec.token}\t{rec.strategy}\t{rec.detail}"
+        for line, (token, strategy, detail) in zip(lines, provenance):
+            assert line == f"{token}\t{strategy}\t{detail}"
 
     def test_failed_write_leaves_every_file_as_it_was(self, tmp_path, monkeypatch):
         """A failure while writing the embeddings replaces none of the three files."""
         rng = np.random.default_rng(18)
         model = make_emb(tok_list("m", 5), rng.standard_normal((5, 3)))
         base = tmp_path / "expanded"
-        emit_expanded(expand_random(model, ["x1"], seed=3), base)
+        emit_expanded(*expand_random(model, ["x1"], seed=3), base)
         before = {p.name: p.read_bytes() for p in base.iterdir()}
         assert sorted(before) == sorted([VOCAB_FILE, EMBEDDINGS_FILE, PROVENANCE_FILE])
 
@@ -258,7 +258,7 @@ class TestEmitExpanded:
             raise OSError("disk full")
 
         monkeypatch.setattr(expansion, "save_embeddings", failing_save)
-        bigger = expand_random(model, ["y1", "y2"], seed=4)
+        bigger, provenance = expand_random(model, ["y1", "y2"], seed=4)
         with pytest.raises(OSError, match="disk full"):
-            emit_expanded(bigger, base)
+            emit_expanded(bigger, provenance, base)
         assert {p.name: p.read_bytes() for p in base.iterdir()} == before

@@ -15,6 +15,7 @@ from vocab_bridge import (
     corpus_oov_stats,
     wordpiece_segment,
 )
+from vocab_bridge import oov
 from vocab_bridge.oov import (
     delta_json,
     parse_report_tsv,
@@ -129,6 +130,20 @@ class TestCorpusOovStats:
         assert r == per_occurrence_report(vocab, lines, 5, count_types)
         assert r.subword_oov > 0 and r.word_oov > r.subword_oov
 
+    def test_segments_each_distinct_word_once(self, monkeypatch):
+        calls = Counter()
+
+        def counting_segment(vocab, unk, word, max_chars):
+            calls[word] += 1
+            return wordpiece_segment(vocab, unk, word, max_chars)
+
+        monkeypatch.setattr(oov, "wordpiece_segment", counting_segment)
+        lines = repeat_corpus()
+        r = corpus_oov_stats(Vocabulary(FRENCH_PIECES), UNK, lines)
+        words = Counter(w for line in lines for w in line.split())
+        assert r.total_words > len(words)
+        assert calls == Counter(dict.fromkeys(words, 1))
+
 
 class TestOovReport:
     def test_inconsistent_counts_rejected(self):
@@ -226,6 +241,14 @@ class TestSerialization:
         data = json.loads(delta_json(compare_reports(before, after)))
         assert data["any_rate_increase"] is True
         assert data["word_oov_delta"] == 1
+        assert list(data) == [
+            "total_words",
+            "word_oov_delta",
+            "subword_oov_delta",
+            "word_oov_rate_delta",
+            "subword_oov_rate_delta",
+            "any_rate_increase",
+        ]
 
     def test_human_block_lists_top_words(self):
         block = report_human_block(french_report())
