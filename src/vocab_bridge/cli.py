@@ -21,6 +21,7 @@ from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
     _atomic_text,
     _is_token,
+    _open_text,
     load_embeddings,
     load_vocabulary,
     save_vocabulary,
@@ -73,7 +74,7 @@ def _write_lines(lines, out_path) -> None:
 def _read_tokens(path) -> list[str]:
     """The non-empty lines of a token file; a token holding whitespace is an error."""
     tokens = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             token = raw.rstrip("\n")
             if _is_token(token):
@@ -123,7 +124,7 @@ def _cap_pairs(dictionary: BilingualDictionary, max_pairs: int | None) -> Biling
 
 def _cmd_bpe_train(args) -> int:
     counts: Counter = Counter()
-    with open(args.corpus, encoding="utf-8") as fh:
+    with _open_text(args.corpus) as fh:
         for line in fh:
             counts.update(line.split())
     model = tokenizer.bpe_train(counts, args.vocab_size)
@@ -140,7 +141,7 @@ def _cmd_bpe_apply(args) -> int:
     model = tokenizer.load_bpe_model(args.merges)
     rendered: dict[str, str] = {}  # word -> its pieces joined by spaces
     out_lines = []
-    with open(args.input, encoding="utf-8") as fh:
+    with _open_text(args.input) as fh:
         for line in fh:
             words = line.split()
             for word in words:
@@ -157,7 +158,7 @@ def _cmd_bpe_apply(args) -> int:
 def _cmd_wordpiece(args) -> int:
     vocab = load_vocabulary(args.vocab)
     out_lines = []
-    with open(args.input, encoding="utf-8") as fh:
+    with _open_text(args.input) as fh:
         for seg in tokenizer.classify_corpus(vocab, args.unk, fh, args.max_chars):
             out_lines.append(f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}")
     _write_lines(out_lines, args.output)
@@ -255,7 +256,7 @@ def _cmd_mixture_build(args) -> int:
 
 def _load_counts(path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             parts = line.split("\t")
@@ -313,7 +314,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_oov_stats(args) -> int:
     vocab = load_vocabulary(args.vocab)
-    with open(args.corpus, encoding="utf-8") as fh:
+    with _open_text(args.corpus) as fh:
         report = oov.corpus_oov_stats(
             vocab, args.unk, fh, top_n=args.top, count_types=args.types
         )
@@ -328,9 +329,9 @@ def _cmd_oov_stats(args) -> int:
 
 
 def _cmd_compare_oov(args) -> int:
-    with open(args.before, encoding="utf-8") as fh:
+    with _open_text(args.before) as fh:
         before = oov.parse_report_tsv(fh.readline())
-    with open(args.after, encoding="utf-8") as fh:
+    with _open_text(args.after) as fh:
         after = oov.parse_report_tsv(fh.readline())
     delta = oov.compare_reports(before, after)
     if args.json:
@@ -491,7 +492,7 @@ def dispatch(argv) -> int:
     except VocabBridgeError as exc:
         sys.stderr.write(f"{parser.prog}: error: {type(exc).__name__}: {exc}\n")
         return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         sys.stderr.write(f"{parser.prog}: error: {exc}\n")
         return 2
 

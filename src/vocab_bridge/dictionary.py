@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .embeddings import _open_text
 from .errors import MalformedLine
 
 
@@ -40,7 +41,7 @@ def load_dictionary(path) -> BilingualDictionary:
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line:

@@ -42,6 +42,8 @@ from .errors import (
 ZERO_NORM_TOL = 1e-12
 # Marks a word-internal piece in the WordPiece convention.
 CONTINUATION_PREFIX = "##"
+# Cells per block of rows that the text-matrix reader parses at once.
+_PARSE_CELLS = 2**17
 
 
 def _is_token(text: str) -> bool:
@@ -177,6 +179,16 @@ def _staged(*paths):
 
 
 @contextmanager
+def _open_text(path):
+    """Open ``path`` to read as UTF-8; a decode error in the block is a ``ParseError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{os.fspath(path)}: {exc}") from None
+
+
+@contextmanager
 def _atomic_text(path):
     """Open a UTF-8 text file that replaces ``path`` only if the block succeeds."""
     with _staged(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -187,10 +199,12 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
     """Stream a ``<rows> <cols>`` text matrix; return ``(labels, values)``.
 
     With ``labeled`` each row starts with a token (``labels`` is their list),
-    otherwise ``labels`` is ``None`` and at least one row is required.  Errors
-    name the 1-based line where they are found.
+    otherwise ``labels`` is ``None`` and at least one row is required.  Row
+    counts, arity and tokens are checked line by line; the numbers are parsed
+    in blocks of about ``_PARSE_CELLS`` cells (:func:`_parse_rows`).  Errors
+    name the 1-based line where they are found, the first bad line winning.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = fh.readline().removesuffix("\n")
         try:
             count, dim = map(int, header.removesuffix(" ").split(" "))
@@ -205,29 +219,71 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
         except (MemoryError, ValueError):  # numpy: ValueError when the size overflows
             raise MalformedHeader(f"header {header!r} does not fit in memory", line=1) from None
         width = dim + 1 if labeled else dim
-        rows = 0
+        block_rows = max(1, _PARSE_CELLS // dim)
+        pending: list[str] = []  # numeric text of the rows from values[start] on
+        start = rows = 0
+
+        def flush() -> None:
+            nonlocal start
+            end = start + len(pending)
+            _parse_rows(pending, values[start:end], start + 2)
+            pending.clear()
+            start = end
+
         for rows, line in enumerate(fh, start=1):
             lineno = rows + 1
             if rows > count:
+                flush()
                 raise CountMismatch(f"header declares {count} rows but file has more", line=lineno)
-            parts = line.removesuffix("\n").removesuffix(" ").split(" ")
-            if len(parts) != width:
-                raise RowArityMismatch(f"expected {width} fields, got {len(parts)}", line=lineno)
+            text = line.removesuffix("\n").removesuffix(" ")
+            fields = text.count(" ") + 1
+            if fields != width:
+                flush()
+                raise RowArityMismatch(f"expected {width} fields, got {fields}", line=lineno)
             if labeled:
-                token = parts[0]
+                token, _, text = text.partition(" ")
                 if not _is_token(token):
+                    flush()
                     raise ParseError(f"invalid token {token!r}", line=lineno)
                 labels.append(token)
-                parts = parts[1:]
-            try:
-                values[rows - 1] = parts
-            except ValueError:
-                raise ParseError("unparseable numeric value", line=lineno) from None
-            if not np.isfinite(values[rows - 1]).all():
-                raise NonFiniteValue("non-finite value", line=lineno)
+            pending.append(text)
+            if len(pending) == block_rows:
+                flush()
+        flush()
         if rows < count:
             raise CountMismatch(f"header declares {count} rows but file has {rows}", line=rows + 2)
     return labels, values
+
+
+def _parse_rows(texts: list[str], out: np.ndarray, line: int) -> None:
+    """Parse ``texts``, one row of space-separated numbers each, into ``out``.
+
+    ``line`` is the line number of ``texts[0]``.  Every field follows Python
+    ``float()`` syntax and must be finite.  numpy's C parser reads the whole
+    block at once.  A block it rejects, or one holding an empty text or a
+    character in U+001C-U+001F (which the C parser strips around a number
+    but ``float()`` rejects), is parsed row by row instead: that accepts what
+    ``float()`` accepts and finds the first bad line.
+    """
+    has_c0 = any("\x1c" in t or "\x1d" in t or "\x1e" in t or "\x1f" in t for t in texts)
+    if texts and all(texts) and not has_c0:
+        try:
+            parsed = np.loadtxt(texts, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            parsed = None
+        if parsed is not None and parsed.shape == out.shape:
+            out[...] = parsed
+            finite = np.isfinite(out).all(axis=1)
+            if not finite.all():
+                raise NonFiniteValue("non-finite value", line=line + int(finite.argmin()))
+            return
+    for offset, text in enumerate(texts):
+        try:
+            out[offset] = text.split(" ")
+        except ValueError:
+            raise ParseError("unparseable numeric value", line=line + offset) from None
+        if not np.isfinite(out[offset]).all():
+            raise NonFiniteValue("non-finite value", line=line + offset)
 
 
 def _write_matrix(path, labels: Sequence[str] | None, values: np.ndarray) -> None:
@@ -257,7 +313,7 @@ def _unit_rows(rows: np.ndarray, vocab: Vocabulary) -> np.ndarray:
 
 def load_vocabulary(path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         tokens = [line.rstrip("\n") for line in fh]
     return Vocabulary(tokens)
 

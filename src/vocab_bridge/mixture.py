@@ -22,7 +22,14 @@ from collections.abc import Sequence
 import numpy as np
 
 from .alignment import LinearMap, _csls_topk, _mapped_unit
-from .embeddings import EmbeddingMatrix, Vocabulary, _atomic_text, _is_token, _unit_rows
+from .embeddings import (
+    EmbeddingMatrix,
+    Vocabulary,
+    _atomic_text,
+    _is_token,
+    _open_text,
+    _unit_rows,
+)
 from .errors import (
     DuplicateNewToken,
     EmptyAnchorPool,
@@ -151,7 +158,7 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
     anchor may repeat within its record (``MalformedLine``).
     """
     out: dict[str, list[tuple[str, float]]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             parts = line.split("\t")

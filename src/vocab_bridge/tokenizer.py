@@ -25,7 +25,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 
-from .embeddings import CONTINUATION_PREFIX, Vocabulary, _atomic_text, _is_token
+from .embeddings import CONTINUATION_PREFIX, Vocabulary, _atomic_text, _is_token, _open_text
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 
 MERGES_HEADER = "#version: vocab-bridge-1"
@@ -235,7 +235,7 @@ def load_bpe_model(path) -> BpeModel:
     The emitted vocabulary is not stored in the merges format; the loaded
     model carries only the merge table.
     """
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = [line.rstrip("\n") for line in fh]
     if not lines or lines[0] != MERGES_HEADER:
         raise MalformedHeader(f"expected {MERGES_HEADER!r} header", line=1)

@@ -11,6 +11,14 @@ from collections import Counter
 
 import numpy as np
 
+from vocab_bridge.errors import (
+    CountMismatch,
+    MalformedHeader,
+    NonFiniteValue,
+    ParseError,
+    RowArityMismatch,
+)
+
 
 def cosine(u, v) -> float:
     return float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -130,6 +138,56 @@ def format_matrix(labels, values) -> str:
         text = " ".join(format(v, ".9g") for v in row)
         lines.append(text if labels is None else f"{labels[i]} {text}")
     return "".join(line + "\n" for line in lines)
+
+
+def _is_token(text: str) -> bool:
+    return text.split() == [text]
+
+
+def read_matrix_reference(path, labeled: bool):
+    """The row-by-row text-matrix reader: ``(labels, values)`` or the first error.
+
+    Each row is split in Python and assigned to its numpy row, which parses
+    every field with Python ``float()`` syntax; checks run in line order.
+    """
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().removesuffix("\n")
+        try:
+            count, dim = map(int, header.removesuffix(" ").split(" "))
+        except ValueError:
+            raise MalformedHeader(f"expected '<rows> <cols>', got {header!r}", line=1) from None
+        if count < (0 if labeled else 1) or dim < 1:
+            raise MalformedHeader(f"invalid header values {header!r}", line=1)
+
+        labels = [] if labeled else None
+        try:
+            values = np.empty((count, dim))
+        except (MemoryError, ValueError):  # numpy: ValueError when the size overflows
+            raise MalformedHeader(f"header {header!r} does not fit in memory", line=1) from None
+        width = dim + 1 if labeled else dim
+        rows = 0
+        for rows, line in enumerate(fh, start=1):
+            lineno = rows + 1
+            if rows > count:
+                raise CountMismatch(f"header declares {count} rows but file has more", line=lineno)
+            parts = line.removesuffix("\n").removesuffix(" ").split(" ")
+            if len(parts) != width:
+                raise RowArityMismatch(f"expected {width} fields, got {len(parts)}", line=lineno)
+            if labeled:
+                token = parts[0]
+                if not _is_token(token):
+                    raise ParseError(f"invalid token {token!r}", line=lineno)
+                labels.append(token)
+                parts = parts[1:]
+            try:
+                values[rows - 1] = parts
+            except ValueError:
+                raise ParseError("unparseable numeric value", line=lineno) from None
+            if not np.isfinite(values[rows - 1]).all():
+                raise NonFiniteValue("non-finite value", line=lineno)
+        if rows < count:
+            raise CountMismatch(f"header declares {count} rows but file has {rows}", line=rows + 2)
+    return labels, values
 
 
 def _bpe_merge(symbols, left: str, right: str) -> tuple:

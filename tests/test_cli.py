@@ -113,6 +113,7 @@ class TestUndecodableInput:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("vocab-bridge: error: ") and "can't decode byte 0xe9" in line
+        assert str(bad) in line
 
 
 class TestCountFlags:

@@ -1,7 +1,9 @@
 """Vocabulary and embedding matrix behavior, including text round-trips."""
 
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from vocab_bridge import (
     save_vocabulary,
     wordpiece_segment,
 )
+from vocab_bridge import embeddings
 from vocab_bridge.cli import _read_tokens
 from vocab_bridge.embeddings import (
     _atomic_text,
@@ -279,6 +282,103 @@ class TestTextMatrixFormat:
                 raise RuntimeError("disk full")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
+# Fields float() accepts; numpy's C parser rejects the first five.
+_ODD_NUMBERS = ["1_0", "1e1_0", "\u0661", "\u0663.\u0665", "\U0001d7cf", "\t1", "1\xa0", "+.5", "-0"]
+# Fields that make a row fail: non-finite, empty, unparseable, or a C0 separator.
+_BAD_FIELDS = ["nan", "-inf", "1e400", "", "abc", "1__0", "\x1c1", "1\x1d", "\x1e2", "2\x1f", "\x00"]
+_BAD_TOKENS = ["", "a\x85b", "a\tb"]
+
+
+@st.composite
+def _matrix_files(draw):
+    """``(labeled, text)`` of a text-matrix file; a noisy one has adversarial rows."""
+    labeled = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.integers(0, 7))
+    noisy = draw(st.booleans())
+    fields = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                       st.sampled_from(_ODD_NUMBERS))
+    tokens = st.sampled_from(["a", "##b", "\xe7a"])
+    slips = [0]
+    if noisy:
+        fields = st.one_of(fields, st.sampled_from(_BAD_FIELDS))
+        tokens = st.one_of(tokens, st.sampled_from(_BAD_TOKENS))
+        slips = [0] * 8 + [-1, 1]
+    declared = max(0, rows + draw(st.sampled_from(slips)))
+    lines = [f"{declared} {dim}"]
+    for _ in range(rows):
+        width = dim + draw(st.sampled_from(slips))
+        row = draw(st.lists(fields, min_size=width, max_size=width))
+        if labeled:
+            row.insert(0, draw(tokens))
+        lines.append(" ".join(row) + draw(st.sampled_from(["", "", " "])))
+    return labeled, "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+def _outcome(reader, path, labeled):
+    """Labels and the values' bytes, or the error's class, line and message."""
+    try:
+        labels, values = reader(path, labeled)
+    except ParseError as exc:
+        return type(exc), exc.line, str(exc)
+    return labels, values.shape, values.tobytes()
+
+
+class TestReadMatrixBlocks:
+    """The block reader against the row-by-row reference, at every block size."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(_matrix_files(), st.sampled_from([1, 2, 3, embeddings._PARSE_CELLS]))
+    @example((False, "2 2\n1_0 \u0661\n\U0001d7cf -0\n"), 2)
+    @example((True, "2 1\na \x1c1\nb 1\n"), 2)
+    def test_matches_row_by_row_reference(self, matrix_file, cells):
+        """Same labels, bitwise-same values, or the same error class, line and message."""
+        labeled, text = matrix_file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            path.write_text(text, encoding="utf-8")
+            want = _outcome(oracles.read_matrix_reference, path, labeled)
+            with mock.patch.object(embeddings, "_PARSE_CELLS", cells):
+                assert _outcome(_read_matrix, path, labeled) == want
+
+    @pytest.mark.parametrize("labeled, text, error, line", [
+        (False, "3 2\n1 2\n1 inf\nabc 2\n", NonFiniteValue, 3),  # then unparseable
+        (False, "3 2\n1 2\nnan 2\n1 2 3\n", NonFiniteValue, 3),  # then an arity error
+        (False, "3 2\n1 2\n1 2\n1 2 3\n", RowArityMismatch, 4),
+        (True, "4 2\na 1 2\nb 3 4\nc 1_x 2\n\x85 1 2\n", ParseError, 4),  # then a bad token
+        (False, "1 2\n-inf 2\n1 2\n", NonFiniteValue, 2),  # then a row too many
+        (False, "4 2\n1 2\n3 4\n5 6\n7 8\n", None, None),  # two full blocks, none pending
+        (False, "5 2\n1 2\n3 4\n5 6\n7 8\n", CountMismatch, 6),
+        (False, "3 2\n1 2\n3 4\n5 6\n7 8\n", CountMismatch, 5),
+        (False, "2 1\n\u0661_0\n\x1f2\n", ParseError, 3),  # C0 separator after a digit
+    ])
+    def test_first_bad_line_wins(self, tmp_path, monkeypatch, labeled, text, error, line):
+        """Blocks of four cells (two rows); the outcome is the reference's."""
+        path = tmp_path / "m.txt"
+        path.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(embeddings, "_PARSE_CELLS", 4)
+        got = _outcome(_read_matrix, path, labeled)
+        assert got == _outcome(oracles.read_matrix_reference, path, labeled)
+        if error is None:
+            assert got[1] == (4, 2)
+        else:
+            assert got[:2] == (error, line)
+
+    @pytest.mark.parametrize("rows, dim", [(40_000, 16), (10_000, 300)])
+    def test_extra_memory_is_bounded(self, tmp_path, rows, dim):
+        """Parsing in blocks peaks at most 4 MiB above the matrix itself."""
+        path = tmp_path / "m.map"
+        _write_matrix(path, None, np.random.default_rng(5).uniform(-1, 1, (rows, dim)))
+        tracemalloc.start()
+        try:
+            _, values = _read_matrix(path, labeled=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (rows, dim)
+        assert peak - values.nbytes <= 4 * 2**20
 
 
 class TestNormalizeRows:
