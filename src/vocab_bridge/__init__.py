@@ -34,7 +34,6 @@ from .expansion import (
 from .mixture import (
     build_all_assignments,
     load_assignments,
-    mixture_embedding,
     mixture_weights,
     save_assignments,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "load_embeddings",
     "load_map",
     "load_vocabulary",
-    "mixture_embedding",
     "mixture_rows",
     "mixture_weights",
     "procrustes_solve",

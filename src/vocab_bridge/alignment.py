@@ -211,9 +211,10 @@ def _csls_topk(
         scores -= r_t[None, :]
         # every column at or above the row's top-th best score, then an exact
         # (-score, id) sort of those few keeps ties at the cut in id order
-        cut = np.partition(scores, -top, axis=1)[:, -top]
-        rows, cols = np.nonzero(scores >= cut[:, None])
-        vals = scores[rows, cols]
+        cut = scores.max(axis=1) if top == 1 else np.partition(scores, -top, axis=1)[:, -top]
+        flat = np.flatnonzero(scores >= cut[:, None])
+        rows, cols = np.divmod(flat, scores.shape[1])
+        vals = scores.ravel()[flat]
         order = np.lexsort((cols, -vals, rows))
         starts = np.searchsorted(rows, np.arange(len(scores)))
         pick = order[(starts[:, None] + np.arange(top)).ravel()]
@@ -239,9 +240,10 @@ def csls_knn(
     q = _unit_rows(queries.rows, queries.vocab)
     t = _unit_rows(targets.rows, targets.vocab)
     ids, scores = _csls_topk(q, t, q, csls_k, top)
+    names = targets.vocab.tokens
     return [
-        (token, [(targets.vocab.token(int(j)), float(s)) for j, s in zip(id_row, score_row)])
-        for token, id_row, score_row in zip(queries.vocab.tokens, ids, scores)
+        (token, [(names[j], s) for j, s in zip(id_row, score_row)])
+        for token, id_row, score_row in zip(queries.vocab.tokens, ids.tolist(), scores.tolist())
     ]
 
 

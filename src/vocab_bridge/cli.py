@@ -91,12 +91,14 @@ def _audit_lines(records, source_lang: str, softmax: bool):
     Columns are source_lang, source, target, score; with ``softmax`` a fifth
     column holds the softmax of each query's displayed scores.
     """
-    for query, entries in sorted(records):
-        probs = mixture.mixture_weights(entries) if softmax else None
+    records = sorted(records)
+    if softmax and records:  # every record holds ``top`` targets: one row each
+        probs = mixture.mixture_weights([[s for _, s in e] for _, e in records]).tolist()
+    for i, (query, entries) in enumerate(records):
         for rank, (target, score) in enumerate(entries):
             line = f"{source_lang}\t{query}\t{target}\t{score:.6f}"
-            if probs is not None:
-                line += f"\t{probs[rank][1]:.6f}"
+            if softmax:
+                line += f"\t{probs[i][rank]:.6f}"
             yield line
 
 

@@ -62,15 +62,23 @@ class Vocabulary:
 
     def __init__(self, tokens: Iterable[str]):
         toks = tuple(tokens)
-        index: dict[str, int] = {}
-        for i, tok in enumerate(toks):
-            if not isinstance(tok, str) or not _is_token(tok):
-                raise ValidationError(
-                    f"token {tok!r} at position {i} is empty, not a string or holds whitespace"
-                )
-            if tok in index:
-                raise ValidationError(f"duplicate token {tok!r} at position {i}")
-            index[tok] = i
+        # all tokens at once: a space-join splits back into the same strings
+        # exactly when each is a non-empty string without whitespace
+        try:
+            valid = " ".join(toks).split() == list(toks)
+        except TypeError:
+            valid = False
+        index = dict(zip(toks, range(len(toks)))) if valid else {}
+        if len(index) != len(toks):  # name the first bad token and its position
+            seen: set[str] = set()
+            for i, tok in enumerate(toks):
+                if not isinstance(tok, str) or not _is_token(tok):
+                    raise ValidationError(
+                        f"token {tok!r} at position {i} is empty, not a string or holds whitespace"
+                    )
+                if tok in seen:
+                    raise ValidationError(f"duplicate token {tok!r} at position {i}")
+                seen.add(tok)
         self.tokens = toks
         self.index = index
 

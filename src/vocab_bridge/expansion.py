@@ -33,11 +33,12 @@ from .embeddings import (
 from .errors import (
     DimMismatch,
     DuplicateNewToken,
+    MissingAnchor,
     MissingAssignment,
     MissingToken,
     ValidationError,
 )
-from .mixture import format_anchors, mixture_embedding
+from .mixture import format_anchors
 
 PROVENANCE_FILE = "provenance.tsv"
 VOCAB_FILE = "vocab.txt"
@@ -56,17 +57,35 @@ def mixture_rows(
 ) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
     """Each new token's row as the weighted sum of its anchors' model rows.
 
-    ``assignments`` maps every new token to its (anchor, weight) pairs;
-    a token without one raises ``MissingAssignment``.
+    ``assignments`` maps every new token to its (anchor, weight) pairs.  In
+    token order, a token without one raises ``MissingAssignment``, an empty
+    list ``ValidationError`` and an anchor without a model row
+    ``MissingAnchor``.
     """
-    rows = np.empty((len(new_tokens), model_emb.dim))
-    provenance = []
-    for i, tok in enumerate(new_tokens):
+    index = model_emb.vocab.index
+    records = []
+    for tok in new_tokens:
         anchors = assignments.get(tok)
         if anchors is None:
             raise MissingAssignment(tok)
-        rows[i] = mixture_embedding(anchors, model_emb)
-        provenance.append((tok, "mixture", format_anchors(anchors)))
+        if not anchors:
+            raise ValidationError("cannot mix an empty weight list")
+        for anchor, _ in anchors:
+            if anchor not in index:
+                raise MissingAnchor(anchor)
+        records.append(anchors)
+    rows = np.empty((len(new_tokens), model_emb.dim))
+    for m in set(map(len, records)):
+        members = [i for i, anchors in enumerate(records) if len(anchors) == m]
+        ids = np.array([[index[a] for a, _ in records[i]] for i in members])
+        weights = np.array([[w for _, w in records[i]] for i in members], dtype=np.float64)
+        # one gathered product per anchor slot, summed in anchor order from
+        # zero: the same products and sums as mixing each token alone
+        acc = np.zeros((len(members), model_emb.dim))
+        for j in range(m):
+            acc += weights[:, j, None] * model_emb.rows[ids[:, j]]
+        rows[members] = acc
+    provenance = [(tok, "mixture", format_anchors(a)) for tok, a in zip(new_tokens, records)]
     return rows, provenance
 
 

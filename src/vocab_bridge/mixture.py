@@ -34,7 +34,6 @@ from .errors import (
     DuplicateNewToken,
     EmptyAnchorPool,
     MalformedLine,
-    MissingAnchor,
     TokenNotFound,
     ValidationError,
 )
@@ -42,35 +41,20 @@ from .errors import (
 WEIGHT_DECIMALS = 6
 
 
-def mixture_weights(candidates: Sequence[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Softmax the candidate scores into weights (max-shifted for stability).
+def mixture_weights(scores) -> np.ndarray:
+    """Softmax each row of an ``(n, m)`` score array into weights.
 
-    Preserves candidate order.  Equal scores get equal weights; a lone
-    candidate gets weight 1.0.
+    Each row is shifted by its own max for stability and keeps its column
+    order.  Equal scores get equal weights; a lone score gets weight 1.0.
+    An empty row or a non-finite score raises ``ValidationError``.
     """
-    if not candidates:
-        raise ValidationError("cannot weight an empty candidate list")
-    scores = np.array([s for _, s in candidates], dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 2 or scores.shape[1] == 0:
+        raise ValidationError(f"cannot weight score rows of shape {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValidationError("candidate scores contain non-finite values")
-    exp = np.exp(scores - scores.max())
-    weights = exp / exp.sum()
-    return [(tok, float(w)) for (tok, _), w in zip(candidates, weights)]
-
-
-def mixture_embedding(
-    weights: Sequence[tuple[str, float]], model_emb: EmbeddingMatrix
-) -> np.ndarray:
-    """Weighted sum of raw model rows; raises ``MissingAnchor`` on absence."""
-    if not weights:
-        raise ValidationError("cannot mix an empty weight list")
-    out = np.zeros(model_emb.dim)
-    for anchor, weight in weights:
-        idx = model_emb.vocab.index.get(anchor)
-        if idx is None:
-            raise MissingAnchor(anchor)
-        out += weight * model_emb.rows[idx]
-    return out
+    exp = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def build_all_assignments(
@@ -121,15 +105,14 @@ def build_all_assignments(
         mapped[list(q_ids.values())], pool_rows, mapped,
         min(csls_k, len(pool), len(mapped)), min(top_m, len(pool)),
     )
-    out = []
-    for tok, id_row, score_row in zip(new_tokens, ids, scores):
-        candidates = [
-            (english.vocab.token(pool[int(j)]), float(s)) for j, s in zip(id_row, score_row)
-        ]
-        # softmax preserves the score order, so the weight sort is already
-        # descending with ties on ascending English id
-        out.append((tok, mixture_weights(candidates)))
-    return out
+    # softmax preserves the score order, so each weight row is already
+    # descending with ties on ascending English id
+    weights = mixture_weights(scores)
+    anchors = [english.vocab.tokens[i] for i in pool]
+    return [
+        (tok, [(anchors[j], w) for j, w in zip(id_row, w_row)])
+        for tok, id_row, w_row in zip(new_tokens, ids.tolist(), weights.tolist())
+    ]
 
 
 def format_anchors(anchors: Sequence[tuple[str, float]]) -> str:

@@ -14,9 +14,11 @@ import numpy as np
 from vocab_bridge.errors import (
     CountMismatch,
     MalformedHeader,
+    MissingAnchor,
     NonFiniteValue,
     ParseError,
     RowArityMismatch,
+    ValidationError,
 )
 
 
@@ -66,6 +68,46 @@ def softmax(scores) -> list[float]:
     exps = [math.exp(s - m) for s in scores]
     z = sum(exps)
     return [e / z for e in exps]
+
+
+def mixture_weights_reference(candidates) -> list[tuple[str, float]]:
+    """One record's softmax weights, as the package computed them record by
+    record before the row-wise form; the bitwise reference for it."""
+    if not candidates:
+        raise ValidationError("cannot weight an empty candidate list")
+    scores = np.array([s for _, s in candidates], dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("candidate scores contain non-finite values")
+    exp = np.exp(scores - scores.max())
+    weights = exp / exp.sum()
+    return [(tok, float(w)) for (tok, _), w in zip(candidates, weights)]
+
+
+def mixture_embedding_reference(weights, model_emb) -> np.ndarray:
+    """One token's mixed row, as the package computed it token by token
+    before rows were gathered per anchor slot; the bitwise reference for it."""
+    if not weights:
+        raise ValidationError("cannot mix an empty weight list")
+    out = np.zeros(model_emb.dim)
+    for anchor, weight in weights:
+        idx = model_emb.vocab.index.get(anchor)
+        if idx is None:
+            raise MissingAnchor(anchor)
+        out += weight * model_emb.rows[idx]
+    return out
+
+
+def vocabulary_fault_reference(tokens) -> str | None:
+    """The message of the first bad token in a token list, checked one token
+    at a time, or None when the list makes a valid vocabulary."""
+    seen = set()
+    for i, tok in enumerate(tokens):
+        if not isinstance(tok, str) or tok.split() != [tok]:
+            return f"token {tok!r} at position {i} is empty, not a string or holds whitespace"
+        if tok in seen:
+            return f"duplicate token {tok!r} at position {i}"
+        seen.add(tok)
+    return None
 
 
 def procrustes_grid_min_2d(x, y, n_angles: int, chunk: int = 20000) -> float:

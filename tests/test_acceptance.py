@@ -127,17 +127,13 @@ def test_criterion_4_mixture_weight_arithmetic():
         rng = np.random.default_rng(4)
         for _ in range(50):
             scores = rng.standard_normal(int(rng.integers(1, 8)))
-            out = mixture_weights(
-                [(f"t{i}", float(s)) for i, s in enumerate(scores)]
-            )
-            assert abs(sum(w for _, w in out) - 1.0) <= 1e-9
-        uniform = mixture_weights([(f"t{i}", 0.37) for i in range(5)])
-        for _, w in uniform:
+            out = mixture_weights([scores])[0]
+            assert abs(sum(out.tolist()) - 1.0) <= 1e-9
+        uniform = mixture_weights([[0.37] * 5])[0]
+        for w in uniform:
             assert abs(w - 0.2) <= 1e-9
-        shaped = mixture_weights(
-            [("er", math.log(7.0)), ("or", math.log(2.0)), ("ch", 0.0)]
-        )
-        for (_, w), want in zip(shaped, (0.7, 0.2, 0.1)):
+        shaped = mixture_weights([[math.log(7.0), math.log(2.0), 0.0]])[0]
+        for w, want in zip(shaped, (0.7, 0.2, 0.1)):
             assert abs(w - want) <= 1e-9
 
     _report(4, "mixture weights sum to one, tie evenly, and hit 0.7/0.2/0.1", body)

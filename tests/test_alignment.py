@@ -373,6 +373,46 @@ class TestCslsBlocks:
         assert peak < 16e6
 
 
+class TestCslsTopOne:
+    """``top=1`` takes its cut from the row max instead of a partition."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 9),
+        n_src=st.integers(1, 9),
+        d=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_top_one_takes_the_lowest_id_of_a_tied_best(self, seed, n, n_src, d, data):
+        """Every target is a basis row that appears at least twice, so each
+        score is exact and every row's best score is tied; ``top=1`` picks
+        the lowest tied id under every block budget."""
+        rng = np.random.default_rng(seed)
+        queries = unit_rows(rng, n, d)
+        src = unit_rows(rng, n_src, d)
+        picks = data.draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=6), label="picks")
+        order = data.draw(st.permutations(picks * 2), label="order")
+        targets = np.eye(d)[order]
+        m = len(order)
+        k = data.draw(st.integers(1, min(n_src, m)), label="k")
+        budget = data.draw(st.integers(1, max(n * m, m * n_src)), label="budget")
+        want_ids, want_scores = _csls_topk(queries, targets, src, k, 1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", budget)
+            ids, scores = _csls_topk(queries, targets, src, k, 1)
+            all_ids, all_scores = _csls_topk(queries, targets, src, k, m)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(scores, want_scores)
+        for i in range(n):
+            by_id = np.empty(m)
+            by_id[all_ids[i]] = all_scores[i]
+            tied = np.flatnonzero(by_id == by_id.max())
+            assert len(tied) >= 2
+            assert ids[i, 0] == tied[0]
+            assert scores[i, 0] == by_id.max()
+
+
 class TestScaleInvariance:
     """Each scorer normalizes its own inputs, so positive row scales change nothing."""
 

@@ -72,6 +72,36 @@ class TestVocabulary:
             with pytest.raises(ValidationError):
                 Vocabulary([bad])
 
+    def test_first_fault_is_named_with_its_position(self):
+        """An invalid token before a duplicate, and a duplicate before an
+        invalid token, each raise the message of the earlier fault."""
+        with pytest.raises(ValidationError) as exc:
+            Vocabulary(["a", "b c", "b", "a"])
+        assert str(exc.value) == (
+            "token 'b c' at position 1 is empty, not a string or holds whitespace"
+        )
+        with pytest.raises(ValidationError) as exc:
+            Vocabulary(["a", "b", "a", "", 7])
+        assert str(exc.value) == "duplicate token 'a' at position 2"
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(["a", "b", "ça", "##er", "", " ", "a b", "c\u2028", 7, None, b"a"]),
+            max_size=8,
+        )
+    )
+    def test_rejections_match_a_token_by_token_check(self, tokens):
+        want = oracles.vocabulary_fault_reference(tokens)
+        if want is None:
+            vocab = Vocabulary(tokens)
+            assert vocab.tokens == tuple(tokens)
+            assert vocab.index == {tok: i for i, tok in enumerate(tokens)}
+        else:
+            with pytest.raises(ValidationError) as exc:
+                Vocabulary(tokens)
+            assert str(exc.value) == want
+
     def test_byte_wise_comparison(self):
         """No case folding or Unicode normalization: distinct spellings coexist."""
         v = Vocabulary(["Je", "je", "ça", "ça"])

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_emb, tok_list, unit_rows
@@ -12,7 +14,6 @@ from vocab_bridge import (
     Vocabulary,
     build_all_assignments,
     load_assignments,
-    mixture_embedding,
     mixture_rows,
     mixture_weights,
     save_assignments,
@@ -23,6 +24,7 @@ from vocab_bridge.errors import (
     EmptyAnchorPool,
     MalformedLine,
     MissingAnchor,
+    MissingAssignment,
     TokenNotFound,
     ValidationError,
 )
@@ -39,87 +41,181 @@ TRIPOD = np.array(
 
 class TestMixtureWeights:
     def test_single_candidate_gets_all_mass(self):
-        assert mixture_weights([("only", 1.23)]) == [("only", 1.0)]
+        assert mixture_weights([[1.23]]).tolist() == [[1.0]]
 
     def test_equal_scores_share_evenly(self):
-        out = mixture_weights([(f"a{i}", 0.4) for i in range(5)])
-        for _, w in out:
+        out = mixture_weights([[0.4] * 5])
+        for w in out[0]:
             np.testing.assert_allclose(w, 0.2, atol=1e-12)
 
     def test_log_score_gaps_give_exact_ratios(self):
         """Scores ln7, ln2, ln1 softmax to 0.7, 0.2, 0.1."""
-        out = mixture_weights(
-            [("u", math.log(7.0)), ("v", math.log(2.0)), ("w", 0.0)]
-        )
-        np.testing.assert_allclose(
-            [w for _, w in out], [0.7, 0.2, 0.1], atol=1e-9
-        )
+        out = mixture_weights([[math.log(7.0), math.log(2.0), 0.0]])
+        np.testing.assert_allclose(out[0], [0.7, 0.2, 0.1], atol=1e-9)
 
     def test_shift_invariance(self):
-        scores = [0.3, -1.1, 0.72, 0.0]
-        base = mixture_weights(list(zip("abcd", scores)))
-        shifted = mixture_weights(list(zip("abcd", [s + 123.0 for s in scores])))
-        for (_, a), (_, b) in zip(base, shifted):
+        scores = np.array([[0.3, -1.1, 0.72, 0.0]])
+        base = mixture_weights(scores)
+        shifted = mixture_weights(scores + 123.0)
+        for a, b in zip(base[0], shifted[0]):
             assert abs(a - b) <= 1e-12
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             scores = rng.standard_normal(rng.integers(1, 9))
-            out = mixture_weights([(f"t{i}", float(s)) for i, s in enumerate(scores)])
-            np.testing.assert_allclose(sum(w for _, w in out), 1.0, atol=1e-9)
-            assert all(w > 0.0 for _, w in out)
+            out = mixture_weights([scores])[0]
+            np.testing.assert_allclose(sum(out.tolist()), 1.0, atol=1e-9)
+            assert all(w > 0.0 for w in out)
 
     def test_matches_loop_softmax(self):
         rng = np.random.default_rng(1)
         scores = [float(s) for s in rng.standard_normal(6)]
-        out = mixture_weights([(f"t{i}", s) for i, s in enumerate(scores)])
-        np.testing.assert_allclose(
-            [w for _, w in out], oracles.softmax(scores), atol=1e-12
-        )
+        out = mixture_weights([scores])[0]
+        np.testing.assert_allclose(out, oracles.softmax(scores), atol=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            mixture_weights([])
+        for bad in (np.empty((1, 0)), np.empty((0, 0)), [0.5, 0.5], [[0.5, np.inf]], [[np.nan]]):
+            with pytest.raises(ValidationError):
+                mixture_weights(bad)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(n=st.integers(1, 6), m=st.integers(1, 20), data=st.data())
+    def test_rows_match_the_per_record_reference_bitwise(self, n, m, data):
+        """Each row equals the old one-record softmax bit for bit, with exact
+        ties (cells drawn from a small bank) and scores up to +-700."""
+        score = st.floats(-700.0, 700.0)
+        bank = data.draw(st.lists(score, min_size=1, max_size=3), label="bank")
+        cell = st.one_of(st.sampled_from(bank), score)
+        scores = np.array(
+            data.draw(st.lists(st.lists(cell, min_size=m, max_size=m), min_size=n, max_size=n))
+        )
+        got = mixture_weights(scores)
+        assert got.shape == (n, m)
+        for row, got_row in zip(scores.tolist(), got):
+            want = oracles.mixture_weights_reference([(f"t{j}", s) for j, s in enumerate(row)])
+            assert got_row.tobytes() == np.array([w for _, w in want]).tobytes()
+
+
+def _mix_one(anchors, model):
+    (row,), _ = mixture_rows(["new"], {"new": anchors}, model)
+    return row
+
+
+def _rows_reference(new_tokens, assignments, model):
+    """``mixture_rows`` as one ``mixture_embedding_reference`` call per token."""
+    rows = np.empty((len(new_tokens), model.dim))
+    for i, tok in enumerate(new_tokens):
+        anchors = assignments.get(tok)
+        if anchors is None:
+            raise MissingAssignment(tok)
+        rows[i] = oracles.mixture_embedding_reference(anchors, model)
+    return rows
 
 
 class TestMixtureEmbedding:
+    """Mixed rows from ``mixture_rows``."""
+
     def test_single_anchor_copies_raw_row(self):
         model = make_emb(["a", "b"], [[3.0, 4.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(
-            mixture_embedding([("a", 1.0)], model), [3.0, 4.0]
-        )
+        np.testing.assert_array_equal(_mix_one([("a", 1.0)], model), [3.0, 4.0])
 
     def test_midpoint(self):
         model = make_emb(["a", "b"], [[2.0, 0.0], [0.0, 4.0]])
-        np.testing.assert_allclose(
-            mixture_embedding([("a", 0.5), ("b", 0.5)], model), [1.0, 2.0]
-        )
+        np.testing.assert_allclose(_mix_one([("a", 0.5), ("b", 0.5)], model), [1.0, 2.0])
 
     def test_weighted_combination(self):
         model = make_emb(["a", "b", "c"], np.eye(3) * 10.0)
-        out = mixture_embedding([("a", 0.7), ("b", 0.2), ("c", 0.1)], model)
+        out = _mix_one([("a", 0.7), ("b", 0.2), ("c", 0.1)], model)
         np.testing.assert_allclose(out, [7.0, 2.0, 1.0])
 
     def test_missing_anchor(self):
         model = make_emb(["a"], [[1.0, 0.0]])
         with pytest.raises(MissingAnchor, match="ghost"):
-            mixture_embedding([("a", 0.5), ("ghost", 0.5)], model)
+            _mix_one([("a", 0.5), ("ghost", 0.5)], model)
+
+    def test_empty_anchor_list_rejected(self):
+        model = make_emb(["a"], [[1.0, 0.0]])
+        with pytest.raises(ValidationError, match="empty"):
+            _mix_one([], model)
 
     def test_convex_hull_norm_bound(self):
         """A convex combination can never exceed the largest anchor norm."""
         rng = np.random.default_rng(2)
         model = make_emb(tok_list("m", 12), rng.standard_normal((12, 5)) * 3.0)
         max_norm = np.linalg.norm(model.rows, axis=1).max()
-        for _ in range(30):
+        assignments = {}
+        for t in range(30):
             n = int(rng.integers(1, 6))
             picks = rng.choice(12, size=n, replace=False)
             raw = rng.random(n) + 1e-3
-            weights = [
+            assignments[f"n{t}"] = [
                 (f"m{j:04d}", float(w)) for j, w in zip(picks, raw / raw.sum())
             ]
-            out = mixture_embedding(weights, model)
+        rows, _ = mixture_rows(list(assignments), assignments, model)
+        for out in rows:
             assert np.linalg.norm(out) <= max_norm + 1e-9
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        vocab_size=st.integers(1, 8),
+        dim=st.integers(1, 6),
+        data=st.data(),
+    )
+    def test_rows_match_the_per_token_reference_bitwise(self, seed, vocab_size, dim, data):
+        """Mixed anchor counts, anchors shared across tokens and a model
+        vocabulary in reversed order give the old per-token rows bit for bit."""
+        rng = np.random.default_rng(seed)
+        names = tok_list("m", vocab_size)
+        model = make_emb(names[::-1], rng.standard_normal((vocab_size, dim)) * 3.0)
+        anchor_lists = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(names), min_size=1, max_size=5, unique=True),
+                min_size=0, max_size=8,
+            ),
+            label="anchors",
+        )
+        assignments = {
+            f"n{t}": [(a, float(w)) for a, w in zip(anchors, rng.random(len(anchors)))]
+            for t, anchors in enumerate(anchor_lists)
+        }
+        new = list(assignments)[::-1]
+        rows, provenance = mixture_rows(new, assignments, model)
+        assert rows.shape == (len(new), dim)
+        assert rows.tobytes() == _rows_reference(new, assignments, model).tobytes()
+        assert provenance == [(t, "mixture", format_anchors(assignments[t])) for t in new]
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @example(count=3, orphans={1}, ghosts={2})
+    @example(count=3, orphans={2}, ghosts={1})
+    @given(
+        count=st.integers(1, 6),
+        orphans=st.sets(st.integers(0, 5)),
+        ghosts=st.sets(st.integers(0, 5)),
+    )
+    def test_first_fault_in_token_order_is_raised(self, count, orphans, ghosts):
+        """The first token without an assignment or with an anchor outside the
+        model raises, as in the per-token reference; an earlier
+        ``MissingAssignment`` wins over a later ``MissingAnchor``."""
+        model = make_emb(["a", "b"], [[1.0, 0.0], [0.0, 2.0]])
+        new = [f"n{t}" for t in range(count)]
+        assignments = {
+            tok: [("a", 0.25), (f"ghost{t}" if t in ghosts else "b", 0.75)]
+            for t, tok in enumerate(new)
+            if t not in orphans
+        }
+        first = min(orphans | ghosts, default=count)
+        try:
+            want = _rows_reference(new, assignments, model)
+        except (MissingAssignment, MissingAnchor) as exc:
+            assert isinstance(exc, MissingAssignment if first in orphans else MissingAnchor)
+            with pytest.raises(type(exc)) as got:
+                mixture_rows(new, assignments, model)
+            assert got.value.token == exc.token
+        else:
+            rows, _ = mixture_rows(new, assignments, model)
+            assert rows.tobytes() == want.tobytes()
 
 
 def _anchors(new_tokens, src, english, model, model_vocab=None, **retrieval):
@@ -306,11 +402,9 @@ class TestBuildAllAssignments:
                 for j in range(len(pool))
             ]
             cands = [(pool[j], scores[j]) for j in oracles.top_ids(scores, 5)]
-            want = mixture_weights(cands)
-            assert [t for t, _ in anchors] == [t for t, _ in want]
-            np.testing.assert_allclose(
-                [w for _, w in anchors], [w for _, w in want], atol=1e-12
-            )
+            want = mixture_weights([[s for _, s in cands]])[0]
+            assert [t for t, _ in anchors] == [t for t, _ in cands]
+            np.testing.assert_allclose([w for _, w in anchors], want, atol=1e-12)
             manual = np.zeros(4)
             for anchor, w in anchors:
                 manual += w * model.rows[model.vocab.id(anchor)]
