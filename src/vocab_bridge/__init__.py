@@ -6,13 +6,12 @@ from .alignment import (
     LinearMap,
     apply_map,
     csls_knn,
-    eval_precision_at_k,
+    evaluate_map,
     fit_independent_mapping,
     fit_joint_mapping,
     load_map,
     procrustes_solve,
     save_map,
-    unsupervised_score,
 )
 from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
@@ -70,7 +69,7 @@ __all__ = [
     "corpus_oov_stats",
     "csls_knn",
     "emit_expanded",
-    "eval_precision_at_k",
+    "evaluate_map",
     "expand_vocabulary",
     "fit_independent_mapping",
     "fit_joint_mapping",
@@ -89,6 +88,5 @@ __all__ = [
     "save_map",
     "save_vocabulary",
     "select_new_subwords",
-    "unsupervised_score",
     "wordpiece_segment",
 ]

@@ -14,7 +14,8 @@ target set and r_src(y) the mean cosine from y to its k nearest in the
 source set.
 
 Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
-(``csls-nn``, both ``align-eval`` scores and ``mixture-build`` anchors) and
+(``csls_knn`` for ``csls-nn``, ``evaluate_map`` for both ``align-eval``
+scores, and ``build_all_assignments`` for ``mixture-build`` anchors) and
 checks their widths and depths.  It lists targets best first, ties broken by
 ascending target id, so every retrieval is deterministic.  It computes both
 r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, so
@@ -247,7 +248,7 @@ def csls_knn(
     ]
 
 
-def eval_precision_at_k(
+def evaluate_map(
     linear_map: LinearMap,
     src: EmbeddingMatrix,
     tgt: EmbeddingMatrix,
@@ -255,15 +256,27 @@ def eval_precision_at_k(
     *,
     csls_k: int = 10,
     eval_k: int = 1,
-) -> float:
-    """Precision at ``eval_k`` over unique evaluated source tokens.
+    sample: int = 10000,
+) -> tuple[float, float]:
+    """Return ``(precision, score)``: precision@k and the unsupervised score.
 
-    A source scores a hit when any of its listed targets appears in the top
-    ``eval_k`` CSLS retrieval of its mapped vector.  Sources missing from the
-    source matrix, and sources none of whose targets are in the target
-    matrix, are skipped and counted.  Raises ``EmptyEvalDict`` when nothing
-    remains.
+    Precision at ``eval_k`` is taken over unique evaluated source tokens: a
+    source scores a hit when any of its listed targets appears in the top
+    ``eval_k`` CSLS retrieval of its mapped vector, with the target r-term
+    over the whole mapped source.  Sources missing from the source matrix,
+    and sources none of whose targets are in the target matrix, are skipped
+    and counted.  Raises ``EmptyEvalDict`` when nothing remains.
+
+    The unsupervised score (Conneau et al. 2018) is the mean cosine between
+    the first ``min(sample, len(src))`` mapped sources and their CSLS best
+    match, with the target r-term over those sampled rows only.  The sample
+    follows the vocabulary's frequency order for frequency-sorted embedding
+    files.  It needs no dictionary, so it serves as a sanity filter.
+
+    Source and targets are mapped and normalized once for both numbers.
     """
+    if sample < 1:
+        raise ValidationError("sample must be positive")
     mapped = _mapped_unit(linear_map, src)
     t = _unit_rows(tgt.rows, tgt.vocab)
     evaluated: list[tuple[int, set[str]]] = []
@@ -278,40 +291,15 @@ def eval_precision_at_k(
         raise EmptyEvalDict(f"no usable evaluation pairs ({skipped} sources skipped)")
     if skipped:
         log.info("precision eval skipped %d of %d sources", skipped, skipped + len(evaluated))
-    q_rows = mapped[[i for i, _ in evaluated]]
-    # r_src over the full mapped source space, not just the evaluated rows
-    ids, _ = _csls_topk(q_rows, t, mapped, csls_k, min(eval_k, len(t)))
+    ids, _ = _csls_topk(mapped[[i for i, _ in evaluated]], t, mapped, csls_k, min(eval_k, len(t)))
     hits = sum(
         any(tgt.vocab.token(int(j)) in targets for j in id_row)
         for id_row, (_, targets) in zip(ids, evaluated)
     )
-    return hits / len(evaluated)
-
-
-def unsupervised_score(
-    linear_map: LinearMap,
-    src: EmbeddingMatrix,
-    tgt: EmbeddingMatrix,
-    sample: int = 10000,
-    *,
-    csls_k: int = 10,
-) -> float:
-    """Mean cosine between sampled mapped sources and their CSLS best match.
-
-    The sample is the first ``min(sample, len(src))`` rows, which follows the
-    vocabulary's frequency order for frequency-sorted embedding files.  No
-    dictionary is needed, so this serves as a sanity filter for mappings.
-    """
-    if sample < 1:
-        raise ValidationError("sample must be positive")
-    mapped = _mapped_unit(linear_map, src)
-    t = _unit_rows(tgt.rows, tgt.vocab)
-    n = min(sample, len(mapped))
-    if n < 1:
-        raise ValidationError("source matrix is empty")
-    q_rows = mapped[:n]
-    ids, _ = _csls_topk(q_rows, t, q_rows, csls_k, 1)
-    return float(np.mean(np.sum(q_rows * t[ids[:, 0]], axis=1)))
+    sampled = mapped[:sample]
+    ids, _ = _csls_topk(sampled, t, sampled, csls_k, 1)
+    score = float(np.mean(np.sum(sampled * t[ids[:, 0]], axis=1)))
+    return hits / len(evaluated), score
 
 
 def _fit_pairs(x_rows: np.ndarray, y_rows: np.ndarray, label: str) -> Fit:

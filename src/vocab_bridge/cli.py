@@ -199,11 +199,9 @@ def _cmd_align_eval(args) -> int:
     tgt = load_embeddings(args.tgt_emb)
     linear_map = alignment.load_map(args.map)
     dictionary = _cap_pairs(load_dictionary(args.dict), args.max_pairs)
-    precision = alignment.eval_precision_at_k(
-        linear_map, src, tgt, dictionary, csls_k=args.csls_k, eval_k=args.eval_k
-    )
-    score = alignment.unsupervised_score(
-        linear_map, src, tgt, sample=args.sample, csls_k=args.csls_k
+    precision, score = alignment.evaluate_map(
+        linear_map, src, tgt, dictionary,
+        csls_k=args.csls_k, eval_k=args.eval_k, sample=args.sample,
     )
     print(f"precision_at_{args.eval_k}\t{precision:.6f}")
     print(f"unsupervised_score\t{score:.6f}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embeddings import _open_text
+from .embeddings import _is_token, _open_text
 from .errors import MalformedLine
 
 
@@ -34,9 +34,11 @@ def load_dictionary(path) -> BilingualDictionary:
     """Parse ``source<TAB>target`` or ``source target`` lines.
 
     The separator is auto-detected per line: a TAB wins if present, otherwise
-    a single space.  Exact duplicate pairs keep the first occurrence and are
-    counted.  A line that does not split into exactly two non-empty fields
-    raises ``MalformedLine`` with its 1-based line number.
+    a single space.  Both fields follow the token rule of every reader
+    (non-empty, no whitespace), so a pair can match vocabulary tokens.  Exact
+    duplicate pairs keep the first occurrence and are counted.  A line that
+    does not split into exactly two tokens raises ``MalformedLine`` with its
+    1-based line number.
     """
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
@@ -44,15 +46,9 @@ def load_dictionary(path) -> BilingualDictionary:
     with _open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
-            if not line:
-                raise MalformedLine("empty line", line=lineno)
-            sep = "\t" if "\t" in line else " "
-            parts = line.split(sep)
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise MalformedLine(
-                    f"expected two {'TAB' if sep == chr(9) else 'space'}-separated fields, got {line!r}",
-                    line=lineno,
-                )
+            parts = line.split("\t" if "\t" in line else " ")
+            if len(parts) != 2 or not all(map(_is_token, parts)):
+                raise MalformedLine(f"expected two tokens, got {line!r}", line=lineno)
             pair = (parts[0], parts[1])
             if pair in seen:
                 duplicates += 1

@@ -188,8 +188,11 @@ def _staged(*paths):
 
 @contextmanager
 def _open_text(path):
-    """Open ``path`` to read as UTF-8; a decode error in the block is a ``ParseError``."""
-    with open(path, encoding="utf-8") as fh:
+    """Open ``path`` to read as UTF-8; a decode error in the block is a ``ParseError``.
+
+    Only LF ends a line, as the writers emit it: a lone CR stays inside its line.
+    """
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

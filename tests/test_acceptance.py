@@ -27,7 +27,7 @@ from vocab_bridge import (
     build_all_assignments,
     corpus_oov_stats,
     csls_knn,
-    eval_precision_at_k,
+    evaluate_map,
     expand_vocabulary,
     fit_joint_mapping,
     mixture_weights,
@@ -150,7 +150,7 @@ def test_criterion_5_two_stage_planted_pipeline():
         assert np.linalg.norm(to_english.map.matrix - chain.q1) <= 1e-6
         assert np.linalg.norm(to_model.map.matrix - chain.q2) <= 1e-6
         composed = LinearMap(to_english.map.matrix @ to_model.map.matrix)
-        precision = eval_precision_at_k(
+        precision, _ = evaluate_map(
             composed, chain.src, chain.model, chain.dictionary
         )
         assert precision == 1.0

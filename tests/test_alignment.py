@@ -22,11 +22,10 @@ from vocab_bridge import (
     apply_map,
     build_all_assignments,
     csls_knn,
-    eval_precision_at_k,
+    evaluate_map,
     fit_independent_mapping,
     fit_joint_mapping,
     procrustes_solve,
-    unsupervised_score,
 )
 from vocab_bridge import alignment
 from vocab_bridge.alignment import _csls_topk, _row_blocks, load_map, save_map
@@ -211,6 +210,7 @@ class TestCslsKnn:
             csls_knn(q, t, top=1, csls_k=4)
 
 
+# "eval_precision_at_k" and "unsupervised_score" are the two numbers of evaluate_map
 SCORERS = ["csls_knn", "eval_precision_at_k", "unsupervised_score", "build_all_assignments"]
 
 
@@ -228,8 +228,8 @@ def _scorer(name, to_tgt=None):
     m = LinearMap(np.eye(4)) if to_tgt is None else to_tgt
     return {
         "csls_knn": lambda top=1, **kw: csls_knn(apply_map(m, src), tgt, top, **kw),
-        "eval_precision_at_k": lambda **kw: eval_precision_at_k(m, src, tgt, pairs, **kw),
-        "unsupervised_score": lambda **kw: unsupervised_score(m, src, tgt, **kw),
+        "eval_precision_at_k": lambda **kw: evaluate_map(m, src, tgt, pairs, **kw)[0],
+        "unsupervised_score": lambda **kw: evaluate_map(m, src, tgt, pairs, **kw)[1],
         "build_all_assignments": lambda **kw: build_all_assignments(
             ["s0000"], src, m, tgt, model, model.vocab, **kw
         ),
@@ -440,8 +440,7 @@ class TestScaleInvariance:
         def scores(s, t):
             return (
                 csls_knn(apply_map(linear_map, s), t, top=n_tgt, csls_k=2),
-                eval_precision_at_k(linear_map, s, t, pairs, csls_k=2, eval_k=2),
-                unsupervised_score(linear_map, s, t, csls_k=2),
+                *evaluate_map(linear_map, s, t, pairs, csls_k=2, eval_k=2),
                 build_all_assignments(
                     s.vocab.tokens, s, linear_map, t, model, model.vocab, csls_k=2, top_m=3
                 ),
@@ -477,7 +476,7 @@ class TestMappedUnitMemory:
         tracemalloc.start()
         try:
             if scorer == "eval_precision_at_k":
-                eval_precision_at_k(linear_map, src, english, pairs)
+                evaluate_map(linear_map, src, english, pairs)
             else:
                 build_all_assignments(
                     src.vocab.tokens[:100], src, linear_map, english, model, model.vocab
@@ -502,7 +501,7 @@ class TestPrecisionAtK:
     def test_planted_rotation_scores_one(self):
         rng = np.random.default_rng(16)
         src, tgt, pairs, q = self._planted(rng)
-        p = eval_precision_at_k(LinearMap(q), src, tgt, pairs)
+        p, _ = evaluate_map(LinearMap(q), src, tgt, pairs)
         assert p == 1.0
 
     def test_random_map_scores_low(self):
@@ -510,7 +509,7 @@ class TestPrecisionAtK:
         rng = np.random.default_rng(17)
         src, tgt, pairs, _ = self._planted(rng, n=200)
         wrong = LinearMap(random_orthogonal(rng, 8))
-        p = eval_precision_at_k(wrong, src, tgt, pairs)
+        p, _ = evaluate_map(wrong, src, tgt, pairs)
         assert p < 0.2
 
     def test_matches_loop_oracle(self):
@@ -520,7 +519,7 @@ class TestPrecisionAtK:
         tgt_rows = unit_rows(rng, 14, 5)
         tgt = make_emb(tok_list("t", 14), tgt_rows)
         pairs = tuple(zip(tok_list("s", 14), tok_list("t", 14)))
-        got = eval_precision_at_k(
+        got, _ = evaluate_map(
             LinearMap(np.eye(5)), src, tgt, BilingualDictionary(pairs), csls_k=3, eval_k=2
         )
         want = oracles.precision_at_k_oracle(
@@ -536,7 +535,7 @@ class TestPrecisionAtK:
         src = make_emb(["w"], rows[:1])
         tgt = make_emb(tok_list("t", 10), rows)
         pairs = BilingualDictionary((("w", "t0009"), ("w", "t0000")))
-        p = eval_precision_at_k(
+        p, _ = evaluate_map(
             LinearMap(np.eye(6)), src, tgt, pairs, csls_k=1
         )
         assert p == 1.0
@@ -549,7 +548,7 @@ class TestPrecisionAtK:
         pairs = BilingualDictionary(
             (("s0000", "t0000"), ("ghost", "t0001"), ("s0002", "absent"))
         )
-        p = eval_precision_at_k(
+        p, _ = evaluate_map(
             LinearMap(np.eye(4)), src, tgt, pairs, csls_k=2
         )
         assert p == 1.0  # only s0000 evaluated
@@ -560,7 +559,7 @@ class TestPrecisionAtK:
         src = make_emb(tok_list("s", 4), rows)
         tgt = make_emb(tok_list("t", 4), rows)
         with pytest.raises(EmptyEvalDict):
-            eval_precision_at_k(
+            evaluate_map(
                 LinearMap(np.eye(3)), src, tgt,
                 BilingualDictionary((("ghost", "t0000"),)), csls_k=2,
             )
@@ -569,22 +568,28 @@ class TestPrecisionAtK:
         """Rotating the target space and the map together changes nothing."""
         rng = np.random.default_rng(22)
         src, tgt, pairs, q = self._planted(rng, n=30)
-        base = eval_precision_at_k(LinearMap(q), src, tgt, pairs, csls_k=5)
+        base, _ = evaluate_map(LinearMap(q), src, tgt, pairs, csls_k=5)
         for seed in range(3):
             r = random_orthogonal(np.random.default_rng(300 + seed), 8)
             tgt_r = make_emb(tgt.vocab.tokens, tgt.rows @ r)
-            rotated = eval_precision_at_k(LinearMap(q @ r), src, tgt_r, pairs, csls_k=5)
+            rotated, _ = evaluate_map(LinearMap(q @ r), src, tgt_r, pairs, csls_k=5)
             assert rotated == base
 
 
 class TestUnsupervisedScore:
+    """The second number of ``evaluate_map``; the dictionary does not enter it."""
+
+    @staticmethod
+    def _pairs(n):
+        return BilingualDictionary(tuple(zip(tok_list("s", n), tok_list("t", n))))
+
     def test_perfect_alignment_scores_one(self):
         rng = np.random.default_rng(23)
         rows = unit_rows(rng, 40, 6)
         q = random_orthogonal(rng, 6)
         src = make_emb(tok_list("s", 40), rows @ q.T)
         tgt = make_emb(tok_list("t", 40), rows)
-        s = unsupervised_score(LinearMap(q), src, tgt, csls_k=5)
+        _, s = evaluate_map(LinearMap(q), src, tgt, self._pairs(40), csls_k=5)
         np.testing.assert_allclose(s, 1.0, atol=1e-9)
 
     def test_orthogonal_spans_score_zero(self):
@@ -595,7 +600,7 @@ class TestUnsupervisedScore:
         tgt_rows[:, 3:] = unit_rows(np.random.default_rng(25), 4, 3)
         src = make_emb(tok_list("s", 4), src_rows)
         tgt = make_emb(tok_list("t", 4), tgt_rows)
-        s = unsupervised_score(LinearMap(np.eye(6)), src, tgt, csls_k=2)
+        _, s = evaluate_map(LinearMap(np.eye(6)), src, tgt, self._pairs(4), csls_k=2)
         assert abs(s) <= 1e-12
 
     def test_sample_limits_queries(self):
@@ -603,7 +608,9 @@ class TestUnsupervisedScore:
         rows = unit_rows(rng, 30, 5)
         src = make_emb(tok_list("s", 30), rows)
         tgt = make_emb(tok_list("t", 30), unit_rows(rng, 30, 5))
-        full = unsupervised_score(LinearMap(np.eye(5)), src, tgt, sample=3, csls_k=3)
+        _, full = evaluate_map(
+            LinearMap(np.eye(5)), src, tgt, self._pairs(30), sample=3, csls_k=3
+        )
         # oracle over the first three rows only
         sample_rows = rows[:3]
         scores = oracles.csls_all_pairs(sample_rows, tgt.rows, 3)
@@ -621,7 +628,7 @@ class TestUnsupervisedScore:
         q = random_orthogonal(rng, 7)
         src = make_emb(tok_list("s", 20), rows @ q.T)
         tgt = make_emb(tok_list("t", 20), unit_rows(rng, 20, 7))
-        got = unsupervised_score(LinearMap(q), src, tgt, csls_k=4)
+        _, got = evaluate_map(LinearMap(q), src, tgt, self._pairs(20), csls_k=4)
         mapped = rows  # src rows mapped by q
         scores = oracles.csls_all_pairs(mapped, tgt.rows, 4)
         want = np.mean(
@@ -691,7 +698,7 @@ class TestFitJoint:
             chain.src, chain.english, chain.model, chain.dictionary, chain.model.vocab
         )
         composed = LinearMap(to_english.map.matrix @ to_model.map.matrix)
-        p = eval_precision_at_k(
+        p, _ = evaluate_map(
             composed, chain.src, chain.model, chain.dictionary
         )
         assert p == 1.0

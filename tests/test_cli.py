@@ -345,6 +345,27 @@ class TestAlignCommands:
         assert "precision_at_1\t1.000000" in out
         assert "unsupervised_score\t1.000000" in out
 
+    def test_align_eval_maps_and_normalizes_each_matrix_once(self, planted_files, monkeypatch):
+        """One ``_mapped_unit`` (two ``_unit_rows``) for the source, one ``_unit_rows``
+        for the targets, shared by precision and the unsupervised score."""
+        calls = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("_mapped_unit", "_unit_rows"):
+            monkeypatch.setattr(alignment, name, counting(name, getattr(alignment, name)))
+        code = dispatch(
+            ["align-eval", "--src-emb", planted_files["src"],
+             "--tgt-emb", planted_files["tgt"], "--map", planted_files["map"],
+             "--dict", planted_files["dict"]]
+        )
+        assert code == 0
+        assert calls == {"_mapped_unit": 1, "_unit_rows": 3}
+
     def test_align_eval_warning_threshold(self, planted_files, capsys):
         code = dispatch(
             ["align-eval", "--src-emb", planted_files["src"],

@@ -36,7 +36,10 @@ class TestLoadDictionary:
         with pytest.raises(MalformedLine):
             load_dictionary(write_dict(tmp_path, "a b c\n"))
 
-    def test_tab_line_may_hold_spaces(self, tmp_path):
-        d = load_dictionary(write_dict(tmp_path, "new york\tville\n"))
-        assert d.pairs == (("new york", "ville"),)
+    def test_field_holding_whitespace_rejected(self, tmp_path):
+        """Both fields follow the token rule: a field no vocabulary token can equal is an error."""
+        for bad in ("new york\tville", "a b\tc", "d\u3000e f", "x\tnew york", "a\tb\r"):
+            with pytest.raises(MalformedLine) as err:
+                load_dictionary(write_dict(tmp_path, f"ok\tfine\n{bad}\n"))
+            assert err.value.line == 2
 

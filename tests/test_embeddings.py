@@ -18,6 +18,7 @@ from vocab_bridge import (
     Vocabulary,
     bpe_train,
     expand_vocabulary,
+    load_dictionary,
     load_embeddings,
     load_map,
     load_vocabulary,
@@ -193,6 +194,16 @@ class _TextMatrixErrors:
         with pytest.raises(RowArityMismatch) as err:
             self._load(tmp_path, "2 2\nfoo 1 0\nbar 0 1  \n")
         assert err.value.line == 3
+
+    def test_lone_cr_is_not_a_line_end(self, tmp_path):
+        """Only LF ends a line: two rows joined by a CR are one line of too many fields."""
+        with pytest.raises(RowArityMismatch) as err:
+            self._load(tmp_path, "2 2\nfoo 1 2\rbar 3 4\n")
+        assert err.value.line == 2
+
+    def test_crlf_line_ends_accepted(self, tmp_path):
+        text = "2 2\r\nfoo 1 0\r\nbar 0 1\r\n"
+        np.testing.assert_array_equal(self._values(self._load(tmp_path, text)), np.eye(2))
 
 
 class TestLoadEmbeddings(_TextMatrixErrors):
@@ -477,6 +488,13 @@ class TestVocabularyFiles:
         v = load_vocabulary(path)
         assert v.id("one") == 1
 
+    def test_lone_cr_stays_in_its_line(self, tmp_path):
+        """A CR does not end a line, so ids after it do not shift: the token is rejected."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\rb\nc\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="whitespace"):
+            load_vocabulary(path)
+
     def test_unicode_line_separator_stays_in_its_line(self, tmp_path):
         """U+0085 is not a line break: the token holding it is rejected as whitespace."""
         path = tmp_path / "vocab.txt"
@@ -495,15 +513,17 @@ class TestTokenRule:
             assert _is_token(ch) is want, hex(cp)
             assert _is_token(f"a{ch}b") is want, hex(cp)
 
-    @pytest.mark.parametrize("bad", ["a\x85b", "a\u2028b", "a\x0bb", "a\u3000b"])
+    @pytest.mark.parametrize("bad", ["a\x85b", "a\u2028b", "a\x0bb", "a\u3000b", "a\rb"])
     def test_every_reader_rejects_whitespace_inside_a_token(self, tmp_path, bad):
-        """Vocabularies, embedding rows, merges, token files and words share one rule."""
+        """Vocabularies, embedding rows, merges, token files, dictionaries and words
+        share one rule."""
         with pytest.raises(ValidationError, match="whitespace"):
             Vocabulary(["a", bad])
         cases = [
             (load_embeddings, f"1 1\n{bad} 1.0\n", ParseError),
             (load_bpe_model, f"{MERGES_HEADER}\n{bad} c\n", MalformedLine),
             (_read_tokens, f"a\n{bad}\n", MalformedLine),
+            (load_dictionary, f"a\tb\n{bad}\tc\n", MalformedLine),
         ]
         for reader, text, error in cases:
             path = tmp_path / "input.txt"
