@@ -16,11 +16,24 @@ the fixed WordPiece prefix ``CONTINUATION_PREFIX`` (``"##"``); it is part of
 the data format, so no file or object stores another spelling.  Tokens are
 compared byte-wise.  No Unicode normalization or case folding is performed
 anywhere in this package.
+
+Each text matrix is parsed once per content.  After a regular file parses,
+its result is kept in ``__vbcache__/<name>.vbc`` beside it: the SHA-256 of
+the bytes parsed, the tokens and the rows in ``.npy`` form.  A later read
+hashes the file and, if the digest and every check of the entry hold, loads
+the rows from the entry instead of parsing; it returns the same values bit
+for bit.  A stale, damaged or unwritable entry only means the file is
+parsed.  The logger ``vocab_bridge.embeddings`` says at debug level which
+reads hit, which parse and which entries could not be written.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
+import logging
 import os
+import stat
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from pathlib import Path
@@ -44,6 +57,13 @@ ZERO_NORM_TOL = 1e-12
 CONTINUATION_PREFIX = "##"
 # Cells per block of rows that the text-matrix reader parses at once.
 _PARSE_CELLS = 2**17
+# Where a text matrix's parsed form is kept, beside the file; the first
+# line of an entry starts with the format tag.
+_CACHE_DIR = "__vbcache__"
+_ENTRY_SUFFIX = ".vbc"
+_ENTRY_TAG = b"vbcache-1"
+
+log = logging.getLogger(__name__)
 
 
 def _is_token(text: str) -> bool:
@@ -172,27 +192,66 @@ def save_embeddings(emb: EmbeddingMatrix, path) -> None:
     _write_matrix(path, emb.vocab.tokens, emb.rows)
 
 
+class _StageTemp(str):
+    """The temporary file of an enclosing :func:`_staged` block, which renames it."""
+
+
 @contextmanager
 def _staged(*paths):
-    """Yield temporary paths beside ``paths`` that replace them all if the block succeeds."""
-    tmps = [Path(f"{os.fspath(path)}.{os.getpid()}.tmp") for path in paths]
+    """Yield temporary paths beside ``paths`` that replace them all if the block succeeds.
+
+    A path that is already a temporary of an enclosing block is yielded as
+    it is and written in place, so each file is renamed once, by that block.
+    """
+    tmps = [path if isinstance(path, _StageTemp)
+            else _StageTemp(f"{os.fspath(path)}.{os.getpid()}.tmp") for path in paths]
+    owned = [(tmp, path) for tmp, path in zip(tmps, paths) if tmp is not path]
     try:
         yield tmps
-        for tmp, path in zip(tmps, paths):
+        for tmp, path in owned:
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+        for tmp, _ in owned:
+            Path(tmp).unlink(missing_ok=True)
         raise
 
 
+class _HashingReader(io.RawIOBase):
+    """A binary file, opened to read, that feeds every byte read from it to ``digest``."""
+
+    def __init__(self, file, digest):
+        self._file = file
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:n])
+        return n
+
+    def fileno(self) -> int:
+        return self._file.fileno()
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
 @contextmanager
-def _open_text(path):
+def _open_text(path, digest=None):
     """Open ``path`` to read as UTF-8; a decode error in the block is a ``ParseError``.
 
     Only LF ends a line, as the writers emit it: a lone CR stays inside its line.
+    With ``digest`` (a ``hashlib`` object) every byte read is also hashed.
     """
-    with open(path, encoding="utf-8", newline="\n") as fh:
+    if digest is None:
+        fh = open(path, encoding="utf-8", newline="\n")
+    else:
+        raw = _HashingReader(open(path, "rb", buffering=0), digest)
+        fh = io.TextIOWrapper(io.BufferedReader(raw, 2**16), encoding="utf-8", newline="\n")
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -207,63 +266,162 @@ def _atomic_text(path):
 
 
 def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
-    """Stream a ``<rows> <cols>`` text matrix; return ``(labels, values)``.
+    """Read a ``<rows> <cols>`` text matrix; return ``(labels, values)``.
 
     With ``labeled`` each row starts with a token (``labels`` is their list),
-    otherwise ``labels`` is ``None`` and at least one row is required.  Row
-    counts, arity and tokens are checked line by line; the numbers are parsed
-    in blocks of about ``_PARSE_CELLS`` cells (:func:`_parse_rows`).  Errors
-    name the 1-based line where they are found, the first bad line winning.
+    otherwise ``labels`` is ``None`` and at least one row is required.  A
+    regular file whose cache entry holds its current bytes loads from the
+    entry (:func:`_cached`); otherwise it is parsed (:func:`_parse_matrix`)
+    while its bytes are hashed, and the result is stored as its entry.
     """
-    with _open_text(path) as fh:
-        header = fh.readline().removesuffix("\n")
-        try:
-            count, dim = map(int, header.removesuffix(" ").split(" "))
-        except ValueError:
-            raise MalformedHeader(f"expected '<rows> <cols>', got {header!r}", line=1) from None
-        if count < (0 if labeled else 1) or dim < 1:
-            raise MalformedHeader(f"invalid header values {header!r}", line=1)
-
-        labels: list[str] | None = [] if labeled else None
-        try:
-            values = np.empty((count, dim))
-        except (MemoryError, ValueError):  # numpy: ValueError when the size overflows
-            raise MalformedHeader(f"header {header!r} does not fit in memory", line=1) from None
-        width = dim + 1 if labeled else dim
-        block_rows = max(1, _PARSE_CELLS // dim)
-        pending: list[str] = []  # numeric text of the rows from values[start] on
-        start = rows = 0
-
-        def flush() -> None:
-            nonlocal start
-            end = start + len(pending)
-            _parse_rows(pending, values[start:end], start + 2)
-            pending.clear()
-            start = end
-
-        for rows, line in enumerate(fh, start=1):
-            lineno = rows + 1
-            if rows > count:
-                flush()
-                raise CountMismatch(f"header declares {count} rows but file has more", line=lineno)
-            text = line.removesuffix("\n").removesuffix(" ")
-            fields = text.count(" ") + 1
-            if fields != width:
-                flush()
-                raise RowArityMismatch(f"expected {width} fields, got {fields}", line=lineno)
-            if labeled:
-                token, _, text = text.partition(" ")
-                if not _is_token(token):
-                    flush()
-                    raise ParseError(f"invalid token {token!r}", line=lineno)
-                labels.append(token)
-            pending.append(text)
-            if len(pending) == block_rows:
-                flush()
-        flush()
-        if rows < count:
-            raise CountMismatch(f"header declares {count} rows but file has {rows}", line=rows + 2)
+    entry = _cache_entry(path)
+    if entry is None:  # a pipe or a device is read once, as it streams
+        with _open_text(path) as fh:
+            return _parse_matrix(fh, labeled)
+    cached = _cached(entry, path, labeled)
+    if cached is not None:
+        log.debug("%s: loaded from %s", path, entry)
+        return cached
+    log.debug("%s: parsed, no valid entry in %s", path, entry)
+    digest = hashlib.sha256()
+    with _open_text(path, digest) as fh:
+        before = os.fstat(fh.fileno())
+        labels, values = _parse_matrix(fh, labeled)
+        after = os.fstat(fh.fileno())
+    # the digest is of the bytes parsed, so an entry is never wrong; a file
+    # written to during the read would only leave one no later read matches
+    if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+        _store(entry, digest.hexdigest(), labels, values)
     return labels, values
+
+
+def _parse_header(header: str, labeled: bool) -> tuple[int, int]:
+    """``(rows, cols)`` from a matrix header line without its LF."""
+    try:
+        count, dim = map(int, header.removesuffix(" ").split(" "))
+    except ValueError:
+        raise MalformedHeader(f"expected '<rows> <cols>', got {header!r}", line=1) from None
+    if count < (0 if labeled else 1) or dim < 1:
+        raise MalformedHeader(f"invalid header values {header!r}", line=1)
+    return count, dim
+
+
+def _parse_matrix(fh, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
+    """Stream the text matrix open in ``fh``; return ``(labels, values)``.
+
+    Row counts, arity and tokens are checked line by line; the numbers are
+    parsed in blocks of about ``_PARSE_CELLS`` cells (:func:`_parse_rows`).
+    Errors name the 1-based line where they are found, the first bad line
+    winning.
+    """
+    header = fh.readline().removesuffix("\n")
+    count, dim = _parse_header(header, labeled)
+    labels: list[str] | None = [] if labeled else None
+    try:
+        values = np.empty((count, dim))
+    except (MemoryError, ValueError):  # numpy: ValueError when the size overflows
+        raise MalformedHeader(f"header {header!r} does not fit in memory", line=1) from None
+    width = dim + 1 if labeled else dim
+    block_rows = max(1, _PARSE_CELLS // dim)
+    pending: list[str] = []  # numeric text of the rows from values[start] on
+    start = rows = 0
+
+    def flush() -> None:
+        nonlocal start
+        end = start + len(pending)
+        _parse_rows(pending, values[start:end], start + 2)
+        pending.clear()
+        start = end
+
+    for rows, line in enumerate(fh, start=1):
+        lineno = rows + 1
+        if rows > count:
+            flush()
+            raise CountMismatch(f"header declares {count} rows but file has more", line=lineno)
+        text = line.removesuffix("\n").removesuffix(" ")
+        fields = text.count(" ") + 1
+        if fields != width:
+            flush()
+            raise RowArityMismatch(f"expected {width} fields, got {fields}", line=lineno)
+        if labeled:
+            token, _, text = text.partition(" ")
+            if not _is_token(token):
+                flush()
+                raise ParseError(f"invalid token {token!r}", line=lineno)
+            labels.append(token)
+        pending.append(text)
+        if len(pending) == block_rows:
+            flush()
+    flush()
+    if rows < count:
+        raise CountMismatch(f"header declares {count} rows but file has {rows}", line=rows + 2)
+    return labels, values
+
+
+def _cache_entry(path) -> Path | None:
+    """The cache entry of ``path`` if it names a regular file, else ``None``."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+        file = Path(os.fsdecode(path))
+    except (OSError, TypeError, ValueError):
+        return None  # opening it to parse reports what is wrong
+    return file.parent / _CACHE_DIR / (file.name + _ENTRY_SUFFIX)
+
+
+def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndarray] | None:
+    """The ``(labels, values)`` that ``entry`` holds for the current bytes of ``path``.
+
+    An entry is outside input: ``None`` unless its digest is the SHA-256 of
+    the file, its flag is ``labeled``, it holds one valid token per row
+    declared in the file's header (none for a map) and its rows are a finite
+    C-order float64 array of the header's shape and nothing after them.
+    """
+    try:
+        with open(entry, "rb") as fh:
+            tag, digest, flag, size = fh.readline(256).split()
+            if tag != _ENTRY_TAG or flag != b"%d" % labeled or not size.isdigit():
+                return None
+            with open(path, "rb") as src:
+                header = src.readline()
+                src.seek(0)
+                actual = hashlib.sha256()
+                while block := src.read(2**18):
+                    actual.update(block)
+            if actual.hexdigest().encode() != digest:
+                return None
+            count, dim = _parse_header(header.decode("utf-8").removesuffix("\n"), labeled)
+            text = fh.read(int(size)).decode("utf-8")
+            labels = text.split("\n") if text else []
+            if len(labels) != (count if labeled else 0) or text.split() != labels:
+                return None
+            start = fh.tell()
+            if np.lib.format.read_magic(fh) != (1, 0):
+                return None
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if shape != (count, dim) or fortran or dtype != np.float64 or left != count * dim * 8:
+                return None
+            fh.seek(start)
+            values = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, ParseError):
+        return None
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+        return None
+    return (labels if labeled else None), values
+
+
+def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarray) -> None:
+    """Write ``entry`` for a parsed file; a file system error only leaves it unwritten."""
+    text = "\n".join(labels).encode("utf-8") if labels is not None else b""
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        with _staged(entry) as (tmp,), open(tmp, "wb") as fh:
+            fh.write(b"%s %s %d %d\n" % (_ENTRY_TAG, digest.encode(), labels is not None, len(text)))
+            fh.write(text)
+            np.save(fh, values, allow_pickle=False)
+    except OSError as exc:
+        log.debug("%s: not cached: %s", entry, exc)
 
 
 def _parse_rows(texts: list[str], out: np.ndarray, line: int) -> None:

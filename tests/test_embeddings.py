@@ -1,6 +1,10 @@
 """Vocabulary and embedding matrix behavior, including text round-trips."""
 
+import hashlib
+import logging
+import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -420,6 +424,186 @@ class TestReadMatrixBlocks:
             tracemalloc.stop()
         assert values.shape == (rows, dim)
         assert peak - values.nbytes <= 4 * 2**20
+
+
+def _entry(path):
+    return path.parent / "__vbcache__" / (path.name + ".vbc")
+
+
+def _counted_read(path, labeled):
+    """``_outcome`` of one read, and how many blocks of numbers it parsed."""
+    with mock.patch.object(embeddings, "_parse_rows", wraps=embeddings._parse_rows) as parse:
+        outcome = _outcome(_read_matrix, path, labeled)
+    return outcome, parse.call_count
+
+
+def _forge(path, labeled, **changes):
+    """Store an entry for ``path``'s current bytes with ``changes`` to its content."""
+    labels, values = oracles.read_matrix_reference(path, labeled)
+    content = {"digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+               "labels": labels, "values": values, **changes}
+    embeddings._store(_entry(path), **content)
+
+
+class TestMatrixCache:
+    """The ``__vbcache__`` entry beside a text matrix: same results, one parse per content."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_matrix_files())
+    @example((False, "2 2\n1_0 \u0661\n\U0001d7cf -0\n"))
+    @example((True, "0 3\n"))
+    def test_second_read_loads_the_entry(self, matrix_file):
+        """Both reads give the reference's outcome; only a good file leaves an entry,
+        and its second read parses no numbers."""
+        labeled, text = matrix_file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            path.write_text(text, encoding="utf-8")
+            want = _outcome(oracles.read_matrix_reference, path, labeled)
+            assert _outcome(_read_matrix, path, labeled) == want
+            again, parsed = _counted_read(path, labeled)
+            assert again == want
+            ok = not isinstance(want[0], type)
+            assert _entry(path).is_file() == ok
+            assert parsed == 0 or not ok
+
+    def test_same_size_and_restored_mtime_is_parsed_again(self, tmp_path, caplog):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        _read_matrix(path, labeled=True)
+        st = path.stat()
+        path.write_text("2 2\na 5 6\nb 7 8\n", encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert path.stat().st_size == st.st_size
+        assert path.stat().st_mtime_ns == st.st_mtime_ns
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
+            (labels, shape, data), parsed = _counted_read(path, labeled=True)
+            assert parsed == 1 and "parsed" in caplog.text
+            caplog.clear()
+            assert _counted_read(path, labeled=True)[1] == 0 and "loaded" in caplog.text
+        assert labels == ["a", "b"]
+        assert data == np.array([[5.0, 6.0], [7.0, 8.0]]).tobytes()
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "foreign", "empty",
+        {"values": np.zeros((2, 3))},
+        {"values": np.zeros((3, 2))},
+        {"values": np.zeros((2, 2), dtype=np.float32)},
+        {"values": np.asfortranarray(np.arange(4.0).reshape(2, 2))},
+        {"values": np.array([[1.0, np.nan], [3.0, 4.0]])},
+        {"values": np.array([[1.0, 2.0], [3.0, -np.inf]])},
+        {"labels": ["a"]},
+        {"labels": ["a", "b", "c"]},
+        {"labels": ["a", "b c"]},
+        {"labels": ["a", ""]},
+        {"labels": None},
+        {"digest": "0" * 64},
+    ])
+    def test_bad_entry_is_a_miss_and_is_rewritten(self, tmp_path, damage):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        entry = _entry(path)
+        _read_matrix(path, labeled=True)
+        if damage == "truncated":
+            entry.write_bytes(entry.read_bytes()[:-9])
+        elif damage == "foreign":
+            other = tmp_path / "other.vec"
+            other.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
+            _read_matrix(other, labeled=True)
+            _entry(other).replace(entry)
+        elif damage == "empty":
+            entry.write_bytes(b"")
+        else:
+            _forge(path, labeled=True, **damage)
+        assert _counted_read(path, labeled=True) == (want, 1)
+        assert _counted_read(path, labeled=True) == (want, 0)
+
+    def test_map_entry_does_not_serve_an_embedding_read(self, tmp_path):
+        """A map's entry is not read for the same file loaded as embeddings."""
+        path = tmp_path / "m.txt"
+        path.write_text("1 2\n3 4\n", encoding="utf-8")
+        as_map = _outcome(oracles.read_matrix_reference, path, False)
+        assert _counted_read(path, False) == (as_map, 1)
+        with pytest.raises(RowArityMismatch):
+            load_embeddings(path)
+        assert _counted_read(path, False) == (as_map, 0)
+
+    def test_unwritable_entry_still_loads(self, tmp_path, caplog):
+        """``__vbcache__`` as a plain file: every read parses, none fails."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        (tmp_path / "__vbcache__").write_text("not a directory", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
+            for _ in range(2):
+                assert _counted_read(path, labeled=True) == (want, 1)
+        assert "not cached" in caplog.text
+        assert load_embeddings(path).vocab.tokens == ("a", "b")
+
+    def test_malformed_file_leaves_no_entry(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 x\n", encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ParseError) as err:
+                load_embeddings(path)
+            assert err.value.line == 3
+        assert not (tmp_path / "__vbcache__").exists()
+
+    def test_undecodable_file_leaves_no_entry(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_bytes(b"1 1\n\xe9 1\n")
+        for _ in range(2):
+            with pytest.raises(ParseError, match="emb.vec: 'utf-8' codec"):
+                load_embeddings(path)
+        assert not (tmp_path / "__vbcache__").exists()
+
+    def test_file_changed_while_read_leaves_no_entry(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        parse_rows = embeddings._parse_rows
+
+        def touching(texts, out, line):
+            os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
+            parse_rows(texts, out, line)
+
+        with mock.patch.object(embeddings, "_parse_rows", touching):
+            labels, values = _read_matrix(path, labeled=True)
+        assert labels == ["a", "b"]
+        assert not _entry(path).exists()
+
+    def test_pipe_is_parsed_and_not_cached(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        os.mkfifo(path)
+        writer = threading.Thread(
+            target=path.write_text, args=("2 2\na 1 2\nb 3 4\n",), kwargs={"encoding": "utf-8"},
+            daemon=True,
+        )
+        writer.start()
+        labels, values = _read_matrix(path, labeled=True)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert labels == ["a", "b"]
+        np.testing.assert_array_equal(values, [[1.0, 2.0], [3.0, 4.0]])
+        assert not (tmp_path / "__vbcache__").exists()
+
+    @pytest.mark.parametrize("rows, dim", [(40_000, 16), (10_000, 300)])
+    def test_extra_memory_is_bounded_on_miss_and_hit(self, tmp_path, rows, dim):
+        """A read that writes the entry, and one that loads it, each peak at most
+        4 MiB above the matrix."""
+        path = tmp_path / "m.map"
+        _write_matrix(path, None, np.random.default_rng(5).uniform(-1, 1, (rows, dim)))
+        for miss in (True, False):
+            with mock.patch.object(embeddings, "_parse_rows", wraps=embeddings._parse_rows) as parse:
+                tracemalloc.start()
+                try:
+                    _, values = _read_matrix(path, labeled=False)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert (parse.call_count > 0) == miss
+            assert values.shape == (rows, dim)
+            assert peak - values.nbytes <= 4 * 2**20
 
 
 class TestNormalizeRows:

@@ -1,7 +1,9 @@
 """Selecting new subwords and splicing them into a pretrained model."""
 
+import os
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,6 +245,16 @@ class TestEmitExpanded:
         assert len(lines) == 2
         for line, (token, strategy, detail) in zip(lines, provenance):
             assert line == f"{token}\t{strategy}\t{detail}"
+
+    def test_renames_each_output_once(self, tmp_path):
+        """The three files are written in place as temporaries and renamed once each."""
+        model = make_emb(tok_list("m", 5), np.random.default_rng(19).standard_normal((5, 3)))
+        base = tmp_path / "expanded"
+        with mock.patch("os.replace", wraps=os.replace) as rename:
+            emit_expanded(*expand_random(model, ["x1"], seed=3), base)
+        names = [VOCAB_FILE, EMBEDDINGS_FILE, PROVENANCE_FILE]
+        assert [Path(call.args[1]) for call in rename.call_args_list] == [base / n for n in names]
+        assert sorted(p.name for p in base.iterdir()) == sorted(names)
 
     def test_failed_write_leaves_every_file_as_it_was(self, tmp_path, monkeypatch):
         """A failure while writing the embeddings replaces none of the three files."""
