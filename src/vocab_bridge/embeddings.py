@@ -4,12 +4,16 @@ The on-disk embedding format is the plain text interchange layout used by
 word2vec and fastText: a header line ``<count> <dim>`` followed by one row per
 token, fields separated by single spaces; one trailing space per line, as
 fastText writes it, is ignored.  Values are written with 9 significant
-digits, which round-trips float64 data to within 1e-8 relative error.  Linear
-maps use the same layout without the token column.  Vocabulary files hold one
-token per line; the 0-based line number is the token id.  Every text output is
-written atomically (see :func:`_atomic_text`).  A matrix keeps its rows as
-given; :func:`_unit_rows` is the one row normalization, and each scorer
-applies it to its own inputs.
+digits, which round-trips float64 data to within 1e-8 relative error: each
+value's text is byte for byte ``format(v, ".9g")``.  numpy builds the text of
+blocks of rows at once from each value's correctly rounded 9-digit mantissa;
+Python's formatter writes the values printed in scientific notation and those
+whose rounding numpy cannot be sure of.  Linear maps use the same layout
+without the token column.  Vocabulary files hold one token per line; the
+0-based line number is the token id.  Every text output is written atomically
+(see :func:`_atomic_text`).  A matrix keeps its rows as given;
+:func:`_unit_rows` is the one row normalization, and each scorer applies it to
+its own inputs.
 
 A token is a non-empty string without whitespace.  Word-internal pieces carry
 the fixed WordPiece prefix ``CONTINUATION_PREFIX`` (``"##"``); it is part of
@@ -57,6 +61,8 @@ ZERO_NORM_TOL = 1e-12
 CONTINUATION_PREFIX = "##"
 # Cells per block of rows that the text-matrix reader parses at once.
 _PARSE_CELLS = 2**17
+# Values per block that the text-matrix writer formats at once.
+_FORMAT_CELLS = 2**14
 # Where a text matrix's parsed form is kept, beside the file; the first
 # line of an entry starts with the format tag.
 _CACHE_DIR = "__vbcache__"
@@ -456,15 +462,163 @@ def _parse_rows(texts: list[str], out: np.ndarray, line: int) -> None:
 
 
 def _write_matrix(path, labels: Sequence[str] | None, values: np.ndarray) -> None:
-    """Write ``values`` (9 significant digits), each row after its label if any."""
+    """Write ``values`` (9 significant digits), each row after its label if any.
+
+    Each value reads as ``format(v, ".9g")`` writes it.  The values are
+    formatted in blocks of whole rows, about ``_FORMAT_CELLS`` values each
+    (:func:`_format_cells`); a longer row is split across blocks.
+    """
     count, dim = values.shape
-    fmt = " ".join(["%.9g"] * dim) + "\n"
+    rows = max(1, _FORMAT_CELLS // dim)
+    cols = min(dim, _FORMAT_CELLS)
     with _atomic_text(path) as fh:
         fh.write(f"{count} {dim}\n")
-        for i, row in enumerate(values):
-            if labels is not None:
-                fh.write(labels[i] + " ")
-            fh.write(fmt % tuple(row.tolist()))
+        for start in range(0, count, rows):
+            for col in range(0, dim, cols):
+                block = values[start:start + rows, col:col + cols]
+                text = _format_cells(block, col + cols >= dim).decode("ascii")
+                if labels is not None and col == 0:
+                    # a row starts the text and each piece after an LF; the last
+                    # piece is empty or a row that the next block continues
+                    lines = text.split("\n")
+                    n = len(block)
+                    text = "\n".join([f"{label} {line}" for label, line
+                                      in zip(labels[start:start + n], lines)] + lines[n:])
+                fh.write(text)
+
+
+def _format_tables():
+    """The lookup tables of :func:`_format_cells`, built with numpy arithmetic."""
+    d = np.arange(1000)
+    digits = (np.stack([d // 100, d // 10 % 10, d % 10], axis=1) + ord("0")).astype(np.uint8)
+    zeros = (d % 10 == 0).astype(np.intp) + (d % 100 == 0) + (d == 0)
+    p, nd = np.divmod(np.arange(_ZERO_KEY), 9)
+    p -= 4
+    nd += 1
+    text_len = np.where(p >= 0, p + 1 + np.where(nd > p + 1, nd - p, 0), 1 - p + nd)
+    return (digits.view("V3").ravel(), zeros,
+            np.concatenate([text_len, [1], np.arange(16)]),
+            np.concatenate([7 + np.minimum(p, 0), [7], np.ones(16, np.intp)]))
+
+
+# Keys of _format_cells: (p + 4) * 9 + nd - 1 for a fixed-point cell whose
+# 9-digit mantissa has nd digits up to its last nonzero one and whose decimal
+# exponent is p (-4..8); then zeros; then _SLOW_KEY + its length for each cell
+# Python formats, sign excluded.
+_ZERO_KEY = 13 * 9
+_SLOW_KEY = _ZERO_KEY + 1
+# Bytes per record row of _format_cells: digits go to columns 8-16, and a
+# separator can follow at column 17.
+_RECORD = 18
+_POW10 = 10.0 ** np.arange(13)  # exact
+# "000".."999" as 3-byte items; trailing zeros of 0..999 as 3 digits; per
+# key, the text length and its first column in a record row.
+_DIGITS3, _ZEROS3, _TEXT_LEN, _BEGIN = _format_tables()
+
+
+def _items(buffer: np.ndarray, offset: int, count: int, stride: int, size: int) -> np.ndarray:
+    """``count`` items of ``size`` bytes of ``buffer``, ``stride`` bytes apart from ``offset``."""
+    return np.ndarray((count,), f"V{size}", buffer, offset, (stride,))
+
+
+def _cell_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[bytes]]:
+    """Classify the float64 values ``x`` for :func:`_format_cells`.
+
+    Returns each value's key (see ``_ZERO_KEY``), its 9-digit mantissa (only
+    meaningful for a fixed-point key), whether its text starts with a minus
+    sign, and the text of each value Python formats, sign removed, in order.
+
+    A value ``v`` with ``e = floor(log10|v|)`` in -4..8 is scaled by an exact
+    power to ``s = |v| * 10**(8 - e)`` (one rounding, at most 6e-8 below
+    2**30), and ``m`` is ``s`` rounded half up.  Where ``1e8 <= s``,
+    ``m < 1e9`` and the fraction of ``s`` is at least 1e-5 from one half,
+    ``m`` is certainly the correctly rounded mantissa and ``%.9g`` prints
+    fixed-point.  Zeros also have a key.  Python formats every other value
+    (scientific notation, uncertain rounding, non-finite), and its text gives
+    the sign: ``-nan`` prints as ``nan``.
+    """
+    a = np.abs(x)
+    with np.errstate(all="ignore"):  # log10(0), inf - inf, casts of nan
+        k = np.fmin(np.fmax(8 - np.floor(np.log10(a)), 0), 12).astype(np.intp)
+        s = a * _POW10.take(k)
+        m = np.floor(s)
+        f = s - m
+        m += f > 0.5
+        # s in [1e8, 1e9) fixes the exponent at 8 - k whatever log10 gave
+        fast = (s >= 1e8) & (m < 1e9) & (np.abs(f - 0.5) >= 1e-5)
+    mantissa = np.where(fast, m, 1e8).astype(np.intp)
+    q = mantissa // 1000
+    zeros = _ZEROS3.take(mantissa - q * 1000)
+    rare = np.flatnonzero(zeros == 3)
+    if rare.size:  # the last three digits are zeros: count on into the upper six
+        high, mid = np.divmod(q[rare], 1000)
+        zeros[rare] += _ZEROS3.take(mid) + (mid == 0) * _ZEROS3.take(high)
+    key = (12 - k) * 9 + 8 - zeros
+    zero = a == 0
+    key[zero] = _ZERO_KEY
+    neg = np.signbit(x)
+    slow = np.flatnonzero(~(fast | zero))
+    texts = [format(v, ".9g") for v in x[slow].tolist()]
+    neg[slow] = [text[0] == "-" for text in texts]
+    bodies = [text.removeprefix("-").encode() for text in texts]
+    key[slow] = [_SLOW_KEY + len(body) for body in bodies]
+    return key.astype(np.uint8), mantissa, neg, bodies
+
+
+def _format_cells(block: np.ndarray, row_end: bool) -> bytes:
+    """``format(v, ".9g")`` of each value of a 2-D ``block``, each followed by a separator.
+
+    The separator is a space, or an LF after each row's last value if
+    ``row_end``.  The cells are sorted by key (:func:`_cell_keys`), and each
+    key's records (text and separator) are laid out with slice assignments
+    in rows of ``rec``, then copied to their byte offsets in the output with
+    one assignment of fixed-size items per key.
+    """
+    key, mantissa, neg, bodies = _cell_keys(np.asarray(block, dtype=np.float64).ravel())
+    size = _TEXT_LEN.take(key) + 1  # text and separator
+    ends = np.cumsum(size + neg)  # past each separator, in the output
+    starts = ends - size  # where each text begins
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=_SLOW_KEY + 16)
+    bounds = np.cumsum(counts)
+
+    rec = np.empty((key.size, _RECORD), np.uint8)
+    nfast = bounds[_ZERO_KEY - 1]
+    m = mantissa.take(order[:nfast])
+    q = m // 1000
+    high = q // 1000
+    for col, digits in ((8, high), (11, q - high * 1000), (14, m - q * 1000)):
+        _items(rec, col, nfast, _RECORD, 3)[...] = _DIGITS3.take(digits)
+    for p in range(-4, 9):
+        lo, hi = bounds[(p + 4) * 9] - counts[(p + 4) * 9], bounds[(p + 4) * 9 + 8]
+        if lo == hi:
+            continue
+        if p >= 0:  # the integer digits move left, before the point
+            _items(rec, lo * _RECORD + 7, hi - lo, _RECORD, p + 1)[...] = \
+                _items(rec, lo * _RECORD + 8, hi - lo, _RECORD, p + 1)
+            rec[lo:hi, p + 8] = ord(".")
+        else:
+            _items(rec, lo * _RECORD + 7 + p, hi - lo, _RECORD, 1 - p)[...] = np.void(b"0.000"[:1 - p])
+    rec[bounds[_ZERO_KEY - 1]:bounds[_ZERO_KEY], 7] = ord("0")
+    if bodies:
+        rec[bounds[_ZERO_KEY]:, 1:16] = np.frombuffer(
+            b"".join(body.ljust(15) for body in sorted(bodies, key=len)), np.uint8).reshape(-1, 15)
+
+    # out[1:] is the output, so out[starts] is the byte before each text.  A
+    # minus sign goes there for every cell: before a non-negative cell it is
+    # the previous record's separator (or out[0]), which that record rewrites.
+    out = np.empty(int(ends[-1]) + 1, np.uint8)
+    out[starts] = ord("-")
+    starts = (starts + 1).take(order)
+    for g in np.flatnonzero(counts):
+        lo, hi = bounds[g] - counts[g], bounds[g]
+        begin, width = int(_BEGIN[g]), int(_TEXT_LEN[g]) + 1
+        rec[lo:hi, begin + width - 1] = ord(" ")
+        _items(out, 0, out.size + 1 - width, 1, width)[starts[lo:hi]] = \
+            _items(rec, lo * _RECORD + begin, hi - lo, _RECORD, width)
+    if row_end:
+        out[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
+    return out[1:].tobytes()
 
 
 def _unit_rows(rows: np.ndarray, vocab: Vocabulary) -> np.ndarray:

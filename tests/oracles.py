@@ -172,8 +172,9 @@ def precision_at_k_oracle(mapped_rows, mapped_index, tgt_rows, tgt_tokens, pairs
 def format_matrix(labels, values) -> str:
     """Text-matrix file contents, formatting each value with ``format(v, ".9g")``.
 
-    This is the per-value writer the package used before it formatted whole
-    rows; ``labels`` is one token per row or ``None`` for a map.
+    The reference for the package's block formatter
+    (``embeddings._format_cells``), which must write the same bytes;
+    ``labels`` is one token per row or ``None`` for a map.
     """
     lines = [f"{len(values)} {values.shape[1]}"]
     for i, row in enumerate(values):

@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import os
+import struct
 import tempfile
 import threading
 import tracemalloc
@@ -301,6 +302,27 @@ def _text_matrices(draw):
     return labels, values
 
 
+# Finite float64 bit patterns, half of them with an exponent near the range
+# (1e-4 to 1e9) that "%.9g" prints in fixed-point notation.
+_RAW_FLOATS = st.builds(
+    lambda sign, exponent, fraction: struct.unpack(
+        "<d", struct.pack("<Q", sign << 63 | exponent << 52 | fraction))[0],
+    st.integers(0, 1),
+    st.one_of(st.integers(1023 - 17, 1023 + 33), st.integers(0, 2046)),
+    st.integers(0, 2**52 - 1),
+)
+
+
+@st.composite
+def _raw_matrices(draw):
+    labeled = draw(st.booleans())
+    count = draw(st.integers(0, 6))
+    dim = draw(st.integers(1, 9))
+    cells = draw(st.lists(_RAW_FLOATS, min_size=count * dim, max_size=count * dim))
+    labels = draw(st.lists(_TOKENS, min_size=count, max_size=count)) if labeled else None
+    return labels, np.array(cells, dtype=np.float64).reshape(count, dim)
+
+
 class TestTextMatrixFormat:
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(_text_matrices())
@@ -316,6 +338,61 @@ class TestTextMatrixFormat:
         assert back_labels == labels
         assert back.shape == values.shape
         np.testing.assert_allclose(back, values, rtol=1e-8, atol=0.0)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_raw_matrices(), st.sampled_from([1, 2, 3, 7, embeddings._FORMAT_CELLS]))
+    def test_every_block_size_matches_oracle(self, matrix, cells):
+        """Blocks of a few rows, rows longer than a block and labels across block
+        edges all give the bytes of ``format(v, ".9g")``."""
+        labels, values = matrix
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.txt"
+            with mock.patch.object(embeddings, "_FORMAT_CELLS", cells):
+                _write_matrix(path, labels, values)
+            assert path.read_bytes() == oracles.format_matrix(labels, values).encode("utf-8")
+
+    @pytest.mark.parametrize("value, text", [
+        (0.0, "0"), (-0.0, "-0"), (5e-324, "4.94065646e-324"), (-2.5e-310, "-2.5e-310"),
+        (1e308, "1e+308"), (-1e308, "-1e+308"), (1e-05, "1e-05"),
+        (9.9999999995e-05, "0.0001"), (99999.99995, "99999.9999"), (999999999.5, "1e+09"),
+        # exact ties, rounded half to even
+        (123456789.5, "123456790"), (12345678.25, "12345678.2"), (1234567.125, "1234567.12"),
+        (0.0001220703125, "0.000122070312"),
+        (1234567885.0, "1.23456788e+09"), (1e9, "1e+09"), (1e16, "1e+16"),
+        (float("nan"), "nan"), (-float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"),
+    ])
+    def test_edge_values(self, tmp_path, value, text):
+        """Alone and between fixed-point values of both signs, a value reads as
+        ``format(v, ".9g")`` writes it; ``-nan`` takes Python's sign."""
+        assert format(value, ".9g") == text
+        path = tmp_path / "m.map"
+        _write_matrix(path, None, np.array([[value, -0.5, value, 0.25, value], [value] * 5]))
+        assert path.read_text(encoding="utf-8") == f"2 5\n{text} -0.5 {text} 0.25 {text}\n" + (
+            " ".join([text] * 5) + "\n")
+
+    def test_memory_layout_does_not_matter(self, tmp_path, monkeypatch):
+        """A Fortran-order matrix and a transposed view write their C-order copy's bytes."""
+        monkeypatch.setattr(embeddings, "_FORMAT_CELLS", 7)
+        values = np.random.default_rng(3).normal(0, 0.05, (9, 5))
+        for matrix in (np.asfortranarray(values), values.T):
+            assert not matrix.flags.c_contiguous
+            _write_matrix(tmp_path / "given.map", None, matrix)
+            _write_matrix(tmp_path / "copy.map", None, np.ascontiguousarray(matrix))
+            assert (tmp_path / "given.map").read_bytes() == (tmp_path / "copy.map").read_bytes()
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rows, dim", [(40_000, 16), (10_000, 300)])
+    def test_extra_memory_is_bounded(self, tmp_path, rows, dim, order):
+        """Formatting in blocks peaks at most 4 MiB above the matrix and its labels."""
+        values = np.asarray(np.random.default_rng(5).uniform(-1, 1, (rows, dim)), order=order)
+        labels = [f"t{i}" for i in range(rows)]
+        tracemalloc.start()
+        try:
+            _write_matrix(tmp_path / "m.vec", labels, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "vocab.txt"
