@@ -271,23 +271,22 @@ def wordpiece_segment(
         raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
     if len(word) > max_chars:
         return Segmentation(word, (unk,), SegmentStatus.SUBWORD_OOV)
+    index = vocab.index  # the dict itself: no ``__contains__`` call per probe
     pieces: list[str] = []
+    prefix = ""  # the first piece is bare, every later one continues
     start = 0
     n = len(word)
     while start < n:
         end = n
-        found: str | None = None
         while start < end:
-            piece = word[start:end]
-            if start > 0:
-                piece = CONTINUATION_PREFIX + piece
-            if piece in vocab:
-                found = piece
+            piece = prefix + word[start:end]
+            if piece in index:
                 break
             end -= 1
-        if found is None:
+        else:
             return Segmentation(word, (unk,), SegmentStatus.SUBWORD_OOV)
-        pieces.append(found)
+        pieces.append(piece)
+        prefix = CONTINUATION_PREFIX
         start = end
     if len(pieces) == 1 and pieces[0] == word:
         status = SegmentStatus.IN_VOCAB

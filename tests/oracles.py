@@ -297,3 +297,34 @@ def bpe_train_reference(corpus, target_vocab: int, marker: str = "</w>", prefix:
                 entry_counts[piece] += freq
     vocab = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
     return tuple(merges), vocab
+
+
+def wordpiece_segment_reference(tokens, unk: str, word: str, max_chars: int, prefix: str = "##"):
+    """Greedy longest-match-first segmentation: ``(pieces, status name)``.
+
+    The first piece is looked up bare and every later one with ``prefix``;
+    an over-long word, or one with no complete segmentation, is ``(unk,)``.
+    """
+    if len(word) > max_chars:
+        return (unk,), "SUBWORD_OOV"
+    pieces = []
+    start = 0
+    n = len(word)
+    while start < n:
+        end = n
+        found = None
+        while start < end:
+            piece = word[start:end]
+            if start > 0:
+                piece = prefix + piece
+            if piece in tokens:
+                found = piece
+                break
+            end -= 1
+        if found is None:
+            return (unk,), "SUBWORD_OOV"
+        pieces.append(found)
+        start = end
+    if len(pieces) == 1 and pieces[0] == word:
+        return tuple(pieces), "IN_VOCAB"
+    return tuple(pieces), "WORD_OOV_SUBWORD_OK"

@@ -757,3 +757,77 @@ class TestLoggingConfig:
         merges = tmp_path / "model.merges"
         assert dispatch(["bpe-train", "--corpus", corpus, "--out", str(merges)]) == 0
         assert "unknown VOCAB_BRIDGE_LOG" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """``dispatch`` builds its parser once per process; no call's flags,
+    errors, help or log level carry into the next call."""
+
+    def _oov_files(self, tmp_path):
+        vocab = write(tmp_path / "v.txt", "je\nles\nqu\n##'\n")
+        corpus = write(tmp_path / "c.txt", "je les qu' ça\n")
+        return ["--vocab", vocab, "--corpus", corpus]
+
+    def test_parser_is_built_once(self, tmp_path, planted_files, monkeypatch, capsys):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        corpus = write(tmp_path / "corpus.txt", "aa aa ab\n")
+        report = write(tmp_path / "r.tsv", "4\t2\t1\t0.5\t0.25\n")
+        assert dispatch(["oov-stats", *self._oov_files(tmp_path), "--tsv"]) == 0
+        first = len(built)
+        assert built.count("vocab-bridge") == 1
+        assert dispatch(["bpe-train", "--corpus", corpus, "--out", str(tmp_path / "m")]) == 0
+        assert dispatch(["compare-oov", "--before", report, "--after", report]) == 0
+        assert dispatch(["csls-nn", "--queries", planted_files["src"],
+                         "--targets", planted_files["tgt"], "--top", "1"]) == 0
+        assert dispatch(["oov-stats", "--bogus"]) == 1
+        assert len(built) == first
+
+    def test_json_then_plain_oov_stats(self, tmp_path, capsys):
+        files = self._oov_files(tmp_path)
+        assert dispatch(["oov-stats", *files, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["total_words"] == 4
+        assert dispatch(["oov-stats", *files]) == 0
+        assert "total words:       4" in capsys.readouterr().out
+
+    def test_softmax_then_plain_csls_nn(self, planted_files, capsys):
+        argv = ["csls-nn", "--queries", planted_files["src"],
+                "--targets", planted_files["tgt"], "--map", planted_files["map"], "--top", "2"]
+        assert dispatch([*argv, "--softmax"]) == 0
+        assert {len(line.split("\t")) for line in capsys.readouterr().out.splitlines()} == {5}
+        assert dispatch(argv) == 0
+        assert {len(line.split("\t")) for line in capsys.readouterr().out.splitlines()} == {4}
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        files = self._oov_files(tmp_path)
+        assert dispatch(["oov-stats", *files, "--json", "--tsv"]) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert dispatch(["oov-stats", *files, "--tsv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("4\t2\t1\t")
+        assert captured.err == ""
+
+    def test_help_then_valid_call(self, tmp_path, capsys):
+        assert dispatch(["--help"]) == 0
+        assert "usage: vocab-bridge" in capsys.readouterr().out
+        assert dispatch(["oov-stats", *self._oov_files(tmp_path), "--tsv"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("4\t2\t1\t")
+        assert "usage" not in captured.out + captured.err
+
+    def test_log_level_is_read_on_every_call(self, tmp_path, capsys, monkeypatch):
+        corpus = write(tmp_path / "corpus.txt", "aa aa ab\n")
+        argv = ["bpe-train", "--corpus", corpus, "--out", str(tmp_path / "model.merges")]
+        monkeypatch.setenv("VOCAB_BRIDGE_LOG", "debug")
+        assert dispatch(argv) == 0
+        assert "trained 1 merges" in capsys.readouterr().err
+        monkeypatch.delenv("VOCAB_BRIDGE_LOG")
+        assert dispatch(argv) == 0
+        assert "trained" not in capsys.readouterr().err

@@ -19,6 +19,7 @@ from vocab_bridge import (
 )
 from vocab_bridge.errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 from vocab_bridge.tokenizer import (
+    DEFAULT_MAX_CHARS,
     END_OF_WORD,
     MERGES_HEADER,
     load_bpe_model,
@@ -275,6 +276,29 @@ class TestWordPiece:
                 assert rebuilt == word
             else:
                 assert seg.pieces == ("[UNK]",)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        bare=st.sets(st.text(alphabet="ab#", min_size=1, max_size=3), max_size=8),
+        continued=st.sets(st.text(alphabet="ab#", min_size=1, max_size=3), max_size=8),
+        parts=st.lists(st.text(alphabet="ab#c", min_size=1, max_size=3), min_size=1, max_size=4),
+        listed=st.booleans(),
+        max_chars=st.one_of(st.just(DEFAULT_MAX_CHARS), st.integers(0, 8)),
+    )
+    def test_matches_the_reference_loop(self, bare, continued, parts, listed, max_chars):
+        """The word joins ``parts``; ``listed`` puts them in the vocabulary
+        (the first bare, the rest as ``##`` pieces).  Vocabularies come with
+        and without ``##`` pieces, and words that segment, fail to segment
+        or are longer than ``max_chars``."""
+        if listed:
+            bare = bare | {parts[0]}
+            continued = continued | set(parts[1:])
+        tokens = sorted(bare | {"##" + p for p in continued})
+        word = "".join(parts)
+        seg = wordpiece_segment(Vocabulary(tokens), "[UNK]", word, max_chars)
+        want = oracles.wordpiece_segment_reference(set(tokens), "[UNK]", word, max_chars)
+        assert seg.word == word
+        assert (seg.pieces, seg.status.value) == want
 
     def test_classify_corpus_stream(self):
         segs = list(classify_corpus(self.vocab(), "[UNK]", [FRENCH_SENTENCE]))
