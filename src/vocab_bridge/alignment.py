@@ -18,9 +18,8 @@ Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
 scores, and ``build_all_assignments`` for ``mixture-build`` anchors) and
 checks their widths and depths.  It lists targets best first, ties broken by
 ascending target id, so every retrieval is deterministic.  It computes both
-r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, never
-fewer than 64 rows, so memory is bounded by that budget (by 64 rows of
-scores past 2,048 columns), not by queries x targets.  Blocking moves
+r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, so
+memory is bounded by that budget, not by queries x targets.  Blocking moves
 scores only by rounding (within 1e-12 of one block) and leaves the ranking
 rule as it is.
 
@@ -155,20 +154,17 @@ def _mapped_unit(linear_map: LinearMap, emb: EmbeddingMatrix) -> np.ndarray:
 
 
 def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest entries; reorders each row of ``sims`` in place."""
-    sims.partition(-k, axis=1)
-    return sims[:, -k:].mean(axis=1)
+    """Row-wise mean of the k largest entries."""
+    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
 
 
 def _row_blocks(n: int, cols: int) -> list[slice]:
     """Row slices of about ``_BLOCK_CELLS`` cells of an (n, cols) product.
 
-    A block never has fewer than ``_BLOCK_CELLS >> 11`` rows (64 at the
-    shipped budget), so a wide product is never streamed a few rows at a
-    time.  No block has one row unless n is 1: numpy rounds a (1, d) @ B.T
-    product differently, so a 1-row remainder joins the block before it.
+    No block has one row unless n is 1: numpy rounds a (1, d) @ B.T product
+    differently, so a 1-row remainder joins the block before it.
     """
-    step = max(2, _BLOCK_CELLS >> 11, _BLOCK_CELLS // cols)
+    step = max(2, _BLOCK_CELLS // cols)
     starts = list(range(0, n, step))
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
@@ -209,7 +205,7 @@ def _csls_topk(
     best = np.empty((len(queries), top))
     for b in _row_blocks(len(queries), len(targets)):
         scores = queries[b] @ targets.T
-        r_q = _topk_mean(scores.copy(), k)
+        r_q = _topk_mean(scores, k)
         # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
         scores *= 2.0
         scores -= r_q[:, None]

@@ -5,9 +5,6 @@ errors.  Diagnostics go to stderr (level controlled by the VOCAB_BRIDGE_LOG
 environment variable: error, warn, info or debug); data goes to stdout or to
 the requested output files, never interleaved with diagnostics.  Every
 subcommand is deterministic given its flags (plus --seed where offered).
-
-``dispatch`` builds its parser once per process, on its first call, and
-reuses it; the log level is still read from VOCAB_BRIDGE_LOG on every call.
 """
 
 from __future__ import annotations
@@ -359,10 +356,7 @@ def _cmd_compare_oov(args) -> int:
 def build_parser() -> _Parser:
     """The command line grammar, built on first use and shared by every
     ``dispatch`` call in the process; callers must not change it."""
-    # --help leaves out the docstring's last paragraph, a note for library
-    # callers; under -OO there is no docstring
-    description = __doc__ and __doc__.rpartition("\n\n")[0]
-    parser = _Parser(prog="vocab-bridge", description=description)
+    parser = _Parser(prog="vocab-bridge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("bpe-train", help="learn BPE merges from a corpus")
@@ -487,7 +481,11 @@ def build_parser() -> _Parser:
 
 
 def dispatch(argv) -> int:
-    """Run one command line; returns the process exit code."""
+    """Run one command line; returns the process exit code.
+
+    The parser is built once per process, on the first call, and reused;
+    the log level is still read from VOCAB_BRIDGE_LOG on every call.
+    """
     _configure_logging()
     parser = build_parser()
     try:

@@ -359,12 +359,6 @@ class TestCslsBlocks:
             by_id[all_ids[i]] = all_scores[i]
             assert all_ids[i].tolist() == np.lexsort((np.arange(m), -by_id)).tolist()
 
-    def test_paper_width_blocks_keep_64_rows(self):
-        """At the shipped budget 25,000 columns would give 2^17 // 25,000 = 5
-        rows; the floor keeps every block but the last at 64 rows."""
-        sizes = [b.stop - b.start for b in _row_blocks(1000, 25_000)]
-        assert sizes == [64] * 15 + [40]
-
     def test_peak_memory_follows_the_block_budget(self):
         """3,000 x 2,500 scores are 60 MB dense; the blocked kernel stays far below."""
         rng = np.random.default_rng(19)
