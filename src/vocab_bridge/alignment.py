@@ -25,7 +25,7 @@ rule as it is.
 
 CSLS and the fits need unit rows, so each scorer and fit normalizes its own
 inputs once (``embeddings._unit_rows``) and works on plain arrays from
-there; a mapped matrix is normalized again after the map.  Raw matrices are
+there; a mapped matrix is normalized once, after the map.  Raw matrices are
 never modified, and no intermediate ``EmbeddingMatrix`` is built.
 """
 
@@ -145,12 +145,9 @@ def _check_src_dim(linear_map: LinearMap, emb: EmbeddingMatrix) -> None:
 
 
 def _mapped_unit(linear_map: LinearMap, emb: EmbeddingMatrix) -> np.ndarray:
-    """Unit rows of ``emb`` mapped by ``linear_map`` and normalized again.
-
-    One expression, so the first quotient is freed before the second is made.
-    """
+    """Rows of ``emb`` mapped by ``linear_map``, then normalized once."""
     _check_src_dim(linear_map, emb)
-    return _unit_rows(_unit_rows(emb.rows, emb.vocab) @ linear_map.matrix, emb.vocab)
+    return _unit_rows(emb.rows @ linear_map.matrix, emb.vocab)
 
 
 def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
@@ -365,7 +362,7 @@ def fit_joint_mapping(
     y1 = e[[english.vocab.id(t) for _, t in stage1]]
     to_english = _fit_pairs(x1, y1, "joint fit stage 1")
 
-    mapped = _unit_rows(s @ to_english.map.matrix, src.vocab)
+    mapped = _mapped_unit(to_english.map, src)
     stage2 = [
         (w, t)
         for w, t in dictionary.pairs

@@ -30,7 +30,7 @@ from .embeddings import (
 )
 from .errors import MalformedLine, TokenNotFound, VocabBridgeError
 
-log = logging.getLogger(__name__)
+log = logging.getLogger(f"{__package__}.cli")  # not __name__: under python -m that is __main__
 
 _LOG_LEVELS = {
     "error": logging.ERROR,
@@ -53,15 +53,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _StderrHandler(logging.StreamHandler):
+    """A stream handler whose stream is ``sys.stderr`` as it is at each record."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
+    package = logging.getLogger(__package__)
+    package.addHandler(_HANDLER)  # once: a handler already attached is not added again
     raw = os.environ.get("VOCAB_BRIDGE_LOG", "warn").lower()
-    level = _LOG_LEVELS.get(raw, logging.WARNING)
-    logging.basicConfig(
-        level=level,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-        force=True,
-    )
+    package.setLevel(_LOG_LEVELS.get(raw, logging.WARNING))
     if raw not in _LOG_LEVELS:
         log.warning("unknown VOCAB_BRIDGE_LOG value %r, using warn", raw)
 
@@ -484,7 +490,8 @@ def dispatch(argv) -> int:
     """Run one command line; returns the process exit code.
 
     The parser is built once per process, on the first call, and reused;
-    the log level is still read from VOCAB_BRIDGE_LOG on every call.
+    the ``vocab_bridge`` logger's level is set from VOCAB_BRIDGE_LOG on
+    every call.  The root logger and its handlers are left as they are.
     """
     _configure_logging()
     parser = build_parser()

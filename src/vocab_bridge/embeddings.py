@@ -466,25 +466,19 @@ def _write_matrix(path, labels: Sequence[str] | None, values: np.ndarray) -> Non
 
     Each value reads as ``format(v, ".9g")`` writes it.  The values are
     formatted in blocks of whole rows, about ``_FORMAT_CELLS`` values each
-    (:func:`_format_cells`); a longer row is split across blocks.
+    (:func:`_format_cells`); a longer row is a block of its own.
     """
     count, dim = values.shape
     rows = max(1, _FORMAT_CELLS // dim)
-    cols = min(dim, _FORMAT_CELLS)
     with _atomic_text(path) as fh:
         fh.write(f"{count} {dim}\n")
         for start in range(0, count, rows):
-            for col in range(0, dim, cols):
-                block = values[start:start + rows, col:col + cols]
-                text = _format_cells(block, col + cols >= dim).decode("ascii")
-                if labels is not None and col == 0:
-                    # a row starts the text and each piece after an LF; the last
-                    # piece is empty or a row that the next block continues
-                    lines = text.split("\n")
-                    n = len(block)
-                    text = "\n".join([f"{label} {line}" for label, line
-                                      in zip(labels[start:start + n], lines)] + lines[n:])
-                fh.write(text)
+            block = values[start:start + rows]
+            text = _format_cells(block).decode("ascii")
+            if labels is not None:
+                text = "".join([f"{label} {line}\n" for label, line
+                                in zip(labels[start:start + len(block)], text.split("\n"))])
+            fh.write(text)
 
 
 def _format_tables():
@@ -565,14 +559,14 @@ def _cell_keys(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[
     return key.astype(np.uint8), mantissa, neg, bodies
 
 
-def _format_cells(block: np.ndarray, row_end: bool) -> bytes:
+def _format_cells(block: np.ndarray) -> bytes:
     """``format(v, ".9g")`` of each value of a 2-D ``block``, each followed by a separator.
 
-    The separator is a space, or an LF after each row's last value if
-    ``row_end``.  The cells are sorted by key (:func:`_cell_keys`), and each
-    key's records (text and separator) are laid out with slice assignments
-    in rows of ``rec``, then copied to their byte offsets in the output with
-    one assignment of fixed-size items per key.
+    The separator is a space, or an LF after each row's last value.  The
+    cells are sorted by key (:func:`_cell_keys`), and each key's records
+    (text and separator) are laid out with slice assignments in rows of
+    ``rec``, then copied to their byte offsets in the output with one
+    assignment of fixed-size items per key.
     """
     key, mantissa, neg, bodies = _cell_keys(np.asarray(block, dtype=np.float64).ravel())
     size = _TEXT_LEN.take(key) + 1  # text and separator
@@ -616,8 +610,7 @@ def _format_cells(block: np.ndarray, row_end: bool) -> bytes:
         rec[lo:hi, begin + width - 1] = ord(" ")
         _items(out, 0, out.size + 1 - width, 1, width)[starts[lo:hi]] = \
             _items(rec, lo * _RECORD + begin, hi - lo, _RECORD, width)
-    if row_end:
-        out[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
+    out[ends[block.shape[1] - 1::block.shape[1]]] = ord("\n")
     return out[1:].tobytes()
 
 

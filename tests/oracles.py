@@ -117,19 +117,20 @@ def procrustes_grid_min_2d(x, y, n_angles: int, chunk: int = 20000) -> float:
     angles evenly spaced over [0, 2 pi).
     """
     thetas = np.linspace(0.0, 2.0 * np.pi, n_angles, endpoint=False)
+    # (X M)[i, e] = sum_d M[d, e] X[i, d], so with M flattened to
+    # (M00, M01, M10, M11) every grid matrix's X M is one row of flat @ lift
+    n = len(x)
+    lift = np.einsum("nd,ef->denf", x, np.eye(2)).reshape(4, 2 * n)
+    target = np.asarray(y, dtype=np.float64).reshape(2 * n)
     best = math.inf
     for start in range(0, n_angles, chunk):
         c = np.cos(thetas[start : start + chunk])
         s = np.sin(thetas[start : start + chunk])
-        rot = np.stack(
-            [np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2
-        )
-        refl = np.stack(
-            [np.stack([c, s], axis=-1), np.stack([s, -c], axis=-1)], axis=-2
-        )
-        for mats in (rot, refl):
-            diffs = np.einsum("nd,kde->kne", x, mats) - y[None, :, :]
-            objs = np.sum(diffs * diffs, axis=(1, 2))
+        rot = np.stack([c, -s, s, c], axis=1)
+        refl = np.stack([c, s, s, -c], axis=1)
+        for flat in (rot, refl):
+            diffs = flat @ lift - target
+            objs = np.sum(diffs * diffs, axis=1)
             best = min(best, float(objs.min()))
     return best
 

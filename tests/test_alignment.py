@@ -29,6 +29,7 @@ from vocab_bridge import (
 )
 from vocab_bridge import alignment
 from vocab_bridge.alignment import _csls_topk, _row_blocks, load_map, save_map
+from vocab_bridge.embeddings import _unit_rows
 from vocab_bridge.errors import (
     DegenerateInput,
     DimMismatch,
@@ -156,6 +157,17 @@ class TestApplyMap:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             apply_map(LinearMap(np.eye(3)), make_emb(["a"], [[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("d1, d2", [(6, 6), (5, 9), (9, 5)])
+    def test_mapped_unit_is_unit_rows_of_applied_map(self, d1, d2):
+        """Scorers and ``csls-nn --map`` build the same mapped unit rows, bit for bit."""
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((40, d1)) * np.exp(rng.uniform(-3.0, 3.0, (40, 1)))
+            src = make_emb(tok_list("s", 40), rows)
+            linear_map = LinearMap(random_semi_orthogonal(rng, d1, d2))
+            expected = _unit_rows(apply_map(linear_map, src).rows, src.vocab)
+            assert alignment._mapped_unit(linear_map, src).tobytes() == expected.tobytes()
 
 
 class TestCslsKnn:

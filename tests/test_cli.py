@@ -1,6 +1,7 @@
 """End-user command behavior: exit codes, outputs and determinism."""
 
 import json
+import logging
 from collections import Counter
 
 import numpy as np
@@ -346,8 +347,9 @@ class TestAlignCommands:
         assert "unsupervised_score\t1.000000" in out
 
     def test_align_eval_maps_and_normalizes_each_matrix_once(self, planted_files, monkeypatch):
-        """One ``_mapped_unit`` (two ``_unit_rows``) for the source, one ``_unit_rows``
-        for the targets, shared by precision and the unsupervised score."""
+        """One ``_mapped_unit`` (one ``_unit_rows``, after the map) for the source,
+        one ``_unit_rows`` for the targets, shared by precision and the
+        unsupervised score."""
         calls = Counter()
 
         def counting(name, fn):
@@ -364,7 +366,7 @@ class TestAlignCommands:
              "--dict", planted_files["dict"]]
         )
         assert code == 0
-        assert calls == {"_mapped_unit": 1, "_unit_rows": 3}
+        assert calls == {"_mapped_unit": 1, "_unit_rows": 2}
 
     def test_align_eval_warning_threshold(self, planted_files, capsys):
         code = dispatch(
@@ -374,6 +376,21 @@ class TestAlignCommands:
         )
         assert code == 0
         assert "below threshold" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("floor, warned", [("1.5", True), ("0", False)])
+    def test_align_eval_unsupervised_threshold(self, planted_files, capsys, floor, warned):
+        """The planted map scores 1.0: a floor above it warns, a floor of 0 does not."""
+        code = dispatch(
+            ["align-eval", "--src-emb", planted_files["src"],
+             "--tgt-emb", planted_files["tgt"], "--map", planted_files["map"],
+             "--dict", planted_files["dict"], "--warn-below-unsupervised", floor]
+        )
+        assert code == 0
+        err = capsys.readouterr().err
+        if warned:
+            assert "WARNING vocab_bridge.cli: unsupervised score 1.0000 below threshold 1.5000" in err
+        else:
+            assert err == ""
 
     def test_align_eval_max_pairs(self, planted_files, capsys):
         code = dispatch(
@@ -757,6 +774,26 @@ class TestLoggingConfig:
         merges = tmp_path / "model.merges"
         assert dispatch(["bpe-train", "--corpus", corpus, "--out", str(merges)]) == 0
         assert "unknown VOCAB_BRIDGE_LOG" in capsys.readouterr().err
+
+    def test_dispatch_keeps_a_hosts_root_handlers(self, tmp_path, capsys, monkeypatch):
+        """A root handler added by the caller stays attached and open across
+        calls, and package records still reach it."""
+        monkeypatch.setenv("VOCAB_BRIDGE_LOG", "chatty")
+        root = logging.getLogger()
+        handler = logging.FileHandler(tmp_path / "host.log", encoding="utf-8")
+        root.addHandler(handler)
+        try:
+            report = write(tmp_path / "r.tsv", "4\t2\t1\t0.5\t0.25\n")
+            for _ in range(2):
+                assert dispatch(["compare-oov", "--before", report, "--after", report]) == 0
+            assert handler in root.handlers
+            assert handler.stream is not None and not handler.stream.closed
+        finally:
+            root.removeHandler(handler)
+            handler.close()
+        logged = (tmp_path / "host.log").read_text(encoding="utf-8")
+        assert logged.count("unknown VOCAB_BRIDGE_LOG value 'chatty'") == 2
+        assert capsys.readouterr().err.count("WARNING vocab_bridge.cli: unknown") == 2
 
 
 class TestParserReuse:

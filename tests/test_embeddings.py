@@ -351,6 +351,24 @@ class TestTextMatrixFormat:
                 _write_matrix(path, labels, values)
             assert path.read_bytes() == oracles.format_matrix(labels, values).encode("utf-8")
 
+    def test_a_row_wider_than_a_block_is_a_block_of_its_own(self, tmp_path, monkeypatch):
+        """Every block handed to ``_format_cells`` holds whole rows."""
+        values = np.random.default_rng(4).normal(0, 0.05, (5, 9))
+        shapes = []
+        format_cells = embeddings._format_cells
+
+        def recording(block):
+            shapes.append(block.shape)
+            return format_cells(block)
+
+        monkeypatch.setattr(embeddings, "_FORMAT_CELLS", 4)
+        monkeypatch.setattr(embeddings, "_format_cells", recording)
+        labels = [f"t{i}" for i in range(5)]
+        _write_matrix(tmp_path / "m.vec", labels, values)
+        assert shapes == [(1, 9)] * 5
+        assert (tmp_path / "m.vec").read_bytes() == oracles.format_matrix(
+            labels, values).encode("utf-8")
+
     @pytest.mark.parametrize("value, text", [
         (0.0, "0"), (-0.0, "-0"), (5e-324, "4.94065646e-324"), (-2.5e-310, "-2.5e-310"),
         (1e308, "1e+308"), (-1e308, "-1e+308"), (1e-05, "1e-05"),
