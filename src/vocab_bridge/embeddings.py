@@ -23,18 +23,21 @@ anywhere in this package.
 
 Each text matrix is parsed once per content.  After a regular file parses,
 its result is kept in ``__vbcache__/<name>.vbc`` beside it: the SHA-256 of
-the bytes parsed, the tokens and the rows in ``.npy`` form.  A later read
-hashes the file and, if the digest and every check of the entry hold, loads
-the rows from the entry instead of parsing; it returns the same values bit
-for bit.  A stale, damaged or unwritable entry only means the file is
-parsed.  The logger ``vocab_bridge.embeddings`` says at debug level which
-reads hit, which parse and which entries could not be written.
+the bytes parsed, the tokens and the rows in ``.npy`` form.  The parser
+hashes the lines it reads, and those lines are the file's bytes: every text
+input is decoded as strict UTF-8, with LF the only line end and no
+translation.  A pipe or a device is parsed as it streams, neither hashed nor
+cached.  A later read hashes the file and, if the digest and every check of
+the entry hold, loads the rows from the entry instead of parsing; it returns
+the same values bit for bit.  A stale, damaged or unwritable entry only
+means the file is parsed.  The logger ``vocab_bridge.embeddings`` says at
+debug level which reads hit, which parse and which entries could not be
+written.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import logging
 import os
 import stat
@@ -222,42 +225,14 @@ def _staged(*paths):
         raise
 
 
-class _HashingReader(io.RawIOBase):
-    """A binary file, opened to read, that feeds every byte read from it to ``digest``."""
-
-    def __init__(self, file, digest):
-        self._file = file
-        self._digest = digest
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(buffer)
-        self._digest.update(memoryview(buffer)[:n])
-        return n
-
-    def fileno(self) -> int:
-        return self._file.fileno()
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
-
-
 @contextmanager
-def _open_text(path, digest=None):
-    """Open ``path`` to read as UTF-8; a decode error in the block is a ``ParseError``.
+def _open_text(path):
+    """Open ``path`` to read as strict UTF-8; a decode error in the block is a ``ParseError``.
 
-    Only LF ends a line, as the writers emit it: a lone CR stays inside its line.
-    With ``digest`` (a ``hashlib`` object) every byte read is also hashed.
+    Only LF ends a line, as the writers emit it, and nothing is translated: a
+    lone CR stays inside its line, and the lines read are the file's text.
     """
-    if digest is None:
-        fh = open(path, encoding="utf-8", newline="\n")
-    else:
-        raw = _HashingReader(open(path, "rb", buffering=0), digest)
-        fh = io.TextIOWrapper(io.BufferedReader(raw, 2**16), encoding="utf-8", newline="\n")
-    with fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -277,26 +252,27 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
     With ``labeled`` each row starts with a token (``labels`` is their list),
     otherwise ``labels`` is ``None`` and at least one row is required.  A
     regular file whose cache entry holds its current bytes loads from the
-    entry (:func:`_cached`); otherwise it is parsed (:func:`_parse_matrix`)
-    while its bytes are hashed, and the result is stored as its entry.
+    entry (:func:`_cached`).  Any other input is parsed
+    (:func:`_parse_matrix`); a regular file is hashed as it is parsed and the
+    result stored as its entry, while a pipe or a device is read once, as it
+    streams, and neither hashed nor stored.
     """
     entry = _cache_entry(path)
-    if entry is None:  # a pipe or a device is read once, as it streams
-        with _open_text(path) as fh:
-            return _parse_matrix(fh, labeled)
-    cached = _cached(entry, path, labeled)
-    if cached is not None:
-        log.debug("%s: loaded from %s", path, entry)
-        return cached
-    log.debug("%s: parsed, no valid entry in %s", path, entry)
-    digest = hashlib.sha256()
-    with _open_text(path, digest) as fh:
+    if entry is not None:
+        cached = _cached(entry, path, labeled)
+        if cached is not None:
+            log.debug("%s: loaded from %s", path, entry)
+            return cached
+        log.debug("%s: parsed, no valid entry in %s", path, entry)
+    digest = None if entry is None else hashlib.sha256()
+    with _open_text(path) as fh:
         before = os.fstat(fh.fileno())
-        labels, values = _parse_matrix(fh, labeled)
+        labels, values = _parse_matrix(fh, labeled, digest)
         after = os.fstat(fh.fileno())
-    # the digest is of the bytes parsed, so an entry is never wrong; a file
+    # the digest is of the lines parsed, so an entry is never wrong; a file
     # written to during the read would only leave one no later read matches
-    if (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns):
+    unchanged = (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns)
+    if digest is not None and unchanged:
         _store(entry, digest.hexdigest(), labels, values)
     return labels, values
 
@@ -312,15 +288,20 @@ def _parse_header(header: str, labeled: bool) -> tuple[int, int]:
     return count, dim
 
 
-def _parse_matrix(fh, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
+def _parse_matrix(fh, labeled: bool, digest=None) -> tuple[list[str] | None, np.ndarray]:
     """Stream the text matrix open in ``fh``; return ``(labels, values)``.
 
     Row counts, arity and tokens are checked line by line; the numbers are
     parsed in blocks of about ``_PARSE_CELLS`` cells (:func:`_parse_rows`).
     Errors name the 1-based line where they are found, the first bad line
-    winning.
+    winning.  With ``digest`` (a ``hashlib`` object) each line read, header
+    included, is also hashed as UTF-8: from :func:`_open_text` those are the
+    file's bytes.
     """
-    header = fh.readline().removesuffix("\n")
+    line = fh.readline()
+    if digest is not None:
+        digest.update(line.encode("utf-8"))
+    header = line.removesuffix("\n")
     count, dim = _parse_header(header, labeled)
     labels: list[str] | None = [] if labeled else None
     try:
@@ -340,6 +321,8 @@ def _parse_matrix(fh, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
         start = end
 
     for rows, line in enumerate(fh, start=1):
+        if digest is not None:
+            digest.update(line.encode("utf-8"))
         lineno = rows + 1
         if rows > count:
             flush()
@@ -390,8 +373,7 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
                 return None
             with open(path, "rb") as src:
                 header = src.readline()
-                src.seek(0)
-                actual = hashlib.sha256()
+                actual = hashlib.sha256(header)
                 while block := src.read(2**18):
                     actual.update(block)
             if actual.hexdigest().encode() != digest:

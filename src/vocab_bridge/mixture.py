@@ -119,7 +119,7 @@ def format_anchors(anchors: Sequence[tuple[str, float]]) -> str:
     return ",".join(f"{tok}:{weight:.{WEIGHT_DECIMALS}f}" for tok, weight in anchors)
 
 
-_WEIGHT_TAIL = re.compile(r":\d+\.\d{6}$")
+_WEIGHT_TAIL = re.compile(rf":\d+\.\d{{{WEIGHT_DECIMALS}}}$")
 
 
 def save_assignments(
@@ -134,9 +134,10 @@ def save_assignments(
 def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
     """Parse an assignment file back into (token, weights) records.
 
-    Weights were rounded to 6 decimals on save, so they are renormalized to
-    sum exactly to one.  Anchor tokens containing a comma are recovered by
-    re-joining split fragments until a ``:weight`` tail appears.  The token
+    Weights were rounded to ``WEIGHT_DECIMALS`` decimals on save, so they are
+    renormalized to sum exactly to one.  Anchor tokens containing a comma are
+    recovered by re-joining split fragments until a ``:weight`` tail appears
+    (exactly ``WEIGHT_DECIMALS`` digits after the point).  The token
     and every anchor must follow the token rule, no token may repeat, and no
     anchor may repeat within its record (``MalformedLine``).
     """

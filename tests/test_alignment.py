@@ -65,6 +65,17 @@ class TestLinearMap:
             with pytest.raises(ValidationError, match="empty"):
                 LinearMap(np.zeros(shape))
 
+    def test_rejects_one_dimensional_matrix(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            LinearMap(np.ones(3))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_matrix(self, value):
+        matrix = np.eye(3)
+        matrix[1, 2] = value
+        with pytest.raises(ValidationError, match="non-finite"):
+            LinearMap(matrix)
+
     def test_matrix_immutable(self):
         m = LinearMap(np.eye(3))
         with pytest.raises(ValueError):
@@ -101,6 +112,23 @@ class TestProcrustes:
     def test_row_count_mismatch(self):
         with pytest.raises(DimMismatch):
             procrustes_solve(np.eye(3), np.eye(4))
+
+    def test_rejects_one_dimensional_inputs(self):
+        with pytest.raises(ValidationError, match="2-D"):
+            procrustes_solve(np.ones(3), np.ones((3, 1)))
+        with pytest.raises(ValidationError, match="2-D"):
+            procrustes_solve(np.ones((3, 1)), np.ones(3))
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            procrustes_solve(np.zeros((0, 2)), np.zeros((0, 3)))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_rejects_non_finite_inputs(self, side):
+        x, y = np.eye(3), np.eye(3)
+        (x if side == "x" else y)[2, 0] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            procrustes_solve(x, y)
 
     def test_matches_2d_grid_search(self):
         """The closed-form solution beats or ties a fine rotation/reflection grid."""

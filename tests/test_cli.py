@@ -16,8 +16,18 @@ from conftest import (
     unit_rows,
 )
 from test_tokenizer import repeat_corpus
-from vocab_bridge import LinearMap, bpe_apply, bpe_train, load_embeddings, save_embeddings
-from vocab_bridge import alignment, cli
+from vocab_bridge import (
+    LinearMap,
+    bpe_apply,
+    bpe_train,
+    emit_expanded,
+    expand_vocabulary,
+    joint_rows,
+    load_embeddings,
+    load_vocabulary,
+    save_embeddings,
+)
+from vocab_bridge import alignment, cli, oov
 from vocab_bridge.alignment import load_map, save_map
 from vocab_bridge.cli import _read_tokens, dispatch
 from vocab_bridge.errors import MalformedLine
@@ -275,6 +285,15 @@ class TestBpeCommands:
             "ça\tSUBWORD_OOV\t[UNK]",
         ]
 
+    def test_wordpiece_unk_flag(self, tmp_path, capsys):
+        vocab = write(tmp_path / "v.txt", "les\n")
+        text = write(tmp_path / "c.txt", "les ça\n")
+        assert dispatch(["wordpiece", "--vocab", vocab, "--input", text, "--unk", "<unk>"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "les\tIN_VOCAB\tles",
+            "ça\tSUBWORD_OOV\t<unk>",
+        ]
+
     def test_wordpiece_output_file(self, tmp_path):
         vocab = write(tmp_path / "v.txt", "a\n")
         text = write(tmp_path / "c.txt", "a\n")
@@ -519,6 +538,21 @@ class TestOovCommands:
         assert float(fields[3]) == 0.5
         assert float(fields[4]) == 0.25
 
+    def test_types_tsv_output(self, tmp_path, capsys):
+        """``--types`` reports the library's type-level rates for the same corpus."""
+        vocab = write(tmp_path / "v.txt", "je\nles\nqu\n##'\n")
+        text = "je les qu' ça ça ça\nje ça\n"
+        corpus = write(tmp_path / "c.txt", text)
+        argv = ["oov-stats", "--vocab", vocab, "--corpus", corpus, "--tsv"]
+        assert dispatch(argv + ["--types"]) == 0
+        report = oov.corpus_oov_stats(
+            load_vocabulary(vocab), "[UNK]", text.splitlines(keepends=True), count_types=True
+        )
+        want = oov.report_tsv_line(report) + "\n"
+        assert capsys.readouterr().out == want
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out != want
+
     def test_json_output(self, tmp_path, capsys):
         vocab, corpus = self._fixtures(tmp_path)
         assert dispatch(
@@ -691,13 +725,50 @@ class TestMixtureAndExpand:
     @pytest.mark.parametrize(
         "text, line",
         [("a b\t3\n", 1), ("ok\t1\nx\u3000y\t2\n", 2), ("a\t3\nb\t1\na\t-7\n", 3),
-         ("a\t3\nb\t-1\n", 2)],
-        ids=["space", "ideographic-space", "repeated", "negative"],
+         ("a\t3\nb\t-1\n", 2), ("a\t3\nb\t1.5\n", 2)],
+        ids=["space", "ideographic-space", "repeated", "negative", "non-integer"],
     )
     def test_counts_table_token_rule(self, tmp_path, text, line):
         with pytest.raises(MalformedLine) as err:
             cli._load_counts(write(tmp_path / "counts.tsv", text))
         assert err.value.line == line
+
+    def test_expand_joint_from_fitted_maps(self, tmp_path, capsys):
+        """``expand --strategy joint`` writes what ``joint_rows`` gives on the same inputs."""
+        chain = planted_chain(np.random.default_rng(9), n=12, d_src=4, d_model=6)
+        paths = {name: str(tmp_path / f"{name}.vec") for name in ("src", "english", "model")}
+        for name, path in paths.items():
+            save_embeddings(getattr(chain, name), path)
+        pairs = write(tmp_path / "pairs.dict",
+                      "".join(f"{s}\t{e}\n" for s, e in chain.dictionary.pairs))
+        b_map, a_map = str(tmp_path / "b.map"), str(tmp_path / "a.map")
+        assert dispatch(["align-fit-joint", "--src-emb", paths["src"], "--en-emb", paths["english"],
+                         "--bert-emb", paths["model"], "--dict", pairs,
+                         "--out-b", b_map, "--out-a", a_map]) == 0
+        new_tokens = ["l0003", "l0000", "l0011"]
+        lang_vocab = write(tmp_path / "lang.txt", "".join(f"{t}\n" for t in ["en0001", *new_tokens]))
+        base = ["expand", "--bert-emb", paths["model"], "--strategy", "joint",
+                "--src-emb", paths["src"], "--b-map", b_map, "--a-map", a_map]
+        out_dir = tmp_path / "joint"
+        assert dispatch(base + ["--lang-vocab", lang_vocab, "--out-dir", str(out_dir)]) == 0
+
+        model = load_embeddings(paths["model"])
+        rows, provenance = joint_rows(
+            new_tokens, load_embeddings(paths["src"]), load_map(b_map), load_map(a_map)
+        )
+        emit_expanded(expand_vocabulary(model.vocab, model, rows, provenance), provenance,
+                      tmp_path / "want")
+        assert (out_dir / "embeddings.vec").read_bytes() == \
+            (tmp_path / "want" / "embeddings.vec").read_bytes()
+        assert (out_dir / "provenance.tsv").read_text("utf-8").splitlines() == [
+            f"{t}\tjoint\tmapped from source row" for t in new_tokens
+        ]
+
+        capsys.readouterr()
+        unknown = write(tmp_path / "unknown.txt", "l0001\nnouveau\n")
+        assert dispatch(base + ["--lang-vocab", unknown, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "MissingToken" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_expand_mixture_from_file(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -1,6 +1,7 @@
 """Vocabulary and embedding matrix behavior, including text round-trips."""
 
 import hashlib
+import io
 import logging
 import os
 import struct
@@ -547,6 +548,9 @@ class TestMatrixCache:
     @given(_matrix_files())
     @example((False, "2 2\n1_0 \u0661\n\U0001d7cf -0\n"))
     @example((True, "0 3\n"))
+    @example((True, "2 2\r\n\xe7a 1 2\r\n##b 3 4\r\n"))
+    @example((True, "2 1\n\U0001f600\u3042 -1.5\n##\xe9 2e-3"))
+    @example((False, "2 2\r\n1 2\r\n-0 \u0661e1"))
     def test_second_read_loads_the_entry(self, matrix_file):
         """Both reads give the reference's outcome; only a good file leaves an entry,
         and its second read parses no numbers."""
@@ -561,6 +565,21 @@ class TestMatrixCache:
             ok = not isinstance(want[0], type)
             assert _entry(path).is_file() == ok
             assert parsed == 0 or not ok
+
+    @pytest.mark.parametrize("data", [
+        b"2 2\r\n\xc3\xa7a 1 2\r\n##b 3 4\r\n",
+        "2 1\n\U0001f600\u3042 -1.5\n##\xe9 2e-3".encode("utf-8"),
+        b"1 2\r\n\xe2\x82\xac 0.5 -0\r\n",
+    ], ids=["crlf", "no-final-lf", "crlf-euro"])
+    def test_entry_digest_is_of_the_raw_file(self, tmp_path, data):
+        """The digest hashed from the lines parsed is the SHA-256 of the file's bytes."""
+        path = tmp_path / "emb.vec"
+        path.write_bytes(data)
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        assert _counted_read(path, labeled=True) == (want, 1)
+        stored = _entry(path).read_bytes().split(b"\n", 1)[0].split()[1]
+        assert stored.decode() == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert _counted_read(path, labeled=True) == (want, 0)
 
     def test_same_size_and_restored_mtime_is_parsed_again(self, tmp_path, caplog):
         path = tmp_path / "emb.vec"
@@ -593,6 +612,7 @@ class TestMatrixCache:
         {"labels": ["a", ""]},
         {"labels": None},
         {"digest": "0" * 64},
+        "npy-2.0",
     ])
     def test_bad_entry_is_a_miss_and_is_rewritten(self, tmp_path, damage):
         path = tmp_path / "emb.vec"
@@ -609,6 +629,11 @@ class TestMatrixCache:
             _entry(other).replace(entry)
         elif damage == "empty":
             entry.write_bytes(b"")
+        elif damage == "npy-2.0":  # the same rows under a version 2.0 .npy header
+            data = entry.read_bytes()
+            npy = io.BytesIO()
+            np.lib.format.write_array(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), version=(2, 0))
+            entry.write_bytes(data[:data.index(b"\x93NUMPY")] + npy.getvalue())
         else:
             _forge(path, labeled=True, **damage)
         assert _counted_read(path, labeled=True) == (want, 1)

@@ -23,7 +23,13 @@ from vocab_bridge import (
 )
 from vocab_bridge import expansion
 from vocab_bridge.expansion import EMBEDDINGS_FILE, PROVENANCE_FILE, VOCAB_FILE
-from vocab_bridge.errors import DimMismatch, DuplicateNewToken, MissingAssignment, MissingToken
+from vocab_bridge.errors import (
+    DimMismatch,
+    DuplicateNewToken,
+    MissingAssignment,
+    MissingToken,
+    ValidationError,
+)
 
 
 def expand_random(model, new_tokens, seed, vocab=None):
@@ -203,6 +209,11 @@ class TestExpandValidation:
         with pytest.raises(MissingToken) as err:
             expand_vocabulary(Vocabulary(["a", "b"]), emb, np.empty((0, 2)), [])
         assert err.value.token == "b" and err.value.position == 1
+
+    def test_random_rows_need_a_donor(self):
+        model = make_emb(["a"], np.ones((1, 3)))
+        with pytest.raises(ValidationError, match="empty model"):
+            random_rows(["x"], Vocabulary([]), model, seed=0)
 
     def test_row_count_must_match_records(self):
         rng = np.random.default_rng(20)

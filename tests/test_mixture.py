@@ -536,5 +536,12 @@ class TestAssignmentFiles:
             load_assignments(path)
         assert exc.value.line == 2
 
+    def test_all_zero_weights_name_line(self, tmp_path):
+        path = tmp_path / "zero.tsv"
+        path.write_text("ok\ta:1.000000\nw\ta:0.000000,b:0.000000\n", encoding="utf-8")
+        with pytest.raises(MalformedLine, match="sum to zero") as exc:
+            load_assignments(path)
+        assert exc.value.line == 2
+
     def test_format_anchors(self):
         assert format_anchors([("x", 0.1), ("y", 0.9)]) == "x:0.100000,y:0.900000"
