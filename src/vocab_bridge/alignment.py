@@ -134,7 +134,7 @@ def procrustes_solve(x, y) -> LinearMap:
 def apply_map(linear_map: LinearMap, emb: EmbeddingMatrix) -> EmbeddingMatrix:
     """Map every row of ``emb`` (``rows @ matrix``); rows are not rescaled."""
     _check_src_dim(linear_map, emb)
-    return EmbeddingMatrix(emb.vocab, emb.rows @ linear_map.matrix)
+    return EmbeddingMatrix._wrap(emb.vocab, emb.rows @ linear_map.matrix)
 
 
 def _check_src_dim(linear_map: LinearMap, emb: EmbeddingMatrix) -> None:

@@ -28,17 +28,27 @@ hashes the lines it reads, and those lines are the file's bytes: every text
 input is decoded as strict UTF-8, with LF the only line end and no
 translation.  A pipe or a device is parsed as it streams, neither hashed nor
 cached.  A later read hashes the file and, if the digest and every check of
-the entry hold, loads the rows from the entry instead of parsing; it returns
+the entry hold, maps the entry's rows read-only instead of parsing; they are
 the same values bit for bit.  A stale, damaged or unwritable entry only
 means the file is parsed.  The logger ``vocab_bridge.embeddings`` says at
 debug level which reads hit, which parse and which entries could not be
 written.
+
+The entry format is ``vbcache-2``: its first line is padded so that the
+rows start on a 64-byte boundary of the file, and so of the mapping.  An
+entry of another format is a miss and is rewritten.  Each array mapped
+from an entry holds one file descriptor until it is freed.  The package
+only ever replaces an entry by rename (:func:`_staged`), so a mapping of
+the old entry stays valid; another program that truncates an entry in
+place while it is mapped makes the process die of SIGBUS when it reads the
+lost rows.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import mmap
 import os
 import stat
 from collections.abc import Iterable, Sequence
@@ -70,7 +80,9 @@ _FORMAT_CELLS = 2**14
 # line of an entry starts with the format tag.
 _CACHE_DIR = "__vbcache__"
 _ENTRY_SUFFIX = ".vbc"
-_ENTRY_TAG = b"vbcache-1"
+_ENTRY_TAG = b"vbcache-2"
+# Byte boundary in the entry file, and so in its mapping, where its rows start.
+_ROW_ALIGN = 64
 
 log = logging.getLogger(__name__)
 
@@ -138,20 +150,44 @@ class Vocabulary:
         return self.tokens[token_id]
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """True if no value is NaN or infinite; a NaN is its array's min and max.
+
+    Unlike ``np.isfinite(values).all()`` it allocates nothing of the array's size.
+    """
+    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
 class EmbeddingMatrix:
     """A float64 matrix with one row per vocabulary token.
 
-    Instances are immutable: the row array is copied on construction and its
-    write flag is cleared.  Rows are stored as given, never rescaled; the
-    scorers normalize their own inputs.  ``duplicate_count`` records how many
-    duplicate rows were dropped while parsing, if the matrix came from
-    :func:`load_embeddings`.
+    Instances are immutable: the constructor copies the rows it is given and
+    clears the copy's write flag.  Within the package, :meth:`_wrap` takes an
+    array the package owns without copying it: a fresh result, or rows that
+    :func:`load_embeddings` maps read-only from a cache entry, which hold one
+    file descriptor while the matrix lives.  Rows are stored as given, never
+    rescaled; the scorers normalize their own inputs.  ``duplicate_count``
+    records how many duplicate rows were dropped while parsing, if the matrix
+    came from :func:`load_embeddings`.
     """
 
     __slots__ = ("vocab", "rows", "duplicate_count")
 
     def __init__(self, vocab: Vocabulary, rows, *, duplicate_count: int = 0):
-        arr = np.array(rows, dtype=np.float64, copy=True)
+        self._hold(vocab, np.array(rows, dtype=np.float64, copy=True), duplicate_count)
+
+    @classmethod
+    def _wrap(cls, vocab: Vocabulary, rows: np.ndarray, *, duplicate_count: int = 0):
+        """An instance over ``rows`` itself, with the constructor's checks but no copy.
+
+        ``rows`` is a float64 array that nothing else writes: a fresh array of
+        the package's, or a read-only mapping.  Its write flag is cleared.
+        """
+        emb = cls.__new__(cls)
+        emb._hold(vocab, rows, duplicate_count)
+        return emb
+
+    def _hold(self, vocab: Vocabulary, arr: np.ndarray, duplicate_count: int) -> None:
         if arr.ndim != 2:
             raise ValidationError(f"rows must be 2-D, got shape {arr.shape}")
         if arr.shape[0] != len(vocab):
@@ -160,7 +196,7 @@ class EmbeddingMatrix:
             )
         if arr.shape[1] < 1:
             raise ValidationError("embedding dimension must be at least 1")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValidationError("embedding rows contain non-finite values")
         arr.setflags(write=False)
         self.vocab = vocab
@@ -193,7 +229,7 @@ def load_embeddings(path) -> EmbeddingMatrix:
         first.setdefault(token, i)
     duplicates = len(tokens) - len(first)
     rows = values[list(first.values())] if duplicates else values
-    return EmbeddingMatrix(Vocabulary(first), rows, duplicate_count=duplicates)
+    return EmbeddingMatrix._wrap(Vocabulary(first), rows, duplicate_count=duplicates)
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
@@ -364,7 +400,9 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
     An entry is outside input: ``None`` unless its digest is the SHA-256 of
     the file, its flag is ``labeled``, it holds one valid token per row
     declared in the file's header (none for a map) and its rows are a finite
-    C-order float64 array of the header's shape and nothing after them.
+    C-order float64 array of the header's shape and nothing after them.  The
+    values are a read-only array mapped over the entry's rows, which holds a
+    duplicate of the entry's descriptor until it is freed.
     """
     try:
         with open(entry, "rb") as fh:
@@ -383,29 +421,35 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
             labels = text.split("\n") if text else []
             if len(labels) != (count if labeled else 0) or text.split() != labels:
                 return None
-            start = fh.tell()
             if np.lib.format.read_magic(fh) != (1, 0):
                 return None
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            start = fh.tell()
+            left = os.fstat(fh.fileno()).st_size - start
             if shape != (count, dim) or fortran or dtype != np.float64 or left != count * dim * 8:
                 return None
-            fh.seek(start)
-            values = np.load(fh, allow_pickle=False)
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            values = np.frombuffer(mapped, np.float64, count * dim, start).reshape(count, dim)
     except (OSError, ValueError, ParseError):
         return None
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
+    if not _all_finite(values):
         return None
     return (labels if labeled else None), values
 
 
 def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarray) -> None:
-    """Write ``entry`` for a parsed file; a file system error only leaves it unwritten."""
+    """Write ``entry`` for a parsed file; a file system error only leaves it unwritten.
+
+    Spaces pad the first line so that the rows start at a multiple of
+    ``_ROW_ALIGN``: a ``.npy`` header is a multiple of 64 bytes long.
+    """
     text = "\n".join(labels).encode("utf-8") if labels is not None else b""
+    line = b"%s %s %d %d" % (_ENTRY_TAG, digest.encode(), labels is not None, len(text))
+    line += b" " * (-(len(line) + 1 + len(text)) % _ROW_ALIGN) + b"\n"
     try:
         entry.parent.mkdir(exist_ok=True)
         with _staged(entry) as (tmp,), open(tmp, "wb") as fh:
-            fh.write(b"%s %s %d %d\n" % (_ENTRY_TAG, digest.encode(), labels is not None, len(text)))
+            fh.write(line)
             fh.write(text)
             np.save(fh, values, allow_pickle=False)
     except OSError as exc:

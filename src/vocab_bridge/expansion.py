@@ -174,7 +174,7 @@ def expand_vocabulary(
     # every id is valid; numpy documents ``out`` as buffered under mode="raise"
     np.take(model_emb.rows, ids, axis=0, out=rows[:n], mode="clip")
     rows[n:] = new_rows
-    return EmbeddingMatrix(Vocabulary(model_vocab.tokens + new_tokens), rows)
+    return EmbeddingMatrix._wrap(Vocabulary(model_vocab.tokens + new_tokens), rows)
 
 
 def emit_expanded(

@@ -186,6 +186,20 @@ class TestApplyMap:
         with pytest.raises(DimMismatch):
             apply_map(LinearMap(np.eye(3)), make_emb(["a"], [[1.0, 2.0]]))
 
+    def test_holds_its_product_without_a_copy(self):
+        """The mapped matrix costs one product buffer, frozen in place."""
+        rng = np.random.default_rng(12)
+        emb = make_emb(tok_list("t", 20000), rng.standard_normal((20000, 64)))
+        linear_map = LinearMap(random_semi_orthogonal(rng, 64, 64))
+        tracemalloc.start()
+        try:
+            out = apply_map(linear_map, emb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.rows.nbytes
+        assert not out.rows.flags.writeable
+
     @pytest.mark.parametrize("d1, d2", [(6, 6), (5, 9), (9, 5)])
     def test_mapped_unit_is_unit_rows_of_applied_map(self, d1, d2):
         """Scorers and ``csls-nn --map`` build the same mapped unit rows, bit for bit."""

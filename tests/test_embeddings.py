@@ -3,6 +3,7 @@
 import hashlib
 import io
 import logging
+import mmap
 import os
 import struct
 import tempfile
@@ -137,6 +138,21 @@ class TestEmbeddingMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):
             make_emb(["a"], [[np.nan, 1.0]])
+
+    def test_wrap_freezes_the_array_itself(self):
+        arr = np.array([[1.0, 2.0], [3.0, 4.0]])
+        m = EmbeddingMatrix._wrap(Vocabulary(["a", "b"]), arr, duplicate_count=2)
+        assert m.rows is arr and not arr.flags.writeable and m.duplicate_count == 2
+
+    @pytest.mark.parametrize("rows, match", [
+        (np.zeros(2), "2-D"), (np.eye(3), "row count"), (np.zeros((2, 0)), "dimension"),
+        (np.array([[1.0, 2.0], [np.nan, 4.0]]), "non-finite"),
+        (np.array([[1.0, -np.inf], [3.0, 4.0]]), "non-finite"),
+    ])
+    def test_wrap_keeps_the_constructor_checks(self, rows, match):
+        for build in (EmbeddingMatrix, EmbeddingMatrix._wrap):
+            with pytest.raises(ValidationError, match=match):
+                build(Vocabulary(["a", "b"]), rows)
 
     def test_rejects_row_count_mismatch(self):
         with pytest.raises(ValidationError):
@@ -541,6 +557,13 @@ def _forge(path, labeled, **changes):
     embeddings._store(_entry(path), **content)
 
 
+def _is_mapped(values):
+    """True if ``values`` is a view of a memory map."""
+    while isinstance(values, np.ndarray):
+        values = values.base
+    return isinstance(values, memoryview) and isinstance(values.obj, mmap.mmap)
+
+
 class TestMatrixCache:
     """The ``__vbcache__`` entry beside a text matrix: same results, one parse per content."""
 
@@ -724,6 +747,86 @@ class TestMatrixCache:
             assert (parse.call_count > 0) == miss
             assert values.shape == (rows, dim)
             assert peak - values.nbytes <= 4 * 2**20
+
+    def test_version_1_entry_is_a_miss_and_is_rewritten(self, tmp_path):
+        """An entry in the previous format, byte for byte, is parsed over."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        npy = io.BytesIO()
+        np.save(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), allow_pickle=False)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        _entry(path).parent.mkdir()
+        _entry(path).write_bytes(b"vbcache-1 " + digest + b" 1 3\na\nb" + npy.getvalue())
+        assert _counted_read(path, labeled=True) == (want, 1)
+        assert _entry(path).read_bytes().startswith(b"vbcache-2 " + digest + b" 1 3 ")
+        assert _counted_read(path, labeled=True) == (want, 0)
+
+    @pytest.mark.parametrize("labeled, tokens", [
+        (True, ["a"]), (True, ["ab", "\xe7"]), (True, [f"t{i}" for i in range(37)]),
+        (True, ["\U0001f600" * 20, "##b"]), (False, [None] * 3),
+    ])
+    def test_hit_maps_aligned_read_only_rows(self, tmp_path, labeled, tokens):
+        """A hit's rows are a plain read-only array on a 64-byte boundary, equal to the parse,
+        and ``load_embeddings`` wraps them without a copy."""
+        path = tmp_path / "m.txt"
+        rows = np.random.default_rng(len(tokens)).standard_normal((len(tokens), 3))
+        _write_matrix(path, tokens if labeled else None, rows)
+        _, parsed = _read_matrix(path, labeled)
+        with mock.patch.object(embeddings, "_parse_rows") as parse:
+            _, values = _read_matrix(path, labeled)
+            emb = load_embeddings(path) if labeled else None
+        assert parse.call_count == 0
+        assert type(values) is np.ndarray and _is_mapped(values)
+        assert not values.flags.writeable and values.ctypes.data % 64 == 0
+        assert values.tobytes() == parsed.tobytes()
+        if labeled:
+            assert _is_mapped(emb.rows) and emb.rows.tobytes() == parsed.tobytes()
+
+    def test_hit_allocates_no_copy_of_the_rows(self, tmp_path):
+        """``load_embeddings`` on a hit allocates under a quarter of the matrix's bytes."""
+        path = tmp_path / "emb.vec"
+        rows = np.random.default_rng(9).standard_normal((5000, 256))
+        _write_matrix(path, [f"w{i}" for i in range(len(rows))], rows)
+        load_embeddings(path)
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _is_mapped(emb.rows)
+        assert peak < emb.rows.nbytes / 4
+
+    def test_held_matrix_outlives_the_entry_it_was_mapped_from(self, tmp_path):
+        """Re-reading an edited file replaces the entry by rename; a held matrix keeps its rows."""
+        path = tmp_path / "emb.vec"
+        tokens = [f"w{i}" for i in range(40)]
+        rows = np.random.default_rng(4).standard_normal((40, 6))
+        _write_matrix(path, tokens, rows)
+        load_embeddings(path)
+        held = load_embeddings(path)
+        assert _is_mapped(held.rows)
+        want = held.rows.tobytes()
+        inode = _entry(path).stat().st_ino
+        _write_matrix(path, tokens, -rows)
+        edited = load_embeddings(path)
+        assert _entry(path).stat().st_ino != inode
+        assert held.rows.tobytes() == want
+        assert edited.rows.tobytes() == (-held.rows).tobytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists /proc/self/fd")
+    def test_each_mapped_matrix_holds_one_descriptor_until_freed(self, tmp_path):
+        path = tmp_path / "emb.vec"
+        _write_matrix(path, ["a", "b"], np.eye(2))
+        load_embeddings(path)
+        start = len(os.listdir("/proc/self/fd"))
+        held = [load_embeddings(path) for _ in range(3)]
+        assert len(os.listdir("/proc/self/fd")) == start + len(held)
+        del held
+        for _ in range(100):
+            load_embeddings(path)
+        assert len(os.listdir("/proc/self/fd")) == start
 
 
 class TestNormalizeRows:

@@ -223,7 +223,7 @@ class TestExpandValidation:
             expand_vocabulary(model.vocab, model, rows[:1], provenance)
 
     def test_reordered_splice_memory(self):
-        """A reordered model costs no more than one output buffer and its matrix copy."""
+        """A reordered model costs one output buffer, frozen in place, and its vocabulary."""
         rng = np.random.default_rng(21)
         n, d = 20000, 64
         tokens = tok_list("m", n)
@@ -236,7 +236,7 @@ class TestExpandValidation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * model.rows.nbytes
+        assert peak <= 1.25 * model.rows.nbytes
         assert np.array_equal(out.rows[:n], model.rows[::-1])
 
 
