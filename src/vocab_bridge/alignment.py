@@ -18,10 +18,13 @@ Ranking contract: one kernel, ``_csls_topk``, ranks every CSLS retrieval
 scores, and ``build_all_assignments`` for ``mixture-build`` anchors) and
 checks their widths and depths.  It lists targets best first, ties broken by
 ascending target id, so every retrieval is deterministic.  It computes both
-r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, so
-memory is bounded by that budget, not by queries x targets.  Blocking moves
-scores only by rounding (within 1e-12 of one block) and leaves the ranking
-rule as it is.
+r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, written
+into block buffers allocated once per call (two at most), so memory is
+bounded by that budget, not by queries x targets.  Blocking moves scores only
+by rounding (within 1e-12 of one block) and leaves the ranking rule as it is.
+The kernel is two steps, the target r-term and the ranking; ``evaluate_map``
+runs them itself so that both ``align-eval`` scores share one target r-term
+when the unsupervised sample is the whole source.
 
 CSLS and the fits need unit rows, so each scorer and fit normalizes its own
 inputs once (``embeddings._unit_rows``) and works on plain arrays from
@@ -150,11 +153,6 @@ def _mapped_unit(linear_map: LinearMap, emb: EmbeddingMatrix) -> np.ndarray:
     return _unit_rows(emb.rows @ linear_map.matrix, emb.vocab)
 
 
-def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest entries."""
-    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
-
-
 def _row_blocks(n: int, cols: int) -> list[slice]:
     """Row slices of about ``_BLOCK_CELLS`` cells of an (n, cols) product.
 
@@ -166,6 +164,84 @@ def _row_blocks(n: int, cols: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _buffered_blocks(n: int, cols: int, count: int):
+    """Yield each of ``_row_blocks(n, cols)`` with ``count`` (rows, cols) views.
+
+    The views lie in ``count`` buffers allocated once, for the largest block
+    (a joined remainder makes it one row longer than the step).
+    """
+    blocks = _row_blocks(n, cols)
+    cells = max((b.stop - b.start for b in blocks), default=0) * cols
+    buffers = [np.empty(cells) for _ in range(count)]
+    for b in blocks:
+        size = (b.stop - b.start) * cols
+        yield b, *(buf[:size].reshape(-1, cols) for buf in buffers)
+
+
+def _target_rterm(targets: np.ndarray, src_rset: np.ndarray, k: int) -> np.ndarray:
+    """Mean cosine from each target row to its k nearest ``src_rset`` rows."""
+    r_t = np.empty(len(targets))
+    for b, sims in _buffered_blocks(len(targets), len(src_rset), 1):
+        np.matmul(targets[b], src_rset.T, out=sims)
+        # the product is not needed afterwards, so it is partitioned in place
+        sims.partition(-k, axis=1)
+        r_t[b] = sims[:, -k:].mean(axis=1)
+    return r_t
+
+
+def _csls_rank(
+    queries: np.ndarray,
+    targets: np.ndarray,
+    r_t: np.ndarray,
+    k: int,
+    top: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``top`` best CSLS targets for every query row, given ``r_t``."""
+    ids = np.empty((len(queries), top), dtype=np.intp)
+    best = np.empty((len(queries), top))
+    for b, scores, work in _buffered_blocks(len(queries), len(targets), 2):
+        np.matmul(queries[b], targets.T, out=scores)
+        # np.partition is a copy plus ndarray.partition, so partitioning a
+        # copy in ``work`` keeps every mean and score bit for bit
+        np.copyto(work, scores)
+        work.partition(-k, axis=1)
+        r_q = work[:, -k:].mean(axis=1)
+        # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
+        scores *= 2.0
+        scores -= r_q[:, None]
+        scores -= r_t[None, :]
+        # every column at or above the row's top-th best score, then an exact
+        # (-score, id) sort of those few keeps ties at the cut in id order
+        if top == 1:
+            cut = scores.max(axis=1)
+        else:
+            np.copyto(work, scores)
+            work.partition(-top, axis=1)
+            cut = work[:, -top]
+        flat = np.flatnonzero(scores >= cut[:, None])
+        rows, cols = np.divmod(flat, scores.shape[1])
+        vals = scores.ravel()[flat]
+        order = np.lexsort((cols, -vals, rows))
+        starts = np.searchsorted(rows, np.arange(len(scores)))
+        pick = order[(starts[:, None] + np.arange(top)).ravel()]
+        ids[b] = cols[pick].reshape(-1, top)
+        best[b] = vals[pick].reshape(-1, top)
+    return ids, best
+
+
+def _check_csls(
+    queries: np.ndarray, targets: np.ndarray, src_rset: np.ndarray, k: int, top: int
+) -> None:
+    if queries.shape[1] != targets.shape[1]:
+        raise DimMismatch(f"query dim {queries.shape[1]} != target dim {targets.shape[1]}")
+    if k < 1:
+        raise ValidationError(f"csls_k={k} must be positive")
+    if top < 1 or top > len(targets):
+        raise ValidationError(f"top={top} outside [1, {len(targets)}]")
+    if k > len(targets) or k > len(src_rset):
+        raise KTooLarge(f"csls_k={k} exceeds a matrix size ({len(src_rset)}, {len(targets)})")
 
 
 def _csls_topk(
@@ -180,45 +256,19 @@ def _csls_topk(
     Returns (ids, scores), both of shape (len(queries), top), best first,
     ties by ascending target id.  The query r-term is taken over ``targets``
     themselves, the target r-term over ``src_rset``.  Each row's r-term and
-    ranking depend only on that row, so both run in row blocks.
+    ranking depend only on that row, so both run in row blocks: the target
+    r-term step (``_target_rterm``) in one block buffer, the ranking step
+    (``_csls_rank``) in two.  Each step allocates its buffers once, for its
+    largest block, so memory is at most two block buffers per call.
 
-    Every CSLS caller's argument checks live here: ``DimMismatch`` when query
-    and target widths differ, ``ValidationError`` when ``k`` or ``top`` is
-    below 1 or ``top`` exceeds the targets, and ``KTooLarge`` when ``k``
-    exceeds the targets or the ``src_rset`` rows.
+    Every CSLS caller's argument checks live in ``_check_csls``, which this
+    and ``evaluate_map`` call first: ``DimMismatch`` when query and target
+    widths differ, ``ValidationError`` when ``k`` or ``top`` is below 1 or
+    ``top`` exceeds the targets, and ``KTooLarge`` when ``k`` exceeds the
+    targets or the ``src_rset`` rows.
     """
-    if queries.shape[1] != targets.shape[1]:
-        raise DimMismatch(f"query dim {queries.shape[1]} != target dim {targets.shape[1]}")
-    if k < 1:
-        raise ValidationError(f"csls_k={k} must be positive")
-    if top < 1 or top > len(targets):
-        raise ValidationError(f"top={top} outside [1, {len(targets)}]")
-    if k > len(targets) or k > len(src_rset):
-        raise KTooLarge(f"csls_k={k} exceeds a matrix size ({len(src_rset)}, {len(targets)})")
-    r_t = np.empty(len(targets))
-    for b in _row_blocks(len(targets), len(src_rset)):
-        r_t[b] = _topk_mean(targets[b] @ src_rset.T, k)
-    ids = np.empty((len(queries), top), dtype=np.intp)
-    best = np.empty((len(queries), top))
-    for b in _row_blocks(len(queries), len(targets)):
-        scores = queries[b] @ targets.T
-        r_q = _topk_mean(scores, k)
-        # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
-        scores *= 2.0
-        scores -= r_q[:, None]
-        scores -= r_t[None, :]
-        # every column at or above the row's top-th best score, then an exact
-        # (-score, id) sort of those few keeps ties at the cut in id order
-        cut = scores.max(axis=1) if top == 1 else np.partition(scores, -top, axis=1)[:, -top]
-        flat = np.flatnonzero(scores >= cut[:, None])
-        rows, cols = np.divmod(flat, scores.shape[1])
-        vals = scores.ravel()[flat]
-        order = np.lexsort((cols, -vals, rows))
-        starts = np.searchsorted(rows, np.arange(len(scores)))
-        pick = order[(starts[:, None] + np.arange(top)).ravel()]
-        ids[b] = cols[pick].reshape(-1, top)
-        best[b] = vals[pick].reshape(-1, top)
-    return ids, best
+    _check_csls(queries, targets, src_rset, k, top)
+    return _csls_rank(queries, targets, _target_rterm(targets, src_rset, k), k, top)
 
 
 def csls_knn(
@@ -271,6 +321,9 @@ def evaluate_map(
     files.  It needs no dictionary, so it serves as a sanity filter.
 
     Source and targets are mapped and normalized once for both numbers.
+    When ``len(src) <= sample`` the sample is the whole mapped source, so the
+    unsupervised score reuses the precision's target r-term instead of
+    computing the same one again; a smaller sample takes its own.
     """
     if sample < 1:
         raise ValidationError("sample must be positive")
@@ -288,13 +341,21 @@ def evaluate_map(
         raise EmptyEvalDict(f"no usable evaluation pairs ({skipped} sources skipped)")
     if skipped:
         log.info("precision eval skipped %d of %d sources", skipped, skipped + len(evaluated))
-    ids, _ = _csls_topk(mapped[[i for i, _ in evaluated]], t, mapped, csls_k, min(eval_k, len(t)))
+    queries = mapped[[i for i, _ in evaluated]]
+    top = min(eval_k, len(t))
+    _check_csls(queries, t, mapped, csls_k, top)
+    r_t = _target_rterm(t, mapped, csls_k)
+    ids, _ = _csls_rank(queries, t, r_t, csls_k, top)
     hits = sum(
         any(tgt.vocab.token(int(j)) in targets for j in id_row)
         for id_row, (_, targets) in zip(ids, evaluated)
     )
     sampled = mapped[:sample]
-    ids, _ = _csls_topk(sampled, t, sampled, csls_k, 1)
+    if len(sampled) == len(mapped):
+        # the sample is the whole mapped source, so its target r-term is r_t
+        ids, _ = _csls_rank(sampled, t, r_t, csls_k, 1)
+    else:
+        ids, _ = _csls_topk(sampled, t, sampled, csls_k, 1)
     score = float(np.mean(np.sum(sampled * t[ids[:, 0]], axis=1)))
     return hits / len(evaluated), score
 

@@ -11,8 +11,13 @@ from collections import Counter
 
 import numpy as np
 
+from vocab_bridge.alignment import _mapped_unit, _row_blocks
+from vocab_bridge.embeddings import _unit_rows
 from vocab_bridge.errors import (
     CountMismatch,
+    DimMismatch,
+    EmptyEvalDict,
+    KTooLarge,
     MalformedHeader,
     MissingAnchor,
     NonFiniteValue,
@@ -168,6 +173,97 @@ def precision_at_k_oracle(mapped_rows, mapped_index, tgt_rows, tgt_tokens, pairs
         if retrieved & targets:
             hits += 1
     return hits / total if total else None
+
+
+# The previous CSLS kernel and two-call ``evaluate_map``, kept verbatim as
+# bit-identity references.  They share the package's row blocking
+# (``_row_blocks`` and its ``_BLOCK_CELLS`` budget), because the same blocks
+# are what makes the comparison bitwise; ``TestCslsBlocks`` checks the blocks.
+
+
+def _topk_mean(sims: np.ndarray, k: int) -> np.ndarray:
+    """Row-wise mean of the k largest entries."""
+    return np.partition(sims, -k, axis=1)[:, -k:].mean(axis=1)
+
+
+def csls_topk_reference(
+    queries: np.ndarray,
+    targets: np.ndarray,
+    src_rset: np.ndarray,
+    k: int,
+    top: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """A fresh product and partition copies per row block, one kernel call."""
+    if queries.shape[1] != targets.shape[1]:
+        raise DimMismatch(f"query dim {queries.shape[1]} != target dim {targets.shape[1]}")
+    if k < 1:
+        raise ValidationError(f"csls_k={k} must be positive")
+    if top < 1 or top > len(targets):
+        raise ValidationError(f"top={top} outside [1, {len(targets)}]")
+    if k > len(targets) or k > len(src_rset):
+        raise KTooLarge(f"csls_k={k} exceeds a matrix size ({len(src_rset)}, {len(targets)})")
+    r_t = np.empty(len(targets))
+    for b in _row_blocks(len(targets), len(src_rset)):
+        r_t[b] = _topk_mean(targets[b] @ src_rset.T, k)
+    ids = np.empty((len(queries), top), dtype=np.intp)
+    best = np.empty((len(queries), top))
+    for b in _row_blocks(len(queries), len(targets)):
+        scores = queries[b] @ targets.T
+        r_q = _topk_mean(scores, k)
+        # in place, in the order of 2*sim - r_q - r_t, so scores stay bitwise equal
+        scores *= 2.0
+        scores -= r_q[:, None]
+        scores -= r_t[None, :]
+        # every column at or above the row's top-th best score, then an exact
+        # (-score, id) sort of those few keeps ties at the cut in id order
+        cut = scores.max(axis=1) if top == 1 else np.partition(scores, -top, axis=1)[:, -top]
+        flat = np.flatnonzero(scores >= cut[:, None])
+        rows, cols = np.divmod(flat, scores.shape[1])
+        vals = scores.ravel()[flat]
+        order = np.lexsort((cols, -vals, rows))
+        starts = np.searchsorted(rows, np.arange(len(scores)))
+        pick = order[(starts[:, None] + np.arange(top)).ravel()]
+        ids[b] = cols[pick].reshape(-1, top)
+        best[b] = vals[pick].reshape(-1, top)
+    return ids, best
+
+
+def evaluate_map_reference(
+    linear_map,
+    src,
+    tgt,
+    eval_dict,
+    *,
+    csls_k: int = 10,
+    eval_k: int = 1,
+    sample: int = 10000,
+) -> tuple[float, float]:
+    """``(precision, score)`` from two full kernel calls, each with its own r-term."""
+    if sample < 1:
+        raise ValidationError("sample must be positive")
+    mapped = _mapped_unit(linear_map, src)
+    t = _unit_rows(tgt.rows, tgt.vocab)
+    evaluated: list[tuple[int, set[str]]] = []
+    skipped = 0
+    for source, listed in eval_dict.targets_by_source().items():
+        targets = {t_ for t_ in listed if t_ in tgt.vocab}
+        if source not in src.vocab or not targets:
+            skipped += 1
+            continue
+        evaluated.append((src.vocab.id(source), targets))
+    if not evaluated:
+        raise EmptyEvalDict(f"no usable evaluation pairs ({skipped} sources skipped)")
+    ids, _ = csls_topk_reference(
+        mapped[[i for i, _ in evaluated]], t, mapped, csls_k, min(eval_k, len(t))
+    )
+    hits = sum(
+        any(tgt.vocab.token(int(j)) in targets for j in id_row)
+        for id_row, (_, targets) in zip(ids, evaluated)
+    )
+    sampled = mapped[:sample]
+    ids, _ = csls_topk_reference(sampled, t, sampled, csls_k, 1)
+    score = float(np.mean(np.sum(sampled * t[ids[:, 0]], axis=1)))
+    return hits / len(evaluated), score
 
 
 def format_matrix(labels, values) -> str:

@@ -414,7 +414,8 @@ class TestCslsBlocks:
             assert all_ids[i].tolist() == np.lexsort((np.arange(m), -by_id)).tolist()
 
     def test_peak_memory_follows_the_block_budget(self):
-        """3,000 x 2,500 scores are 60 MB dense; the blocked kernel stays far below."""
+        """3,000 x 2,500 scores are 60 MB dense; the kernel holds two block
+        buffers (52 x 2,500 float64 each), its outputs and a little more."""
         rng = np.random.default_rng(19)
         queries = unit_rows(rng, 3000, 16)
         targets = unit_rows(rng, 2500, 16)
@@ -424,7 +425,9 @@ class TestCslsBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16e6
+        block = 8 * (alignment._BLOCK_CELLS // 2500) * 2500
+        outputs = 3000 * 5 * (8 + 8)
+        assert peak < 2 * block + outputs + 0.5e6
 
 
 class TestCslsTopOne:
@@ -465,6 +468,122 @@ class TestCslsTopOne:
             assert len(tied) >= 2
             assert ids[i, 0] == tied[0]
             assert scores[i, 0] == by_id.max()
+
+
+class TestCslsReference:
+    """The two-buffer kernel against the previous kernel, bit for bit."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 12),
+        n_src=st.integers(1, 9),
+        d=st.integers(1, 4),
+        picks=st.lists(st.integers(0, 3), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    def test_every_budget_matches_the_reference(self, seed, n, n_src, d, picks, data):
+        """Targets repeat rows of a 4-row bank, so their scores tie exactly."""
+        rng = np.random.default_rng(seed)
+        queries = unit_rows(rng, n, d)
+        src = unit_rows(rng, n_src, d)
+        targets = unit_rows(rng, 4, d)[picks]
+        m = len(picks)
+        k = data.draw(st.integers(1, min(n_src, m)), label="k")
+        top = data.draw(st.integers(1, m), label="top")
+        budget = data.draw(st.integers(1, max(n * m, m * n_src)), label="budget")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", budget)
+            ids, scores = _csls_topk(queries, targets, src, k, top)
+            want_ids, want_scores = oracles.csls_topk_reference(queries, targets, src, k, top)
+        assert ids.shape == scores.shape == (n, top)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(scores, want_scores)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        step=st.integers(2, 5),
+        full=st.integers(1, 3),
+        width=st.integers(1, 9),
+        d=st.integers(1, 4),
+        in_rterm=st.booleans(),
+        data=st.data(),
+    )
+    def test_a_joined_remainder_fits_the_buffers(
+        self, seed, step, full, width, d, in_rterm, data
+    ):
+        """The last block of one pass is ``step + 1`` rows: the target r-term
+        pass when ``in_rterm``, else the ranking pass."""
+        rng = np.random.default_rng(seed)
+        long = full * step + 1
+        n, n_tgt, n_src = (width, long, width) if in_rterm else (long, width, width)
+        picks = data.draw(st.lists(st.integers(0, 3), min_size=n_tgt, max_size=n_tgt))
+        queries = unit_rows(rng, n, d)
+        src = unit_rows(rng, n_src, d)
+        targets = unit_rows(rng, 4, d)[picks]
+        k = data.draw(st.integers(1, min(n_src, n_tgt)), label="k")
+        top = data.draw(st.integers(1, n_tgt), label="top")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", step * width)
+            blocks = _row_blocks(long, width)
+            ids, scores = _csls_topk(queries, targets, src, k, top)
+            want_ids, want_scores = oracles.csls_topk_reference(queries, targets, src, k, top)
+        assert blocks[-1].stop - blocks[-1].start == step + 1
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(scores, want_scores)
+
+
+class TestEvaluateMapReference:
+    """``evaluate_map`` shares one target r-term exactly when the sample is
+    the whole source; both numbers match two full kernel calls bit for bit."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_src=st.integers(2, 12),
+        n_tgt=st.integers(2, 12),
+        d=st.integers(1, 4),
+        offset=st.integers(-3, 3),
+        budget=st.integers(1, 60),
+        data=st.data(),
+    )
+    def test_matches_two_kernel_calls(self, seed, n_src, n_tgt, d, offset, budget, data):
+        """``offset`` puts ``sample`` below, at or above ``len(src)``."""
+        rng = np.random.default_rng(seed)
+        sample = max(1, n_src + offset)
+        src = make_emb(tok_list("s", n_src), rng.standard_normal((n_src, d)))
+        tgt = make_emb(tok_list("t", n_tgt), rng.standard_normal((n_tgt, d)))
+        linear_map = LinearMap(random_orthogonal(rng, d))
+        pairs = BilingualDictionary(
+            tuple((f"s{i:04d}", f"t{(i * 3) % n_tgt:04d}") for i in range(n_src))
+        )
+        csls_k = data.draw(st.integers(1, min(sample, n_src, n_tgt)), label="csls_k")
+        eval_k = data.draw(st.integers(1, n_tgt + 1), label="eval_k")
+        kwargs = {"csls_k": csls_k, "eval_k": eval_k, "sample": sample}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(alignment, "_BLOCK_CELLS", budget)
+            got = evaluate_map(linear_map, src, tgt, pairs, **kwargs)
+            want = oracles.evaluate_map_reference(linear_map, src, tgt, pairs, **kwargs)
+        assert got == want
+
+    def test_a_smaller_sample_keeps_its_own_target_rterm(self):
+        """At 18 degrees the sampled row is nearer target A (0 degrees) than
+        B (40 degrees).  The unsampled source row lies on A, so an r-term over
+        the whole source would penalize A and pick B."""
+        def on_circle(degrees):
+            a = np.radians(degrees)
+            return np.column_stack([np.cos(a), np.sin(a)])
+
+        src = make_emb(tok_list("s", 2), on_circle([18, 0]))
+        tgt = make_emb(tok_list("t", 2), on_circle([0, 40]))
+        pairs = BilingualDictionary((("s0000", "t0000"),))
+        identity = LinearMap(np.eye(2))
+        whole_ids, _ = oracles.csls_topk_reference(src.rows[:1], tgt.rows, src.rows, 1, 1)
+        assert whole_ids[0, 0] == 1
+        got = evaluate_map(identity, src, tgt, pairs, csls_k=1, sample=1)
+        assert got == oracles.evaluate_map_reference(identity, src, tgt, pairs, csls_k=1, sample=1)
+        np.testing.assert_allclose(got[1], np.cos(np.radians(18)), rtol=0, atol=1e-12)
 
 
 class TestScaleInvariance:
