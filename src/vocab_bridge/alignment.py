@@ -41,7 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dictionary import BilingualDictionary
-from .embeddings import EmbeddingMatrix, Vocabulary, _read_matrix, _unit_rows, _write_matrix
+from .embeddings import (
+    EmbeddingMatrix,
+    Vocabulary,
+    _all_finite,
+    _read_matrix,
+    _unit_rows,
+    _write_matrix,
+)
 from .errors import (
     DegenerateInput,
     DimMismatch,
@@ -78,7 +85,7 @@ class LinearMap:
             raise ValidationError(f"map matrix must be 2-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ValidationError(f"map matrix is empty, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValidationError("map matrix contains non-finite values")
         d1, d2 = arr.shape
         gram = arr.T @ arr - np.eye(d2) if d1 >= d2 else arr @ arr.T - np.eye(d1)
@@ -125,7 +132,7 @@ def procrustes_solve(x, y) -> LinearMap:
         raise DimMismatch(f"paired row counts differ: {xa.shape[0]} vs {ya.shape[0]}")
     if xa.shape[0] < 1:
         raise ValidationError("need at least one paired row")
-    if not (np.all(np.isfinite(xa)) and np.all(np.isfinite(ya))):
+    if not (_all_finite(xa) and _all_finite(ya)):
         raise ValidationError("inputs contain non-finite values")
     cross = xa.T @ ya
     if not cross.any():

@@ -34,14 +34,14 @@ means the file is parsed.  The logger ``vocab_bridge.embeddings`` says at
 debug level which reads hit, which parse and which entries could not be
 written.
 
-The entry format is ``vbcache-2``: its first line is padded so that the
-rows start on a 64-byte boundary of the file, and so of the mapping.  An
-entry of another format is a miss and is rewritten.  Each array mapped
-from an entry holds one file descriptor until it is freed.  The package
-only ever replaces an entry by rename (:func:`_staged`), so a mapping of
-the old entry stays valid; another program that truncates an entry in
-place while it is mapped makes the process die of SIGBUS when it reads the
-lost rows.
+The entry format is ``vbcache-3``: its first line, the tag, the digest and
+the byte length of the tokens, is padded so that the rows start on a 64-byte
+boundary of the file, and so of the mapping.  An entry of another format is
+a miss and is rewritten.  Each array mapped from an entry holds one file
+descriptor until it is freed.  The package only ever replaces an entry by
+rename (:func:`_staged`), so a mapping of the old entry stays valid; another
+program that truncates an entry in place while it is mapped makes the
+process die of SIGBUS when it reads the lost rows.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ _FORMAT_CELLS = 2**14
 # line of an entry starts with the format tag.
 _CACHE_DIR = "__vbcache__"
 _ENTRY_SUFFIX = ".vbc"
-_ENTRY_TAG = b"vbcache-2"
+_ENTRY_TAG = b"vbcache-3"
 # Byte boundary in the entry file, and so in its mapping, where its rows start.
 _ROW_ALIGN = 64
 
@@ -167,14 +167,14 @@ class EmbeddingMatrix:
     :func:`load_embeddings` maps read-only from a cache entry, which hold one
     file descriptor while the matrix lives.  Rows are stored as given, never
     rescaled; the scorers normalize their own inputs.  ``duplicate_count``
-    records how many duplicate rows were dropped while parsing, if the matrix
-    came from :func:`load_embeddings`.
+    is the number of duplicate rows :func:`load_embeddings` dropped while
+    parsing, and 0 for a matrix from anywhere else.
     """
 
     __slots__ = ("vocab", "rows", "duplicate_count")
 
-    def __init__(self, vocab: Vocabulary, rows, *, duplicate_count: int = 0):
-        self._hold(vocab, np.array(rows, dtype=np.float64, copy=True), duplicate_count)
+    def __init__(self, vocab: Vocabulary, rows):
+        self._hold(vocab, np.array(rows, dtype=np.float64, copy=True), 0)
 
     @classmethod
     def _wrap(cls, vocab: Vocabulary, rows: np.ndarray, *, duplicate_count: int = 0):
@@ -398,16 +398,16 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
     """The ``(labels, values)`` that ``entry`` holds for the current bytes of ``path``.
 
     An entry is outside input: ``None`` unless its digest is the SHA-256 of
-    the file, its flag is ``labeled``, it holds one valid token per row
-    declared in the file's header (none for a map) and its rows are a finite
-    C-order float64 array of the header's shape and nothing after them.  The
-    values are a read-only array mapped over the entry's rows, which holds a
+    the file, it holds one valid token per row declared in the file's header
+    if ``labeled`` and none otherwise, and its rows are a finite C-order
+    float64 array of the header's shape and nothing after them.  The values
+    are a read-only array mapped over the entry's rows, which holds a
     duplicate of the entry's descriptor until it is freed.
     """
     try:
         with open(entry, "rb") as fh:
-            tag, digest, flag, size = fh.readline(256).split()
-            if tag != _ENTRY_TAG or flag != b"%d" % labeled or not size.isdigit():
+            tag, digest, size = fh.readline(256).split()
+            if tag != _ENTRY_TAG or not size.isdigit():
                 return None
             with open(path, "rb") as src:
                 header = src.readline()
@@ -444,7 +444,7 @@ def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarra
     ``_ROW_ALIGN``: a ``.npy`` header is a multiple of 64 bytes long.
     """
     text = "\n".join(labels).encode("utf-8") if labels is not None else b""
-    line = b"%s %s %d %d" % (_ENTRY_TAG, digest.encode(), labels is not None, len(text))
+    line = b"%s %s %d" % (_ENTRY_TAG, digest.encode(), len(text))
     line += b" " * (-(len(line) + 1 + len(text)) % _ROW_ALIGN) + b"\n"
     try:
         entry.parent.mkdir(exist_ok=True)

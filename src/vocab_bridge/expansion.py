@@ -125,14 +125,10 @@ def random_rows(
     """Each new token's row copied from a donor drawn uniformly from ``model_vocab``."""
     if len(model_vocab) == 0:
         raise ValidationError("cannot draw donor rows from an empty model")
-    donors = np.random.default_rng(seed).integers(0, len(model_vocab), size=len(new_tokens))
-    rows = np.empty((len(new_tokens), model_emb.dim))
-    provenance = []
-    for i, tok in enumerate(new_tokens):
-        donor = model_vocab.token(int(donors[i]))
-        rows[i] = model_emb.row(donor)
-        provenance.append((tok, "random", f"donor={donor}"))
-    return rows, provenance
+    draws = np.random.default_rng(seed).integers(0, len(model_vocab), size=len(new_tokens))
+    donors = [model_vocab.token(i) for i in draws.tolist()]
+    rows = model_emb.rows[[model_emb.vocab.id(donor) for donor in donors]]
+    return rows, [(tok, "random", f"donor={donor}") for tok, donor in zip(new_tokens, donors)]
 
 
 def expand_vocabulary(

@@ -25,6 +25,7 @@ from .alignment import LinearMap, _csls_topk, _mapped_unit
 from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
+    _all_finite,
     _atomic_text,
     _is_token,
     _open_text,
@@ -34,7 +35,6 @@ from .errors import (
     DuplicateNewToken,
     EmptyAnchorPool,
     MalformedLine,
-    TokenNotFound,
     ValidationError,
 )
 
@@ -51,7 +51,7 @@ def mixture_weights(scores) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[1] == 0:
         raise ValidationError(f"cannot weight score rows of shape {scores.shape}")
-    if not np.all(np.isfinite(scores)):
+    if not _all_finite(scores):
         raise ValidationError("candidate scores contain non-finite values")
     exp = np.exp(scores - scores.max(axis=1, keepdims=True))
     return exp / exp.sum(axis=1, keepdims=True)
@@ -95,8 +95,6 @@ def build_all_assignments(
 
     q_ids: dict[str, int] = {}
     for tok in new_tokens:
-        if tok not in src.vocab:
-            raise TokenNotFound(tok)
         if tok in q_ids:
             raise DuplicateNewToken(tok)
         q_ids[tok] = src.vocab.id(tok)

@@ -57,16 +57,16 @@ def corpus_oov_stats(
     *,
     top_n: int = DEFAULT_TOP_N,
     count_types: bool = False,
-    max_chars: int = DEFAULT_MAX_CHARS,
 ) -> OovReport:
     """Classify every distinct word of the corpus once and tally both OOV levels.
 
     ``count_types`` switches to the type-level view, where each distinct
     word contributes one count regardless of how often it occurs.  The top
-    OOV list always ranks by occurrence frequency.
+    OOV list always ranks by occurrence frequency.  Words are segmented at
+    ``DEFAULT_MAX_CHARS``, so a longer word is subword OOV.
     """
     occurrences = Counter(word for line in lines for word in line.split())
-    statuses = {w: wordpiece_segment(vocab, unk, w, max_chars).status for w in occurrences}
+    statuses = {w: wordpiece_segment(vocab, unk, w, DEFAULT_MAX_CHARS).status for w in occurrences}
     counts = Counter({w: 1 for w in occurrences}) if count_types else occurrences
     total = sum(counts.values())
     word_oov = sum(c for w, c in counts.items() if statuses[w] is not SegmentStatus.IN_VOCAB)

@@ -20,10 +20,11 @@ Pre-tokenization is whitespace splitting only; words are never altered.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .embeddings import CONTINUATION_PREFIX, Vocabulary, _atomic_text, _is_token, _open_text
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
@@ -69,14 +70,11 @@ class BpeModel:
 
     merges: tuple[tuple[str, str], ...]
     wordpiece_vocab: tuple[str, ...] = ()
-    # merge -> rank, built once so application never rehashes the merge table
-    _ranks: dict[tuple[str, str], int] = field(
-        init=False, compare=False, hash=False, repr=False
-    )
 
-    def __post_init__(self):
-        ranks = {pair: rank for rank, pair in enumerate(self.merges)}
-        object.__setattr__(self, "_ranks", ranks)
+    @functools.cached_property
+    def _ranks(self) -> dict[tuple[str, str], int]:
+        # merge -> rank, built once so application never rehashes the merge table
+        return {pair: rank for rank, pair in enumerate(self.merges)}
 
 
 def _symbolize(word: str) -> tuple[str, ...]:

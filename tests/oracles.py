@@ -102,6 +102,21 @@ def mixture_embedding_reference(weights, model_emb) -> np.ndarray:
     return out
 
 
+def random_rows_reference(new_tokens, model_vocab, model_emb, seed: int):
+    """``expansion.random_rows`` as the package computed it token by token,
+    one ``model_emb.row`` per donor, before the donor rows were gathered."""
+    if len(model_vocab) == 0:
+        raise ValidationError("cannot draw donor rows from an empty model")
+    donors = np.random.default_rng(seed).integers(0, len(model_vocab), size=len(new_tokens))
+    rows = np.empty((len(new_tokens), model_emb.dim))
+    provenance = []
+    for i, tok in enumerate(new_tokens):
+        donor = model_vocab.token(int(donors[i]))
+        rows[i] = model_emb.row(donor)
+        provenance.append((tok, "random", f"donor={donor}"))
+    return rows, provenance
+
+
 def vocabulary_fault_reference(tokens) -> str | None:
     """The message of the first bad token in a token list, checked one token
     at a time, or None when the list makes a valid vocabulary."""

@@ -125,10 +125,11 @@ class TestProcrustes:
 
     @pytest.mark.parametrize("side", ["x", "y"])
     def test_rejects_non_finite_inputs(self, side):
-        x, y = np.eye(3), np.eye(3)
-        (x if side == "x" else y)[2, 0] = np.nan
-        with pytest.raises(ValidationError, match="non-finite"):
-            procrustes_solve(x, y)
+        for bad in (np.nan, np.inf, -np.inf):
+            x, y = np.eye(3), np.eye(3)
+            (x if side == "x" else y)[2, 0] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                procrustes_solve(x, y)
 
     def test_matches_2d_grid_search(self):
         """The closed-form solution beats or ties a fine rotation/reflection grid."""
@@ -794,6 +795,12 @@ class TestUnsupervisedScore:
             ]
         )
         np.testing.assert_allclose(full, want, atol=1e-12)
+
+    def test_sample_must_be_positive(self):
+        rows = unit_rows(np.random.default_rng(28), 4, 3)
+        src, tgt = make_emb(tok_list("s", 4), rows), make_emb(tok_list("t", 4), rows)
+        with pytest.raises(ValidationError, match="sample must be positive"):
+            evaluate_map(LinearMap(np.eye(3)), src, tgt, self._pairs(4), csls_k=2, sample=0)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(27)

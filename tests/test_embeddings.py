@@ -120,6 +120,12 @@ class TestVocabulary:
         with pytest.raises(TokenNotFound):
             Vocabulary(["a"]).id("b")
 
+    def test_equality_is_by_tokens_and_only_with_vocabularies(self):
+        v = Vocabulary(["a", "##b"])
+        assert v == Vocabulary(["a", "##b"]) and v != Vocabulary(["##b", "a"])
+        assert v.__eq__(("a", "##b")) is NotImplemented
+        assert v != ("a", "##b") and v != ["a", "##b"] and v != "a ##b"
+
 
 class TestEmbeddingMatrix:
     def test_rows_are_immutable(self):
@@ -749,18 +755,34 @@ class TestMatrixCache:
             assert peak - values.nbytes <= 4 * 2**20
 
     def test_version_1_entry_is_a_miss_and_is_rewritten(self, tmp_path):
-        """An entry in the previous format, byte for byte, is parsed over."""
+        """An entry in either earlier format, byte for byte, is parsed over: the
+        unpadded ``vbcache-1`` and the padded ``vbcache-2``, whose first line
+        also held a labeled flag."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
         npy = io.BytesIO()
         np.save(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), allow_pickle=False)
         digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        version_2 = b"vbcache-2 " + digest + b" 1 3"
+        version_2 += b" " * (-(len(version_2) + 4) % 64) + b"\n"
         _entry(path).parent.mkdir()
-        _entry(path).write_bytes(b"vbcache-1 " + digest + b" 1 3\na\nb" + npy.getvalue())
-        assert _counted_read(path, labeled=True) == (want, 1)
-        assert _entry(path).read_bytes().startswith(b"vbcache-2 " + digest + b" 1 3 ")
-        assert _counted_read(path, labeled=True) == (want, 0)
+        for first_line in (b"vbcache-1 " + digest + b" 1 3\n", version_2):
+            _entry(path).write_bytes(first_line + b"a\nb" + npy.getvalue())
+            assert _counted_read(path, labeled=True) == (want, 1)
+            assert _entry(path).read_bytes().startswith(b"vbcache-3 " + digest + b" 3 ")
+            assert _counted_read(path, labeled=True) == (want, 0)
+
+    def test_unstattable_path_fails_as_open_does(self, tmp_path):
+        """A path ``os.stat`` rejects (a NUL byte) has no entry: the read fails as
+        ``open`` fails, and no ``__vbcache__`` is made."""
+        path = f"{tmp_path / 'emb.vec'}\0x"
+        with pytest.raises(ValueError, match="null") as err:
+            load_embeddings(path)
+        with pytest.raises(ValueError) as opened:
+            open(path)
+        assert str(err.value) == str(opened.value)
+        assert not (tmp_path / "__vbcache__").exists()
 
     @pytest.mark.parametrize("labeled, tokens", [
         (True, ["a"]), (True, ["ab", "\xe7"]), (True, [f"t{i}" for i in range(37)]),

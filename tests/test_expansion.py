@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+import oracles
 from conftest import make_emb, planted_chain, tok_list, unit_rows
 from vocab_bridge import (
     LinearMap,
@@ -28,6 +29,7 @@ from vocab_bridge.errors import (
     DuplicateNewToken,
     MissingAssignment,
     MissingToken,
+    TokenNotFound,
     ValidationError,
 )
 
@@ -114,6 +116,29 @@ class TestRandomStrategy:
             donor = detail.removeprefix("donor=")
             assert np.array_equal(rows[i], model.row(donor))
         assert not np.array_equal(rows, same)
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("count", [0, 30])
+    @pytest.mark.parametrize("order", ["same", "reversed"])
+    def test_rows_match_the_per_token_reference(self, seed, count, order):
+        """The gathered donor rows are the per-token loop's, byte for byte, with
+        the same provenance, also when ``model_vocab`` is ordered unlike the model."""
+        model = self._model(np.random.default_rng(seed), n=12, d=5)
+        vocab = model.vocab if order == "same" else Vocabulary(reversed(model.vocab.tokens))
+        new_tokens = tok_list("x", count)
+        rows, provenance = random_rows(new_tokens, vocab, model, seed)
+        want_rows, want_provenance = oracles.random_rows_reference(new_tokens, vocab, model, seed)
+        assert rows.dtype == want_rows.dtype and rows.shape == want_rows.shape
+        assert rows.tobytes() == want_rows.tobytes()
+        assert provenance == want_provenance
+
+    def test_donor_without_a_row_is_named(self):
+        """A drawn donor that the model has no row for raises as the loop did."""
+        model = make_emb(["a"], np.ones((1, 3)))
+        with pytest.raises(TokenNotFound, match="ghost"):
+            random_rows(["x"], Vocabulary(["ghost"]), model, seed=0)
+        with pytest.raises(TokenNotFound, match="ghost"):
+            oracles.random_rows_reference(["x"], Vocabulary(["ghost"]), model, seed=0)
 
 
 class TestJointStrategy:

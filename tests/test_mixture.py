@@ -75,7 +75,8 @@ class TestMixtureWeights:
         np.testing.assert_allclose(out, oracles.softmax(scores), atol=1e-12)
 
     def test_empty_rejected(self):
-        for bad in (np.empty((1, 0)), np.empty((0, 0)), [0.5, 0.5], [[0.5, np.inf]], [[np.nan]]):
+        for bad in (np.empty((1, 0)), np.empty((0, 0)), [0.5, 0.5], [[0.5, np.inf]], [[np.nan]],
+                    [[0.5], [-np.inf]]):
             with pytest.raises(ValidationError):
                 mixture_weights(bad)
 

@@ -1,8 +1,10 @@
 """The package's public surface: ``__all__`` names exactly what ``__init__`` binds,
-every public function has a caller inside the package, and README's library
-example runs as written."""
+every public function has a caller inside the package, every public default
+is overridden somewhere inside it, and README's library example runs as
+written."""
 
 import ast
+import enum
 import inspect
 import types
 from pathlib import Path
@@ -47,6 +49,50 @@ def test_every_public_function_is_referenced_inside_the_package():
     ]
     assert public_functions
     assert [name for name in public_functions if name not in referenced] == []
+
+
+def _package_calls() -> list[ast.Call]:
+    """Every call in a package module other than ``__init__``."""
+    package_dir = Path(vocab_bridge.__file__).parent
+    return [
+        node
+        for module in sorted(package_dir.glob("*.py")) if module.name != "__init__.py"
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+    ]
+
+
+def _passes(call: ast.Call, param: inspect.Parameter, position: int) -> bool:
+    """True if ``call`` may pass ``param``, ``position``-th in its signature."""
+    if any(kw.arg is None or kw.arg == param.name for kw in call.keywords):
+        return True  # by name, or possibly in a ``**mapping``
+    if param.kind is inspect.Parameter.KEYWORD_ONLY:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_public_default_has_a_package_caller():
+    """A default that no package call ever overrides is a constant dressed as
+    an option: every parameter with a default on a public function, class or
+    dataclass is passed, by name or by position, by some call in a package
+    module (``__init__`` aside)."""
+    calls = _package_calls()
+    unused = []
+    for name in vocab_bridge.__all__:
+        value = getattr(vocab_bridge, name)
+        if isinstance(value, type) and issubclass(value, enum.Enum):
+            continue
+        callers = [
+            call for call in calls
+            if getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+        ]
+        params = list(inspect.signature(value).parameters.values())
+        for position, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            if not any(_passes(call, param, position) for call in callers):
+                unused.append(f"{name}.{param.name}")
+    assert unused == []
 
 
 def _library_example() -> str:

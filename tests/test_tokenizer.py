@@ -64,6 +64,10 @@ class TestBpeTrain:
         model = bpe_train({"a": 5}, 10)
         assert model.merges == ()
 
+    def test_target_vocab_must_be_positive(self):
+        with pytest.raises(ValidationError, match="target_vocab must be positive"):
+            bpe_train({"ab": 2}, 0)
+
     def test_empty_corpus(self):
         with pytest.raises(EmptyCorpus):
             bpe_train({}, 10)
@@ -170,6 +174,16 @@ class TestBpeApply:
         for w in corpus:
             pieces = bpe_apply(model, w)
             assert "".join(pieces) == w
+
+    def test_rank_table_is_not_part_of_the_value(self):
+        """Applying a model fills its rank table but changes neither its
+        equality, its hash nor its repr."""
+        model = bpe_train({"hugging": 10, "hugged": 5, "hub": 7}, 12)
+        before = (hash(model), repr(model))
+        bpe_apply(model, "hugs")
+        assert model._ranks == {pair: rank for rank, pair in enumerate(model.merges)}
+        assert (hash(model), repr(model)) == before
+        assert model == BpeModel(model.merges, model.wordpiece_vocab)
 
     def test_wordpiece_style_rendering(self):
         assert wordpiece_style(["qu", "'"]) == ["qu", "##'"]
