@@ -23,19 +23,31 @@ anywhere in this package.
 
 Each text matrix is parsed once per content.  After a regular file parses,
 its result is kept in ``__vbcache__/<name>.vbc`` beside it: the SHA-256 of
-the bytes parsed, the tokens and the rows in ``.npy`` form.  The parser
-hashes the lines it reads, and those lines are the file's bytes: every text
-input is decoded as strict UTF-8, with LF the only line end and no
-translation.  A pipe or a device is parsed as it streams, neither hashed nor
-cached.  A later read hashes the file and, if the digest and every check of
-the entry hold, maps the entry's rows read-only instead of parsing; they are
-the same values bit for bit.  A stale, damaged or unwritable entry only
-means the file is parsed.  The logger ``vocab_bridge.embeddings`` says at
-debug level which reads hit, which parse and which entries could not be
-written.
+the bytes parsed, the file's stat key (:func:`_key`) with the wall-clock
+time taken before those bytes were read, the tokens and the rows in ``.npy``
+form.  The parser hashes the lines it reads, and those lines are the file's
+bytes: every text input is decoded as strict UTF-8, with LF the only line
+end and no translation.  A pipe or a device is parsed as it streams,
+neither hashed nor cached.
 
-The entry format is ``vbcache-3``: its first line, the tag, the digest and
-the byte length of the tokens, is padded so that the rows start on a 64-byte
+A later read is stat-checked unless racy, and content-checked otherwise,
+by git's rule for racy index entries.  If the file's stat key is the
+entry's and its ctime is more than ``_RACY_NS`` before the entry was
+verified, the file is not opened.  Otherwise it is hashed; on a digest
+match whose file is no longer racy and did not change while hashed, the
+entry is rewritten once with the current key (the refresh).  A hit that
+passes every other check of the entry maps its rows read-only instead of
+parsing; they are the same values bit for bit.  A stale, damaged or
+unwritable entry only means the file is parsed.  A backwards step of the
+wall clock, or a file system without a true ctime, can make a stat-checked
+read serve a stale entry; deleting ``__vbcache__`` forces a re-check.  The
+logger ``vocab_bridge.embeddings`` says at debug level which reads hit by
+stat key, which by hash, which refreshed, which parse and which entries
+could not be written.
+
+The entry format is ``vbcache-4``: its first line, the tag, the digest, the
+byte length of the tokens, the five fields of the stat key and the
+verification time in ns, is padded so that the rows start on a 64-byte
 boundary of the file, and so of the mapping.  An entry of another format is
 a miss and is rewritten.  Each array mapped from an entry holds one file
 descriptor until it is freed.  The package only ever replaces an entry by
@@ -54,6 +66,7 @@ import stat
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from pathlib import Path
+from time import time_ns
 
 import numpy as np
 
@@ -76,11 +89,20 @@ CONTINUATION_PREFIX = "##"
 _PARSE_CELLS = 2**17
 # Values per block that the text-matrix writer formats at once.
 _FORMAT_CELLS = 2**14
+# Values per block that the finite check tests at once.
+_FINITE_CELLS = 2**16
 # Where a text matrix's parsed form is kept, beside the file; the first
 # line of an entry starts with the format tag.
 _CACHE_DIR = "__vbcache__"
 _ENTRY_SUFFIX = ".vbc"
-_ENTRY_TAG = b"vbcache-3"
+_ENTRY_TAG = b"vbcache-4"
+# An entry's stat key is trusted only if the file's ctime is more than this
+# before the entry was verified: twice the coarsest ctime tick in common use
+# (1 s, as on ext3 and HFS+), which also covers the lag of a coarse clock.
+_RACY_NS = 2 * 10**9
+# The stamp of an entry written without a stat key: it never matches a file
+# and is always racy.
+_NO_STAMP = (-1, -1, -1, -1, -1, -1)
 # Byte boundary in the entry file, and so in its mapping, where its rows start.
 _ROW_ALIGN = 64
 
@@ -151,11 +173,16 @@ class Vocabulary:
 
 
 def _all_finite(values: np.ndarray) -> bool:
-    """True if no value is NaN or infinite; a NaN is its array's min and max.
+    """True if no value of ``values`` (at least 1-D) is NaN or infinite.
 
-    Unlike ``np.isfinite(values).all()`` it allocates nothing of the array's size.
+    ``np.isfinite`` runs over blocks of leading-axis slices of about
+    ``_FINITE_CELLS`` values, so nothing of the array's size is allocated.
     """
-    return values.size == 0 or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+    step = max(1, _FINITE_CELLS // max(1, values[:1].size))
+    for start in range(0, len(values), step):
+        if not np.isfinite(values[start:start + step]).all():
+            return False
+    return True
 
 
 class EmbeddingMatrix:
@@ -177,17 +204,21 @@ class EmbeddingMatrix:
         self._hold(vocab, np.array(rows, dtype=np.float64, copy=True), 0)
 
     @classmethod
-    def _wrap(cls, vocab: Vocabulary, rows: np.ndarray, *, duplicate_count: int = 0):
+    def _wrap(cls, vocab: Vocabulary, rows: np.ndarray, *, duplicate_count: int = 0,
+              finite: bool = False):
         """An instance over ``rows`` itself, with the constructor's checks but no copy.
 
         ``rows`` is a float64 array that nothing else writes: a fresh array of
         the package's, or a read-only mapping.  Its write flag is cleared.
+        ``finite`` says the caller has already checked every value, so they
+        are not scanned again.
         """
         emb = cls.__new__(cls)
-        emb._hold(vocab, rows, duplicate_count)
+        emb._hold(vocab, rows, duplicate_count, finite)
         return emb
 
-    def _hold(self, vocab: Vocabulary, arr: np.ndarray, duplicate_count: int) -> None:
+    def _hold(self, vocab: Vocabulary, arr: np.ndarray, duplicate_count: int,
+              finite: bool = False) -> None:
         if arr.ndim != 2:
             raise ValidationError(f"rows must be 2-D, got shape {arr.shape}")
         if arr.shape[0] != len(vocab):
@@ -196,7 +227,7 @@ class EmbeddingMatrix:
             )
         if arr.shape[1] < 1:
             raise ValidationError("embedding dimension must be at least 1")
-        if not _all_finite(arr):
+        if not (finite or _all_finite(arr)):
             raise ValidationError("embedding rows contain non-finite values")
         arr.setflags(write=False)
         self.vocab = vocab
@@ -229,7 +260,9 @@ def load_embeddings(path) -> EmbeddingMatrix:
         first.setdefault(token, i)
     duplicates = len(tokens) - len(first)
     rows = values[list(first.values())] if duplicates else values
-    return EmbeddingMatrix._wrap(Vocabulary(first), rows, duplicate_count=duplicates)
+    # _read_matrix checked every value, in the parse or in the entry
+    return EmbeddingMatrix._wrap(Vocabulary(first), rows, duplicate_count=duplicates,
+                                 finite=True)
 
 
 def save_embeddings(emb: EmbeddingMatrix, path) -> None:
@@ -287,30 +320,39 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
 
     With ``labeled`` each row starts with a token (``labels`` is their list),
     otherwise ``labels`` is ``None`` and at least one row is required.  A
-    regular file whose cache entry holds its current bytes loads from the
-    entry (:func:`_cached`).  Any other input is parsed
-    (:func:`_parse_matrix`); a regular file is hashed as it is parsed and the
-    result stored as its entry, while a pipe or a device is read once, as it
-    streams, and neither hashed nor stored.
+    regular file whose cache entry is current loads from the entry
+    (:func:`_cached`).  Any other input is parsed (:func:`_parse_matrix`); a
+    regular file is hashed as it is parsed and the result stored as its
+    entry with the file's stat key, while a pipe or a device is read once,
+    as it streams, and neither hashed nor stored.
     """
     entry = _cache_entry(path)
     if entry is not None:
         cached = _cached(entry, path, labeled)
         if cached is not None:
-            log.debug("%s: loaded from %s", path, entry)
             return cached
         log.debug("%s: parsed, no valid entry in %s", path, entry)
     digest = None if entry is None else hashlib.sha256()
+    verified = time_ns()
     with _open_text(path) as fh:
         before = os.fstat(fh.fileno())
         labels, values = _parse_matrix(fh, labeled, digest)
         after = os.fstat(fh.fileno())
     # the digest is of the lines parsed, so an entry is never wrong; a file
-    # written to during the read would only leave one no later read matches
-    unchanged = (before.st_size, before.st_mtime_ns) == (after.st_size, after.st_mtime_ns)
-    if digest is not None and unchanged:
-        _store(entry, digest.hexdigest(), labels, values)
+    # changed during the read would only leave one no later read matches
+    if digest is not None and _key(before) == _key(after):
+        _store(entry, digest.hexdigest(), labels, values, (*_key(before), verified))
     return labels, values
+
+
+def _key(st: os.stat_result) -> tuple[int, int, int, int, int]:
+    """The stat key of a file: any write, ``utime``, ``chmod`` or rename over it changes it."""
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns
+
+
+def _valid_shape(count: int, dim: int, labeled: bool) -> bool:
+    """True if a header may declare ``count`` rows of ``dim`` values."""
+    return count >= (0 if labeled else 1) and dim >= 1
 
 
 def _parse_header(header: str, labeled: bool) -> tuple[int, int]:
@@ -319,7 +361,7 @@ def _parse_header(header: str, labeled: bool) -> tuple[int, int]:
         count, dim = map(int, header.removesuffix(" ").split(" "))
     except ValueError:
         raise MalformedHeader(f"expected '<rows> <cols>', got {header!r}", line=1) from None
-    if count < (0 if labeled else 1) or dim < 1:
+    if not _valid_shape(count, dim, labeled):
         raise MalformedHeader(f"invalid header values {header!r}", line=1)
     return count, dim
 
@@ -397,36 +439,55 @@ def _cache_entry(path) -> Path | None:
 def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndarray] | None:
     """The ``(labels, values)`` that ``entry`` holds for the current bytes of ``path``.
 
-    An entry is outside input: ``None`` unless its digest is the SHA-256 of
-    the file, it holds one valid token per row declared in the file's header
-    if ``labeled`` and none otherwise, and its rows are a finite C-order
-    float64 array of the header's shape and nothing after them.  The values
-    are a read-only array mapped over the entry's rows, which holds a
-    duplicate of the entry's descriptor until it is freed.
+    An entry is outside input.  It is trusted without reading ``path`` if
+    the file's stat key (:func:`_key`) is the one it holds and the file's
+    ctime was more than ``_RACY_NS`` before the entry was verified;
+    otherwise its digest must be the SHA-256 of the file.  In either case
+    the result is ``None`` unless the entry holds one valid token per row if
+    ``labeled`` and none otherwise, and its rows are a finite C-order
+    float64 array of a shape a header may declare (the file's header's, if
+    hashed) and nothing after them.  A hashed hit whose file is no longer
+    racy and did not change while it was hashed is stored again with the
+    file's stat key (the refresh), so later reads trust it.  The values are
+    a read-only array mapped over the entry's rows, which holds a duplicate
+    of the entry's descriptor until it is freed.
     """
     try:
         with open(entry, "rb") as fh:
-            tag, digest, size = fh.readline(256).split()
-            if tag != _ENTRY_TAG or not size.isdigit():
+            tag, digest, size, *stamp = fh.readline(512).split()
+            stamp = tuple(map(int, stamp))
+            if tag != _ENTRY_TAG or not size.isdigit() or len(stamp) != len(_NO_STAMP):
                 return None
-            with open(path, "rb") as src:
-                header = src.readline()
-                actual = hashlib.sha256(header)
-                while block := src.read(2**18):
-                    actual.update(block)
-            if actual.hexdigest().encode() != digest:
-                return None
-            count, dim = _parse_header(header.decode("utf-8").removesuffix("\n"), labeled)
+            key = _key(os.stat(path))
+            # a key ends with the file's ctime, a stamp with the verification time
+            trusted = stamp[:-1] == key and key[-1] + _RACY_NS < stamp[-1]
+            if not trusted:
+                verified = time_ns()
+                with open(path, "rb") as src:
+                    before = os.fstat(src.fileno())
+                    header = src.readline()
+                    actual = hashlib.sha256(header)
+                    while block := src.read(2**18):
+                        actual.update(block)
+                    after = os.fstat(src.fileno())
+                if actual.hexdigest().encode() != digest:
+                    return None
+                declared = _parse_header(header.decode("utf-8").removesuffix("\n"), labeled)
             text = fh.read(int(size)).decode("utf-8")
             labels = text.split("\n") if text else []
-            if len(labels) != (count if labeled else 0) or text.split() != labels:
-                return None
             if np.lib.format.read_magic(fh) != (1, 0):
                 return None
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
+            if len(shape) != 2 or not (trusted or shape == declared):
+                return None
+            count, dim = shape
+            if not _valid_shape(count, dim, labeled):
+                return None
+            if len(labels) != (count if labeled else 0) or text.split() != labels:
+                return None
             start = fh.tell()
             left = os.fstat(fh.fileno()).st_size - start
-            if shape != (count, dim) or fortran or dtype != np.float64 or left != count * dim * 8:
+            if fortran or dtype != np.float64 or left != count * dim * 8:
                 return None
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             values = np.frombuffer(mapped, np.float64, count * dim, start).reshape(count, dim)
@@ -434,17 +495,28 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
         return None
     if not _all_finite(values):
         return None
-    return (labels if labeled else None), values
+    labels = labels if labeled else None
+    if trusted:
+        log.debug("%s: loaded (stat key) from %s", path, entry)
+    elif _key(before) == _key(after) and before.st_ctime_ns + _RACY_NS < verified:
+        _store(entry, digest.decode(), labels, values, (*_key(before), verified))
+        log.debug("%s: loaded (hashed) from %s, refreshed", path, entry)
+    else:
+        log.debug("%s: loaded (hashed) from %s", path, entry)
+    return labels, values
 
 
-def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarray) -> None:
+def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarray,
+           stamp: tuple[int, ...] = _NO_STAMP) -> None:
     """Write ``entry`` for a parsed file; a file system error only leaves it unwritten.
 
-    Spaces pad the first line so that the rows start at a multiple of
-    ``_ROW_ALIGN``: a ``.npy`` header is a multiple of 64 bytes long.
+    ``stamp`` is the file's stat key (:func:`_key`) and the wall-clock time
+    in ns, taken before the bytes behind ``digest`` were read.  Spaces pad
+    the first line so that the rows start at a multiple of ``_ROW_ALIGN``: a
+    ``.npy`` header is a multiple of 64 bytes long.
     """
     text = "\n".join(labels).encode("utf-8") if labels is not None else b""
-    line = b"%s %s %d" % (_ENTRY_TAG, digest.encode(), len(text))
+    line = b" ".join([_ENTRY_TAG, digest.encode(), b"%d" % len(text), *(b"%d" % n for n in stamp)])
     line += b" " * (-(len(line) + 1 + len(text)) % _ROW_ALIGN) + b"\n"
     try:
         entry.parent.mkdir(exist_ok=True)

@@ -7,7 +7,9 @@ import mmap
 import os
 import struct
 import tempfile
+import shutil
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -167,6 +169,54 @@ class TestEmbeddingMatrix:
     def test_row_lookup(self):
         m = make_emb(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(m.row("b"), [3.0, 4.0])
+
+
+@st.composite
+def _finite_check_inputs(draw):
+    """A 1-D or 2-D float64 array, maybe with one NaN, -NaN or infinity, maybe sliced."""
+    shape = tuple(draw(st.lists(st.integers(0, 12), min_size=1, max_size=2)))
+    values = draw(arrays(np.float64, shape, elements=st.floats(-1e300, 1e300)))
+    if values.size and draw(st.booleans()):
+        special = draw(st.sampled_from([np.nan, -np.nan, np.copysign(np.nan, -1.0),
+                                        np.inf, -np.inf]))
+        values.flat[draw(st.integers(0, values.size - 1))] = special
+    view = draw(st.sampled_from(["whole", "every-other-row", "reversed", "transposed",
+                                 "every-third-column"]))
+    if view == "every-other-row":
+        values = values[::2]
+    elif view == "reversed":
+        values = values[::-1]
+    elif view == "transposed":
+        values = values.T
+    elif view == "every-third-column" and values.ndim == 2:
+        values = values[:, ::3]
+    return values
+
+
+class TestAllFinite:
+    """``_all_finite``, the package's one whole-array finite check."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_finite_check_inputs(), st.sampled_from([1, 5, 64, 2**16]))
+    @example(np.zeros(0), 1)
+    @example(np.zeros((0, 4)), 1)
+    @example(np.zeros((3, 0)), 1)
+    @example(np.array([1.0, np.copysign(np.nan, -1.0)]), 1)
+    def test_matches_isfinite_all(self, values, cells):
+        """Blocked over any block size, it agrees with ``np.isfinite(values).all()``."""
+        with mock.patch.object(embeddings, "_FINITE_CELLS", cells):
+            assert embeddings._all_finite(values) == bool(np.isfinite(values).all())
+
+    def test_allocates_no_array_of_the_input_size(self):
+        values = np.zeros((2000, 512))
+        values[-1, -1] = np.nan
+        tracemalloc.start()
+        try:
+            assert not embeddings._all_finite(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= embeddings._FINITE_CELLS + 2**14
 
 
 class _TextMatrixErrors:
@@ -563,6 +613,35 @@ def _forge(path, labeled, **changes):
     embeddings._store(_entry(path), **content)
 
 
+def _edit_in_place(path, offset, data):
+    """Overwrite bytes of ``path`` in place and put its atime and mtime back.
+
+    The write is repeated until the file's ctime has moved: only a file system
+    whose ctime tick is coarser than the time between two writes needs more
+    than one.
+    """
+    st = path.stat()
+    while path.stat().st_ctime_ns == st.st_ctime_ns:
+        with open(path, "r+b") as fh:
+            fh.seek(offset)
+            fh.write(data)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+def _later(seconds=60):
+    """Move the parse cache's clock ahead, as if every file had last changed
+    ``seconds`` before each read: what it verifies then is not racy."""
+    now = time.time_ns
+    return mock.patch.object(embeddings, "time_ns", lambda: now() + seconds * 10**9)
+
+
+def _cache_log(caplog):
+    """The debug messages of the parse cache captured so far, then cleared."""
+    messages = [r.getMessage() for r in caplog.records if r.name == "vocab_bridge.embeddings"]
+    caplog.clear()
+    return messages
+
+
 def _is_mapped(values):
     """True if ``values`` is a view of a memory map."""
     while isinstance(values, np.ndarray):
@@ -708,18 +787,30 @@ class TestMatrixCache:
         assert not (tmp_path / "__vbcache__").exists()
 
     def test_file_changed_while_read_leaves_no_entry(self, tmp_path):
+        """A later mtime, or a same-size write in place with atime and mtime put
+        back, during the parse: either moves the stat key, and no entry is left."""
         path = tmp_path / "emb.vec"
-        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         parse_rows = embeddings._parse_rows
 
-        def touching(texts, out, line):
+        def later_mtime():
             os.utime(path, ns=(0, path.stat().st_mtime_ns + 10**9))
-            parse_rows(texts, out, line)
 
-        with mock.patch.object(embeddings, "_parse_rows", touching):
-            labels, values = _read_matrix(path, labeled=True)
-        assert labels == ["a", "b"]
-        assert not _entry(path).exists()
+        def same_size_in_place():
+            st = path.stat()
+            _edit_in_place(path, 6, b"5")
+            assert (path.stat().st_size, path.stat().st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+
+        for change in (later_mtime, same_size_in_place):
+            path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+
+            def touching(texts, out, line):
+                change()
+                parse_rows(texts, out, line)
+
+            with mock.patch.object(embeddings, "_parse_rows", touching):
+                labels, values = _read_matrix(path, labeled=True)
+            assert labels == ["a", "b"]
+            assert not _entry(path).exists()
 
     def test_pipe_is_parsed_and_not_cached(self, tmp_path):
         path = tmp_path / "emb.vec"
@@ -755,9 +846,9 @@ class TestMatrixCache:
             assert peak - values.nbytes <= 4 * 2**20
 
     def test_version_1_entry_is_a_miss_and_is_rewritten(self, tmp_path):
-        """An entry in either earlier format, byte for byte, is parsed over: the
-        unpadded ``vbcache-1`` and the padded ``vbcache-2``, whose first line
-        also held a labeled flag."""
+        """An entry in any earlier format, byte for byte, is parsed over: the
+        unpadded ``vbcache-1``, the padded ``vbcache-2``, whose first line
+        also held a labeled flag, and ``vbcache-3``, which held no stat key."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
@@ -766,11 +857,13 @@ class TestMatrixCache:
         digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
         version_2 = b"vbcache-2 " + digest + b" 1 3"
         version_2 += b" " * (-(len(version_2) + 4) % 64) + b"\n"
+        version_3 = b"vbcache-3 " + digest + b" 3"
+        version_3 += b" " * (-(len(version_3) + 4) % 64) + b"\n"
         _entry(path).parent.mkdir()
-        for first_line in (b"vbcache-1 " + digest + b" 1 3\n", version_2):
+        for first_line in (b"vbcache-1 " + digest + b" 1 3\n", version_2, version_3):
             _entry(path).write_bytes(first_line + b"a\nb" + npy.getvalue())
             assert _counted_read(path, labeled=True) == (want, 1)
-            assert _entry(path).read_bytes().startswith(b"vbcache-3 " + digest + b" 3 ")
+            assert _entry(path).read_bytes().startswith(b"vbcache-4 " + digest + b" 3 ")
             assert _counted_read(path, labeled=True) == (want, 0)
 
     def test_unstattable_path_fails_as_open_does(self, tmp_path):
@@ -849,6 +942,119 @@ class TestMatrixCache:
         for _ in range(100):
             load_embeddings(path)
         assert len(os.listdir("/proc/self/fd")) == start
+
+    def test_aged_entry_is_trusted_without_opening_the_file(self, tmp_path, caplog):
+        """An entry verified well after the file's last change is loaded without
+        opening, hashing or parsing the file."""
+        path = tmp_path / "emb.vec"
+        _write_matrix(path, ["a", "b"], np.arange(4.0).reshape(2, 2))
+        with _later():
+            want = _outcome(_read_matrix, path, True)
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), \
+                mock.patch.object(embeddings, "open", wraps=open, create=True) as opened, \
+                mock.patch.object(embeddings.hashlib, "sha256") as sha256:
+            again, parsed = _counted_read(path, labeled=True)
+        assert (again, parsed) == (want, 0)
+        assert [call.args[0] for call in opened.call_args_list] == [_entry(path)]
+        assert sha256.call_count == 0
+        assert _cache_log(caplog) == [f"{path}: loaded (stat key) from {_entry(path)}"]
+
+    def test_same_size_edit_with_times_restored_is_parsed_again(self, tmp_path):
+        """An edit after the entry is trusted that keeps size, atime and mtime
+        still moves the ctime, so the file is hashed and parsed."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        with _later():
+            _read_matrix(path, labeled=True)
+        assert _counted_read(path, labeled=True)[1] == 0
+        st = path.stat()
+        _edit_in_place(path, 6, b"5")
+        assert (path.stat().st_size, path.stat().st_atime_ns, path.stat().st_mtime_ns) \
+            == (st.st_size, st.st_atime_ns, st.st_mtime_ns)
+        (labels, shape, data), parsed = _counted_read(path, labeled=True)
+        assert parsed == 1 and labels == ["a", "b"]
+        assert data == np.array([[5.0, 2.0], [3.0, 4.0]]).tobytes()
+
+    def test_identical_copy_renamed_over_is_hashed_and_refreshed(self, tmp_path, caplog):
+        """A new inode with the same bytes: hashed, a hit by digest, and the entry
+        stored again with the new key, which the next read trusts."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        with _later():
+            _read_matrix(path, labeled=True)
+        inode = path.stat().st_ino
+        shutil.copyfile(path, tmp_path / "copy.vec")
+        (tmp_path / "copy.vec").replace(path)
+        assert path.stat().st_ino != inode
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
+            with _later():
+                assert _counted_read(path, labeled=True) == (want, 0)
+            assert _cache_log(caplog) == [
+                f"{path}: loaded (hashed) from {_entry(path)}, refreshed"]
+            assert _counted_read(path, labeled=True) == (want, 0)
+            assert _cache_log(caplog) == [f"{path}: loaded (stat key) from {_entry(path)}"]
+        assert int(_entry(path).read_bytes().split(b"\n", 1)[0].split()[4]) == path.stat().st_ino
+
+    def test_racy_entry_is_hashed_until_it_ages_then_refreshed_once(self, tmp_path, caplog):
+        """While the clock reads the file's ctime, every hit is hashed and the entry
+        left as it is; once the file has aged, one hit refreshes it."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        racy = mock.patch.object(embeddings, "time_ns", lambda: path.stat().st_ctime_ns)
+        with racy:
+            _read_matrix(path, labeled=True)
+        entry = _entry(path).read_bytes()
+        hashed = f"{path}: loaded (hashed) from {_entry(path)}"
+        trusted = f"{path}: loaded (stat key) from {_entry(path)}"
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), \
+                mock.patch.object(embeddings, "_store", wraps=embeddings._store) as store:
+            with racy:
+                for _ in range(3):
+                    assert _counted_read(path, labeled=True) == (want, 0)
+            assert _cache_log(caplog) == [hashed] * 3
+            assert store.call_count == 0 and _entry(path).read_bytes() == entry
+            with _later():
+                for _ in range(3):
+                    assert _counted_read(path, labeled=True) == (want, 0)
+            assert _cache_log(caplog) == [f"{hashed}, refreshed", trusted, trusted]
+            assert store.call_count == 1
+
+    def test_forged_entry_is_never_trusted(self, tmp_path, caplog):
+        """An entry stored without a stat key is checked by digest however old it is."""
+        path = tmp_path / "emb.vec"
+        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
+        want = _outcome(oracles.read_matrix_reference, path, True)
+        _forge(path, labeled=True, digest="0" * 64, values=np.zeros((2, 2)))
+        stamp = _entry(path).read_bytes().split(b"\n", 1)[0].split()[3:]
+        assert tuple(map(int, stamp)) == embeddings._NO_STAMP
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), _later():
+            assert _counted_read(path, labeled=True) == (want, 1)
+            assert _cache_log(caplog) == [f"{path}: parsed, no valid entry in {_entry(path)}"]
+
+    def test_one_finite_scan_per_load(self, tmp_path):
+        """``load_embeddings`` scans a hit's rows once, in the entry check, and a
+        miss's rows only in the parse's own line checks."""
+        path = tmp_path / "emb.vec"
+        _write_matrix(path, ["a", "b", "a"], np.arange(6.0).reshape(3, 2))
+        with mock.patch.object(embeddings, "_all_finite", wraps=embeddings._all_finite) as scans:
+            miss = load_embeddings(path)
+            assert scans.call_count == 0
+            for checks in (1, 2):
+                hit = load_embeddings(path)
+                assert scans.call_count == checks
+        assert hit.rows.tobytes() == miss.rows.tobytes() and hit.duplicate_count == 1
+
+    def test_entry_that_may_not_serve_a_map_read_is_a_miss(self, tmp_path):
+        """A trusted entry of a 0-row labeled read does not serve a map read,
+        which needs at least one row: the map read fails as the parse does."""
+        path = tmp_path / "m.txt"
+        path.write_text("0 3\n", encoding="utf-8")
+        with _later():
+            assert _read_matrix(path, labeled=True)[0] == []
+            with pytest.raises(MalformedHeader):
+                _read_matrix(path, labeled=False)
 
 
 class TestNormalizeRows:
