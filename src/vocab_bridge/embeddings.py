@@ -21,44 +21,40 @@ the data format, so no file or object stores another spelling.  Tokens are
 compared byte-wise.  No Unicode normalization or case folding is performed
 anywhere in this package.
 
-Each text matrix is parsed once per content.  After a regular file parses,
-its result is kept in ``__vbcache__/<name>.vbc`` beside it: the SHA-256 of
-the bytes parsed, the file's stat key (:func:`_key`) with the wall-clock
-time taken before those bytes were read, the tokens and the rows in ``.npy``
-form.  The parser hashes the lines it reads, and those lines are the file's
-bytes: every text input is decoded as strict UTF-8, with LF the only line
-end and no translation.  A pipe or a device is parsed as it streams,
-neither hashed nor cached.
+Each text matrix is parsed once per version of the file.  After a regular
+file parses, its result is kept in ``__vbcache__/<name>.vbc`` beside it: the
+file's stat key (:func:`_key`), the tokens and the rows in ``.npy`` form.  A
+later read trusts the entry, without opening the file, exactly when
+``os.stat`` gives the key it holds; any other read parses.  Git's rule for
+racy index entries decides what is stored: a parse leaves an entry only if
+the file's key did not move while it was read and its ctime is more than
+``_RACY_NS`` before the read began, so that any later change to the file
+moves its key.  A file read that soon after it changed is parsed on every
+read until it ages.  A pipe or a device is parsed as it streams and never
+cached.
 
-A later read is stat-checked unless racy, and content-checked otherwise,
-by git's rule for racy index entries.  If the file's stat key is the
-entry's and its ctime is more than ``_RACY_NS`` before the entry was
-verified, the file is not opened.  Otherwise it is hashed; on a digest
-match whose file is no longer racy and did not change while hashed, the
-entry is rewritten once with the current key (the refresh).  A hit that
-passes every other check of the entry maps its rows read-only instead of
-parsing; they are the same values bit for bit.  A stale, damaged or
-unwritable entry only means the file is parsed.  A backwards step of the
-wall clock, or a file system without a true ctime, can make a stat-checked
-read serve a stale entry; deleting ``__vbcache__`` forces a re-check.  The
-logger ``vocab_bridge.embeddings`` says at debug level which reads hit by
-stat key, which by hash, which refreshed, which parse and which entries
+A hit that passes every other check of the entry maps its rows read-only
+instead of parsing; they are the same values bit for bit.  A stale, damaged
+or unwritable entry only means the file is parsed.  An entry is never
+compared with the file's content, so a backwards step of the wall clock, a
+file system without a true ctime, or another program that writes an entry
+under the file's key can make a read serve a stale entry; deleting
+``__vbcache__`` forces a parse.  The logger ``vocab_bridge.embeddings`` says
+at debug level which reads loaded an entry, which parsed and which entries
 could not be written.
 
-The entry format is ``vbcache-4``: its first line, the tag, the digest, the
-byte length of the tokens, the five fields of the stat key and the
-verification time in ns, is padded so that the rows start on a 64-byte
-boundary of the file, and so of the mapping.  An entry of another format is
-a miss and is rewritten.  Each array mapped from an entry holds one file
-descriptor until it is freed.  The package only ever replaces an entry by
-rename (:func:`_staged`), so a mapping of the old entry stays valid; another
-program that truncates an entry in place while it is mapped makes the
-process die of SIGBUS when it reads the lost rows.
+The entry format is ``vbcache-5``: its first line, the tag, the byte length
+of the tokens and the five fields of the stat key, is padded so that the
+rows start on a 64-byte boundary of the file, and so of the mapping.  An
+entry of another format is a miss and is rewritten.  Each array mapped from
+an entry holds one file descriptor until it is freed.  The package only
+ever replaces an entry by rename (:func:`_staged`), so a mapping of the old
+entry stays valid; another program that truncates an entry in place while
+it is mapped makes the process die of SIGBUS when it reads the lost rows.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import mmap
 import os
@@ -95,14 +91,11 @@ _FINITE_CELLS = 2**16
 # line of an entry starts with the format tag.
 _CACHE_DIR = "__vbcache__"
 _ENTRY_SUFFIX = ".vbc"
-_ENTRY_TAG = b"vbcache-4"
-# An entry's stat key is trusted only if the file's ctime is more than this
-# before the entry was verified: twice the coarsest ctime tick in common use
-# (1 s, as on ext3 and HFS+), which also covers the lag of a coarse clock.
+_ENTRY_TAG = b"vbcache-5"
+# A parse is stored only if the file's ctime is more than this before the
+# read began: twice the coarsest ctime tick in common use (1 s, as on ext3
+# and HFS+), which also covers the lag of a coarse clock.
 _RACY_NS = 2 * 10**9
-# The stamp of an entry written without a stat key: it never matches a file
-# and is always racy.
-_NO_STAMP = (-1, -1, -1, -1, -1, -1)
 # Byte boundary in the entry file, and so in its mapping, where its rows start.
 _ROW_ALIGN = 64
 
@@ -320,11 +313,13 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
 
     With ``labeled`` each row starts with a token (``labels`` is their list),
     otherwise ``labels`` is ``None`` and at least one row is required.  A
-    regular file whose cache entry is current loads from the entry
-    (:func:`_cached`).  Any other input is parsed (:func:`_parse_matrix`); a
-    regular file is hashed as it is parsed and the result stored as its
-    entry with the file's stat key, while a pipe or a device is read once,
-    as it streams, and neither hashed nor stored.
+    regular file whose cache entry holds its current stat key loads from the
+    entry (:func:`_cached`).  Any other input is parsed
+    (:func:`_parse_matrix`).  A regular file's result is then stored as its
+    entry, unless the file's stat key moved during the read or its ctime is
+    less than ``_RACY_NS`` before the read began: either could let a later
+    version of the file match the entry.  A pipe or a device is read once, as
+    it streams, and never stored.
     """
     entry = _cache_entry(path)
     if entry is not None:
@@ -332,16 +327,13 @@ def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
         if cached is not None:
             return cached
         log.debug("%s: parsed, no valid entry in %s", path, entry)
-    digest = None if entry is None else hashlib.sha256()
     verified = time_ns()
     with _open_text(path) as fh:
-        before = os.fstat(fh.fileno())
-        labels, values = _parse_matrix(fh, labeled, digest)
-        after = os.fstat(fh.fileno())
-    # the digest is of the lines parsed, so an entry is never wrong; a file
-    # changed during the read would only leave one no later read matches
-    if digest is not None and _key(before) == _key(after):
-        _store(entry, digest.hexdigest(), labels, values, (*_key(before), verified))
+        before = _key(os.fstat(fh.fileno()))
+        labels, values = _parse_matrix(fh, labeled)
+        after = _key(os.fstat(fh.fileno()))
+    if entry is not None and before == after and before[-1] + _RACY_NS < verified:
+        _store(entry, labels, values, before)
     return labels, values
 
 
@@ -366,20 +358,15 @@ def _parse_header(header: str, labeled: bool) -> tuple[int, int]:
     return count, dim
 
 
-def _parse_matrix(fh, labeled: bool, digest=None) -> tuple[list[str] | None, np.ndarray]:
+def _parse_matrix(fh, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
     """Stream the text matrix open in ``fh``; return ``(labels, values)``.
 
     Row counts, arity and tokens are checked line by line; the numbers are
     parsed in blocks of about ``_PARSE_CELLS`` cells (:func:`_parse_rows`).
     Errors name the 1-based line where they are found, the first bad line
-    winning.  With ``digest`` (a ``hashlib`` object) each line read, header
-    included, is also hashed as UTF-8: from :func:`_open_text` those are the
-    file's bytes.
+    winning.
     """
-    line = fh.readline()
-    if digest is not None:
-        digest.update(line.encode("utf-8"))
-    header = line.removesuffix("\n")
+    header = fh.readline().removesuffix("\n")
     count, dim = _parse_header(header, labeled)
     labels: list[str] | None = [] if labeled else None
     try:
@@ -399,8 +386,6 @@ def _parse_matrix(fh, labeled: bool, digest=None) -> tuple[list[str] | None, np.
         start = end
 
     for rows, line in enumerate(fh, start=1):
-        if digest is not None:
-            digest.update(line.encode("utf-8"))
         lineno = rows + 1
         if rows > count:
             flush()
@@ -437,52 +422,32 @@ def _cache_entry(path) -> Path | None:
 
 
 def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndarray] | None:
-    """The ``(labels, values)`` that ``entry`` holds for the current bytes of ``path``.
+    """The ``(labels, values)`` that ``entry`` holds for ``path``, or ``None``.
 
-    An entry is outside input.  It is trusted without reading ``path`` if
-    the file's stat key (:func:`_key`) is the one it holds and the file's
-    ctime was more than ``_RACY_NS`` before the entry was verified;
-    otherwise its digest must be the SHA-256 of the file.  In either case
-    the result is ``None`` unless the entry holds one valid token per row if
-    ``labeled`` and none otherwise, and its rows are a finite C-order
-    float64 array of a shape a header may declare (the file's header's, if
-    hashed) and nothing after them.  A hashed hit whose file is no longer
-    racy and did not change while it was hashed is stored again with the
-    file's stat key (the refresh), so later reads trust it.  The values are
-    a read-only array mapped over the entry's rows, which holds a duplicate
-    of the entry's descriptor until it is freed.
+    An entry is outside input.  It is trusted only if it holds the stat key
+    (:func:`_key`) that ``os.stat`` gives for ``path`` now, and ``path``
+    itself is not opened.  The result is also ``None`` unless the entry
+    holds one valid token per row if ``labeled`` and none otherwise, and its
+    rows are a finite C-order float64 array of a shape a header may declare
+    and nothing after them.  The values are a read-only array mapped over
+    the entry's rows, which holds a duplicate of the entry's descriptor
+    until it is freed.
     """
     try:
         with open(entry, "rb") as fh:
-            tag, digest, size, *stamp = fh.readline(512).split()
-            stamp = tuple(map(int, stamp))
-            if tag != _ENTRY_TAG or not size.isdigit() or len(stamp) != len(_NO_STAMP):
+            tag, size, *key = fh.readline(512).split()
+            if tag != _ENTRY_TAG or not size.isdigit():
                 return None
-            key = _key(os.stat(path))
-            # a key ends with the file's ctime, a stamp with the verification time
-            trusted = stamp[:-1] == key and key[-1] + _RACY_NS < stamp[-1]
-            if not trusted:
-                verified = time_ns()
-                with open(path, "rb") as src:
-                    before = os.fstat(src.fileno())
-                    header = src.readline()
-                    actual = hashlib.sha256(header)
-                    while block := src.read(2**18):
-                        actual.update(block)
-                    after = os.fstat(src.fileno())
-                if actual.hexdigest().encode() != digest:
-                    return None
-                declared = _parse_header(header.decode("utf-8").removesuffix("\n"), labeled)
+            if tuple(map(int, key)) != _key(os.stat(path)):
+                return None
             text = fh.read(int(size)).decode("utf-8")
             labels = text.split("\n") if text else []
             if np.lib.format.read_magic(fh) != (1, 0):
                 return None
             shape, fortran, dtype = np.lib.format.read_array_header_1_0(fh)
-            if len(shape) != 2 or not (trusted or shape == declared):
+            if len(shape) != 2 or not _valid_shape(*shape, labeled):
                 return None
             count, dim = shape
-            if not _valid_shape(count, dim, labeled):
-                return None
             if len(labels) != (count if labeled else 0) or text.split() != labels:
                 return None
             start = fh.tell()
@@ -491,32 +456,23 @@ def _cached(entry: Path, path, labeled: bool) -> tuple[list[str] | None, np.ndar
                 return None
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             values = np.frombuffer(mapped, np.float64, count * dim, start).reshape(count, dim)
-    except (OSError, ValueError, ParseError):
+    except (OSError, ValueError):
         return None
     if not _all_finite(values):
         return None
-    labels = labels if labeled else None
-    if trusted:
-        log.debug("%s: loaded (stat key) from %s", path, entry)
-    elif _key(before) == _key(after) and before.st_ctime_ns + _RACY_NS < verified:
-        _store(entry, digest.decode(), labels, values, (*_key(before), verified))
-        log.debug("%s: loaded (hashed) from %s, refreshed", path, entry)
-    else:
-        log.debug("%s: loaded (hashed) from %s", path, entry)
-    return labels, values
+    log.debug("%s: loaded from %s", path, entry)
+    return (labels if labeled else None), values
 
 
-def _store(entry: Path, digest: str, labels: list[str] | None, values: np.ndarray,
-           stamp: tuple[int, ...] = _NO_STAMP) -> None:
-    """Write ``entry`` for a parsed file; a file system error only leaves it unwritten.
+def _store(entry: Path, labels: list[str] | None, values: np.ndarray,
+           key: tuple[int, ...]) -> None:
+    """Write ``entry`` for a file parsed at stat key ``key``; a file system error leaves none.
 
-    ``stamp`` is the file's stat key (:func:`_key`) and the wall-clock time
-    in ns, taken before the bytes behind ``digest`` were read.  Spaces pad
-    the first line so that the rows start at a multiple of ``_ROW_ALIGN``: a
-    ``.npy`` header is a multiple of 64 bytes long.
+    Spaces pad the first line so that the rows start at a multiple of
+    ``_ROW_ALIGN``: a ``.npy`` header is a multiple of 64 bytes long.
     """
     text = "\n".join(labels).encode("utf-8") if labels is not None else b""
-    line = b" ".join([_ENTRY_TAG, digest.encode(), b"%d" % len(text), *(b"%d" % n for n in stamp)])
+    line = b" ".join([_ENTRY_TAG, b"%d" % len(text), *(b"%d" % n for n in key)])
     line += b" " * (-(len(line) + 1 + len(text)) % _ROW_ALIGN) + b"\n"
     try:
         entry.parent.mkdir(exist_ok=True)

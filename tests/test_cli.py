@@ -2,7 +2,9 @@
 
 import json
 import logging
+import time
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from vocab_bridge import (
     load_vocabulary,
     save_embeddings,
 )
-from vocab_bridge import alignment, cli, oov
+from vocab_bridge import alignment, cli, embeddings, oov
 from vocab_bridge.alignment import load_map, save_map
 from vocab_bridge.cli import _read_tokens, dispatch
 from vocab_bridge.errors import MalformedLine
@@ -939,3 +941,69 @@ class TestParserReuse:
         monkeypatch.delenv("VOCAB_BRIDGE_LOG")
         assert dispatch(argv) == 0
         assert "trained" not in capsys.readouterr().err
+
+
+class TestParseCache:
+    """The ``__vbcache__`` parse cache seen through the CLI: a pipeline gives the same
+    bytes whether its matrices are parsed or loaded from entries."""
+
+    def test_pipeline_output_is_the_same_from_parses_and_from_entries(
+            self, tmp_path, capsys, monkeypatch):
+        """Run 1 reads racy files, so every read parses and nothing is stored;
+        run 2 reads aged ones, so each file's first read stores an entry and
+        every later read of it is a hit.  Stdout and every output file match."""
+        chain = planted_chain(np.random.default_rng(11), n=12, d_src=4, d_model=6)
+        inp, out = tmp_path / "in", tmp_path / "out"
+        inp.mkdir()
+        out.mkdir()
+        paths = {name: str(inp / f"{name}.vec") for name in ("src", "english", "model")}
+        for name, path in paths.items():
+            save_embeddings(getattr(chain, name), path)
+        pairs = write(inp / "pairs.dict", "".join(f"{s}\t{e}\n" for s, e in chain.dictionary.pairs))
+        lang_vocab = write(inp / "lang.txt", "".join(f"{t}\n" for t in chain.src_tokens))
+        b_map, a_map, assignments = str(out / "b.map"), str(out / "a.map"), str(out / "a.tsv")
+        pipeline = [
+            ["align-fit-joint", "--src-emb", paths["src"], "--en-emb", paths["english"],
+             "--bert-emb", paths["model"], "--dict", pairs, "--out-b", b_map, "--out-a", a_map],
+            ["align-eval", "--src-emb", paths["src"], "--tgt-emb", paths["english"],
+             "--map", b_map, "--dict", pairs],
+            ["csls-nn", "--queries", paths["src"], "--targets", paths["english"], "--map", b_map],
+            ["mixture-build", "--src-emb", paths["src"], "--b-map", b_map,
+             "--en-emb", paths["english"], "--bert-emb", paths["model"], "--out", assignments],
+            ["expand", "--bert-emb", paths["model"], "--lang-vocab", lang_vocab,
+             "--strategy", "mixture", "--assignments", assignments,
+             "--out-dir", str(out / "expanded")],
+        ]
+        reads = []
+        cached = embeddings._cached
+
+        def recording(entry, path, labeled):
+            got = cached(entry, path, labeled)
+            reads.append((path, got is not None))
+            return got
+
+        monkeypatch.setattr(embeddings, "_cached", recording)
+
+        def run(shift_s):
+            """Stdout and output bytes of the pipeline, its clock moved by ``shift_s``."""
+            now = time.time_ns
+            with mock.patch.object(embeddings, "time_ns", lambda: now() + shift_s * 10**9):
+                for argv in pipeline:
+                    assert dispatch(argv) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+                     if p.is_file() and "__vbcache__" not in p.parts}
+            return capsys.readouterr().out, files
+
+        # held 60 s back, every file is as racy as one just written, however slow the host
+        parsed = run(-60)
+        assert len(reads) == 14 and not any(hit for _, hit in reads)
+        assert not list(tmp_path.rglob("__vbcache__"))
+        reads.clear()
+        loaded = run(60)
+        seen = set()
+        for path, hit in reads:
+            assert hit == (path in seen), path
+            seen.add(path)
+        assert len(reads) == 14 and len(seen) == 4  # src, english, model and b.map
+        assert loaded == parsed
+        assert len(parsed[1]) == 6 and parsed[0].count("\n") > 12

@@ -606,10 +606,9 @@ def _counted_read(path, labeled):
 
 
 def _forge(path, labeled, **changes):
-    """Store an entry for ``path``'s current bytes with ``changes`` to its content."""
+    """Store an entry for ``path`` under its current stat key with ``changes`` to its content."""
     labels, values = oracles.read_matrix_reference(path, labeled)
-    content = {"digest": hashlib.sha256(path.read_bytes()).hexdigest(),
-               "labels": labels, "values": values, **changes}
+    content = {"labels": labels, "values": values, "key": embeddings._key(path.stat()), **changes}
     embeddings._store(_entry(path), **content)
 
 
@@ -630,7 +629,7 @@ def _edit_in_place(path, offset, data):
 
 def _later(seconds=60):
     """Move the parse cache's clock ahead, as if every file had last changed
-    ``seconds`` before each read: what it verifies then is not racy."""
+    ``seconds`` before each read: what it parses then is not racy, and is stored."""
     now = time.time_ns
     return mock.patch.object(embeddings, "time_ns", lambda: now() + seconds * 10**9)
 
@@ -649,8 +648,15 @@ def _is_mapped(values):
     return isinstance(values, memoryview) and isinstance(values.obj, mmap.mmap)
 
 
+def _first_line(path):
+    """The fields of the first line of ``path``'s entry."""
+    return _entry(path).read_bytes().split(b"\n", 1)[0].split()
+
+
 class TestMatrixCache:
-    """The ``__vbcache__`` entry beside a text matrix: same results, one parse per content."""
+    """The ``__vbcache__`` entry beside a text matrix: same results, one parse per
+    version of the file.  Tests that need an entry to be stored read under
+    :func:`_later`, since a file read within 2 s of its last change is not stored."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(_matrix_files())
@@ -663,7 +669,7 @@ class TestMatrixCache:
         """Both reads give the reference's outcome; only a good file leaves an entry,
         and its second read parses no numbers."""
         labeled, text = matrix_file
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, _later():
             path = Path(tmp) / "m.txt"
             path.write_text(text, encoding="utf-8")
             want = _outcome(oracles.read_matrix_reference, path, labeled)
@@ -674,41 +680,30 @@ class TestMatrixCache:
             assert _entry(path).is_file() == ok
             assert parsed == 0 or not ok
 
-    @pytest.mark.parametrize("data", [
-        b"2 2\r\n\xc3\xa7a 1 2\r\n##b 3 4\r\n",
-        "2 1\n\U0001f600\u3042 -1.5\n##\xe9 2e-3".encode("utf-8"),
-        b"1 2\r\n\xe2\x82\xac 0.5 -0\r\n",
-    ], ids=["crlf", "no-final-lf", "crlf-euro"])
-    def test_entry_digest_is_of_the_raw_file(self, tmp_path, data):
-        """The digest hashed from the lines parsed is the SHA-256 of the file's bytes."""
-        path = tmp_path / "emb.vec"
-        path.write_bytes(data)
-        want = _outcome(oracles.read_matrix_reference, path, True)
-        assert _counted_read(path, labeled=True) == (want, 1)
-        stored = _entry(path).read_bytes().split(b"\n", 1)[0].split()[1]
-        assert stored.decode() == hashlib.sha256(path.read_bytes()).hexdigest()
-        assert _counted_read(path, labeled=True) == (want, 0)
-
     def test_same_size_and_restored_mtime_is_parsed_again(self, tmp_path, caplog):
+        """A rewrite that keeps the size and puts the mtime back still moves the
+        ctime: the next read parses and stores, the one after loads."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
-        _read_matrix(path, labeled=True)
-        st = path.stat()
-        path.write_text("2 2\na 5 6\nb 7 8\n", encoding="utf-8")
-        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
-        assert path.stat().st_size == st.st_size
-        assert path.stat().st_mtime_ns == st.st_mtime_ns
-        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
-            (labels, shape, data), parsed = _counted_read(path, labeled=True)
-            assert parsed == 1 and "parsed" in caplog.text
-            caplog.clear()
-            assert _counted_read(path, labeled=True)[1] == 0 and "loaded" in caplog.text
+        with _later():
+            _read_matrix(path, labeled=True)
+            st = path.stat()
+            while path.stat().st_ctime_ns == st.st_ctime_ns:
+                path.write_text("2 2\na 5 6\nb 7 8\n", encoding="utf-8")
+                os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+            assert path.stat().st_size == st.st_size
+            assert path.stat().st_mtime_ns == st.st_mtime_ns
+            with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
+                (labels, shape, data), parsed = _counted_read(path, labeled=True)
+                assert parsed == 1 and "parsed" in caplog.text
+                caplog.clear()
+                assert _counted_read(path, labeled=True)[1] == 0 and "loaded" in caplog.text
         assert labels == ["a", "b"]
         assert data == np.array([[5.0, 6.0], [7.0, 8.0]]).tobytes()
 
     @pytest.mark.parametrize("damage", [
         "truncated", "foreign", "empty",
-        {"values": np.zeros((2, 3))},
+        {"values": np.zeros((2, 0))},  # a shape no header may declare
         {"values": np.zeros((3, 2))},
         {"values": np.zeros((2, 2), dtype=np.float32)},
         {"values": np.asfortranarray(np.arange(4.0).reshape(2, 2))},
@@ -719,7 +714,7 @@ class TestMatrixCache:
         {"labels": ["a", "b c"]},
         {"labels": ["a", ""]},
         {"labels": None},
-        {"digest": "0" * 64},
+        "foreign-key",
         "npy-2.0",
     ])
     def test_bad_entry_is_a_miss_and_is_rewritten(self, tmp_path, damage):
@@ -727,35 +722,41 @@ class TestMatrixCache:
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
         entry = _entry(path)
-        _read_matrix(path, labeled=True)
-        if damage == "truncated":
-            entry.write_bytes(entry.read_bytes()[:-9])
-        elif damage == "foreign":
-            other = tmp_path / "other.vec"
-            other.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
-            _read_matrix(other, labeled=True)
-            _entry(other).replace(entry)
-        elif damage == "empty":
-            entry.write_bytes(b"")
-        elif damage == "npy-2.0":  # the same rows under a version 2.0 .npy header
-            data = entry.read_bytes()
-            npy = io.BytesIO()
-            np.lib.format.write_array(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), version=(2, 0))
-            entry.write_bytes(data[:data.index(b"\x93NUMPY")] + npy.getvalue())
-        else:
-            _forge(path, labeled=True, **damage)
-        assert _counted_read(path, labeled=True) == (want, 1)
-        assert _counted_read(path, labeled=True) == (want, 0)
+        with _later():
+            _read_matrix(path, labeled=True)
+            if damage == "truncated":
+                entry.write_bytes(entry.read_bytes()[:-9])
+            elif damage == "foreign":
+                other = tmp_path / "other.vec"
+                other.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
+                _read_matrix(other, labeled=True)
+                _entry(other).replace(entry)
+            elif damage == "foreign-key":  # the right rows under another file's stat key
+                other = tmp_path / "other.vec"
+                shutil.copyfile(path, other)
+                _forge(path, labeled=True, key=embeddings._key(other.stat()))
+            elif damage == "empty":
+                entry.write_bytes(b"")
+            elif damage == "npy-2.0":  # the same rows under a version 2.0 .npy header
+                data = entry.read_bytes()
+                npy = io.BytesIO()
+                np.lib.format.write_array(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), version=(2, 0))
+                entry.write_bytes(data[:data.index(b"\x93NUMPY")] + npy.getvalue())
+            else:
+                _forge(path, labeled=True, **damage)
+            assert _counted_read(path, labeled=True) == (want, 1)
+            assert _counted_read(path, labeled=True) == (want, 0)
 
     def test_map_entry_does_not_serve_an_embedding_read(self, tmp_path):
         """A map's entry is not read for the same file loaded as embeddings."""
         path = tmp_path / "m.txt"
         path.write_text("1 2\n3 4\n", encoding="utf-8")
         as_map = _outcome(oracles.read_matrix_reference, path, False)
-        assert _counted_read(path, False) == (as_map, 1)
-        with pytest.raises(RowArityMismatch):
-            load_embeddings(path)
-        assert _counted_read(path, False) == (as_map, 0)
+        with _later():
+            assert _counted_read(path, False) == (as_map, 1)
+            with pytest.raises(RowArityMismatch):
+                load_embeddings(path)
+            assert _counted_read(path, False) == (as_map, 0)
 
     def test_unwritable_entry_still_loads(self, tmp_path, caplog):
         """``__vbcache__`` as a plain file: every read parses, none fails."""
@@ -763,27 +764,29 @@ class TestMatrixCache:
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         (tmp_path / "__vbcache__").write_text("not a directory", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
-        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
+        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), _later():
             for _ in range(2):
                 assert _counted_read(path, labeled=True) == (want, 1)
-        assert "not cached" in caplog.text
-        assert load_embeddings(path).vocab.tokens == ("a", "b")
+            assert load_embeddings(path).vocab.tokens == ("a", "b")
+        assert f"{_entry(path)}: not cached: [Errno" in caplog.text
 
     def test_malformed_file_leaves_no_entry(self, tmp_path):
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 x\n", encoding="utf-8")
-        for _ in range(2):
-            with pytest.raises(ParseError) as err:
-                load_embeddings(path)
-            assert err.value.line == 3
+        with _later():
+            for _ in range(2):
+                with pytest.raises(ParseError) as err:
+                    load_embeddings(path)
+                assert err.value.line == 3
         assert not (tmp_path / "__vbcache__").exists()
 
     def test_undecodable_file_leaves_no_entry(self, tmp_path):
         path = tmp_path / "emb.vec"
         path.write_bytes(b"1 1\n\xe9 1\n")
-        for _ in range(2):
-            with pytest.raises(ParseError, match="emb.vec: 'utf-8' codec"):
-                load_embeddings(path)
+        with _later():
+            for _ in range(2):
+                with pytest.raises(ParseError, match="emb.vec: 'utf-8' codec"):
+                    load_embeddings(path)
         assert not (tmp_path / "__vbcache__").exists()
 
     def test_file_changed_while_read_leaves_no_entry(self, tmp_path):
@@ -807,7 +810,7 @@ class TestMatrixCache:
                 change()
                 parse_rows(texts, out, line)
 
-            with mock.patch.object(embeddings, "_parse_rows", touching):
+            with mock.patch.object(embeddings, "_parse_rows", touching), _later():
                 labels, values = _read_matrix(path, labeled=True)
             assert labels == ["a", "b"]
             assert not _entry(path).exists()
@@ -820,7 +823,8 @@ class TestMatrixCache:
             daemon=True,
         )
         writer.start()
-        labels, values = _read_matrix(path, labeled=True)
+        with _later():
+            labels, values = _read_matrix(path, labeled=True)
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert labels == ["a", "b"]
@@ -834,7 +838,8 @@ class TestMatrixCache:
         path = tmp_path / "m.map"
         _write_matrix(path, None, np.random.default_rng(5).uniform(-1, 1, (rows, dim)))
         for miss in (True, False):
-            with mock.patch.object(embeddings, "_parse_rows", wraps=embeddings._parse_rows) as parse:
+            with mock.patch.object(embeddings, "_parse_rows", wraps=embeddings._parse_rows) as parse, \
+                    _later():
                 tracemalloc.start()
                 try:
                     _, values = _read_matrix(path, labeled=False)
@@ -848,22 +853,29 @@ class TestMatrixCache:
     def test_version_1_entry_is_a_miss_and_is_rewritten(self, tmp_path):
         """An entry in any earlier format, byte for byte, is parsed over: the
         unpadded ``vbcache-1``, the padded ``vbcache-2``, whose first line
-        also held a labeled flag, and ``vbcache-3``, which held no stat key."""
+        also held a labeled flag, ``vbcache-3``, which held no stat key, and
+        ``vbcache-4``, which held a digest and a verification time, here with
+        the file's current key and a time well after its ctime."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
         npy = io.BytesIO()
         np.save(npy, np.array([[1.0, 2.0], [3.0, 4.0]]), allow_pickle=False)
         digest = hashlib.sha256(path.read_bytes()).hexdigest().encode()
+        key = embeddings._key(path.stat())
+        fields = b" ".join(b"%d" % n for n in key)
         version_2 = b"vbcache-2 " + digest + b" 1 3"
         version_2 += b" " * (-(len(version_2) + 4) % 64) + b"\n"
         version_3 = b"vbcache-3 " + digest + b" 3"
         version_3 += b" " * (-(len(version_3) + 4) % 64) + b"\n"
+        version_4 = b"vbcache-4 %s 3 %s %d" % (digest, fields, key[-1] + 60 * 10**9)
+        version_4 += b" " * (-(len(version_4) + 4) % 64) + b"\n"
         _entry(path).parent.mkdir()
-        for first_line in (b"vbcache-1 " + digest + b" 1 3\n", version_2, version_3):
+        for first_line in (b"vbcache-1 " + digest + b" 1 3\n", version_2, version_3, version_4):
             _entry(path).write_bytes(first_line + b"a\nb" + npy.getvalue())
-            assert _counted_read(path, labeled=True) == (want, 1)
-            assert _entry(path).read_bytes().startswith(b"vbcache-4 " + digest + b" 3 ")
+            with _later():
+                assert _counted_read(path, labeled=True) == (want, 1)
+            assert _first_line(path) == [b"vbcache-5", b"3", *fields.split()]
             assert _counted_read(path, labeled=True) == (want, 0)
 
     def test_unstattable_path_fails_as_open_does(self, tmp_path):
@@ -887,7 +899,8 @@ class TestMatrixCache:
         path = tmp_path / "m.txt"
         rows = np.random.default_rng(len(tokens)).standard_normal((len(tokens), 3))
         _write_matrix(path, tokens if labeled else None, rows)
-        _, parsed = _read_matrix(path, labeled)
+        with _later():
+            _, parsed = _read_matrix(path, labeled)
         with mock.patch.object(embeddings, "_parse_rows") as parse:
             _, values = _read_matrix(path, labeled)
             emb = load_embeddings(path) if labeled else None
@@ -903,7 +916,8 @@ class TestMatrixCache:
         path = tmp_path / "emb.vec"
         rows = np.random.default_rng(9).standard_normal((5000, 256))
         _write_matrix(path, [f"w{i}" for i in range(len(rows))], rows)
-        load_embeddings(path)
+        with _later():
+            load_embeddings(path)
         tracemalloc.start()
         try:
             emb = load_embeddings(path)
@@ -919,13 +933,14 @@ class TestMatrixCache:
         tokens = [f"w{i}" for i in range(40)]
         rows = np.random.default_rng(4).standard_normal((40, 6))
         _write_matrix(path, tokens, rows)
-        load_embeddings(path)
-        held = load_embeddings(path)
-        assert _is_mapped(held.rows)
-        want = held.rows.tobytes()
-        inode = _entry(path).stat().st_ino
-        _write_matrix(path, tokens, -rows)
-        edited = load_embeddings(path)
+        with _later():
+            load_embeddings(path)
+            held = load_embeddings(path)
+            assert _is_mapped(held.rows)
+            want = held.rows.tobytes()
+            inode = _entry(path).stat().st_ino
+            _write_matrix(path, tokens, -rows)
+            edited = load_embeddings(path)
         assert _entry(path).stat().st_ino != inode
         assert held.rows.tobytes() == want
         assert edited.rows.tobytes() == (-held.rows).tobytes()
@@ -934,9 +949,11 @@ class TestMatrixCache:
     def test_each_mapped_matrix_holds_one_descriptor_until_freed(self, tmp_path):
         path = tmp_path / "emb.vec"
         _write_matrix(path, ["a", "b"], np.eye(2))
-        load_embeddings(path)
+        with _later():
+            load_embeddings(path)
         start = len(os.listdir("/proc/self/fd"))
         held = [load_embeddings(path) for _ in range(3)]
+        assert all(_is_mapped(emb.rows) for emb in held)
         assert len(os.listdir("/proc/self/fd")) == start + len(held)
         del held
         for _ in range(100):
@@ -944,24 +961,22 @@ class TestMatrixCache:
         assert len(os.listdir("/proc/self/fd")) == start
 
     def test_aged_entry_is_trusted_without_opening_the_file(self, tmp_path, caplog):
-        """An entry verified well after the file's last change is loaded without
-        opening, hashing or parsing the file."""
+        """An entry that holds the file's stat key is loaded without opening or
+        parsing the file."""
         path = tmp_path / "emb.vec"
         _write_matrix(path, ["a", "b"], np.arange(4.0).reshape(2, 2))
         with _later():
             want = _outcome(_read_matrix, path, True)
         with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), \
-                mock.patch.object(embeddings, "open", wraps=open, create=True) as opened, \
-                mock.patch.object(embeddings.hashlib, "sha256") as sha256:
+                mock.patch.object(embeddings, "open", wraps=open, create=True) as opened:
             again, parsed = _counted_read(path, labeled=True)
         assert (again, parsed) == (want, 0)
         assert [call.args[0] for call in opened.call_args_list] == [_entry(path)]
-        assert sha256.call_count == 0
-        assert _cache_log(caplog) == [f"{path}: loaded (stat key) from {_entry(path)}"]
+        assert _cache_log(caplog) == [f"{path}: loaded from {_entry(path)}"]
 
     def test_same_size_edit_with_times_restored_is_parsed_again(self, tmp_path):
-        """An edit after the entry is trusted that keeps size, atime and mtime
-        still moves the ctime, so the file is hashed and parsed."""
+        """An edit after the entry is stored that keeps size, atime and mtime
+        still moves the ctime, so the file is parsed."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         with _later():
@@ -975,9 +990,9 @@ class TestMatrixCache:
         assert parsed == 1 and labels == ["a", "b"]
         assert data == np.array([[5.0, 2.0], [3.0, 4.0]]).tobytes()
 
-    def test_identical_copy_renamed_over_is_hashed_and_refreshed(self, tmp_path, caplog):
-        """A new inode with the same bytes: hashed, a hit by digest, and the entry
-        stored again with the new key, which the next read trusts."""
+    def test_identical_copy_renamed_over_is_parsed_once_then_trusted(self, tmp_path, caplog):
+        """A new inode with the same bytes: parsed once and stored with the new
+        key, which the next read trusts."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
@@ -989,49 +1004,35 @@ class TestMatrixCache:
         assert path.stat().st_ino != inode
         with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"):
             with _later():
-                assert _counted_read(path, labeled=True) == (want, 0)
-            assert _cache_log(caplog) == [
-                f"{path}: loaded (hashed) from {_entry(path)}, refreshed"]
+                assert _counted_read(path, labeled=True) == (want, 1)
+            assert _cache_log(caplog) == [f"{path}: parsed, no valid entry in {_entry(path)}"]
             assert _counted_read(path, labeled=True) == (want, 0)
-            assert _cache_log(caplog) == [f"{path}: loaded (stat key) from {_entry(path)}"]
-        assert int(_entry(path).read_bytes().split(b"\n", 1)[0].split()[4]) == path.stat().st_ino
+            assert _cache_log(caplog) == [f"{path}: loaded from {_entry(path)}"]
+        assert int(_first_line(path)[3]) == path.stat().st_ino
 
-    def test_racy_entry_is_hashed_until_it_ages_then_refreshed_once(self, tmp_path, caplog):
-        """While the clock reads the file's ctime, every hit is hashed and the entry
-        left as it is; once the file has aged, one hit refreshes it."""
+    def test_racy_file_is_parsed_on_every_read_until_it_ages(self, tmp_path, caplog):
+        """While the clock reads the file's ctime, every read parses and no entry is
+        written; the first read after the file has aged stores one, and the next
+        opens only the entry."""
         path = tmp_path / "emb.vec"
         path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
         want = _outcome(oracles.read_matrix_reference, path, True)
-        racy = mock.patch.object(embeddings, "time_ns", lambda: path.stat().st_ctime_ns)
-        with racy:
-            _read_matrix(path, labeled=True)
-        entry = _entry(path).read_bytes()
-        hashed = f"{path}: loaded (hashed) from {_entry(path)}"
-        trusted = f"{path}: loaded (stat key) from {_entry(path)}"
+        parsed = f"{path}: parsed, no valid entry in {_entry(path)}"
         with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), \
                 mock.patch.object(embeddings, "_store", wraps=embeddings._store) as store:
-            with racy:
+            with mock.patch.object(embeddings, "time_ns", lambda: path.stat().st_ctime_ns):
                 for _ in range(3):
-                    assert _counted_read(path, labeled=True) == (want, 0)
-            assert _cache_log(caplog) == [hashed] * 3
-            assert store.call_count == 0 and _entry(path).read_bytes() == entry
+                    assert _counted_read(path, labeled=True) == (want, 1)
+            assert _cache_log(caplog) == [parsed] * 3
+            assert store.call_count == 0 and not _entry(path).exists()
             with _later():
-                for _ in range(3):
-                    assert _counted_read(path, labeled=True) == (want, 0)
-            assert _cache_log(caplog) == [f"{hashed}, refreshed", trusted, trusted]
+                assert _counted_read(path, labeled=True) == (want, 1)
+            assert _cache_log(caplog) == [parsed]
             assert store.call_count == 1
-
-    def test_forged_entry_is_never_trusted(self, tmp_path, caplog):
-        """An entry stored without a stat key is checked by digest however old it is."""
-        path = tmp_path / "emb.vec"
-        path.write_text("2 2\na 1 2\nb 3 4\n", encoding="utf-8")
-        want = _outcome(oracles.read_matrix_reference, path, True)
-        _forge(path, labeled=True, digest="0" * 64, values=np.zeros((2, 2)))
-        stamp = _entry(path).read_bytes().split(b"\n", 1)[0].split()[3:]
-        assert tuple(map(int, stamp)) == embeddings._NO_STAMP
-        with caplog.at_level(logging.DEBUG, logger="vocab_bridge.embeddings"), _later():
-            assert _counted_read(path, labeled=True) == (want, 1)
-            assert _cache_log(caplog) == [f"{path}: parsed, no valid entry in {_entry(path)}"]
+            with mock.patch.object(embeddings, "open", wraps=open, create=True) as opened:
+                assert _counted_read(path, labeled=True) == (want, 0)
+            assert [call.args[0] for call in opened.call_args_list] == [_entry(path)]
+            assert _cache_log(caplog) == [f"{path}: loaded from {_entry(path)}"]
 
     def test_one_finite_scan_per_load(self, tmp_path):
         """``load_embeddings`` scans a hit's rows once, in the entry check, and a
@@ -1039,7 +1040,8 @@ class TestMatrixCache:
         path = tmp_path / "emb.vec"
         _write_matrix(path, ["a", "b", "a"], np.arange(6.0).reshape(3, 2))
         with mock.patch.object(embeddings, "_all_finite", wraps=embeddings._all_finite) as scans:
-            miss = load_embeddings(path)
+            with _later():
+                miss = load_embeddings(path)
             assert scans.call_count == 0
             for checks in (1, 2):
                 hit = load_embeddings(path)
