@@ -15,14 +15,14 @@ import logging
 import os
 import sys
 from collections import Counter
-from contextlib import nullcontext
 
 from . import alignment, expansion, mixture, oov, tokenizer
 from .dictionary import BilingualDictionary, load_dictionary
 from .embeddings import (
-    _atomic_text,
     _is_token,
     _open_text,
+    _read_lines,
+    _write_lines,
     load_embeddings,
     load_vocabulary,
     save_vocabulary,
@@ -72,22 +72,14 @@ def _configure_logging() -> None:
         log.warning("unknown VOCAB_BRIDGE_LOG value %r, using warn", raw)
 
 
-def _write_lines(lines, out_path) -> None:
-    with _atomic_text(out_path) if out_path else nullcontext(sys.stdout) as fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
 def _read_tokens(path) -> list[str]:
     """The non-empty lines of a token file; a token holding whitespace is an error."""
     tokens = []
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            token = raw.rstrip("\n")
-            if _is_token(token):
-                tokens.append(token)
-            elif token:
-                raise MalformedLine(f"token {token!r} contains whitespace", line=lineno)
+    for lineno, token in _read_lines(path):
+        if _is_token(token):
+            tokens.append(token)
+        elif token:
+            raise MalformedLine(f"token {token!r} contains whitespace", line=lineno)
     return tokens
 
 
@@ -160,7 +152,8 @@ def _cmd_bpe_apply(args) -> int:
                         pieces = tokenizer.wordpiece_style(pieces)
                     rendered[word] = " ".join(pieces)
             out_lines.append(" ".join([rendered[word] for word in words]))
-    _write_lines(out_lines, args.output)
+    # an empty --output or --out writes to stdout too
+    _write_lines(args.output or None, out_lines)
     return 0
 
 
@@ -170,7 +163,7 @@ def _cmd_wordpiece(args) -> int:
     with _open_text(args.input) as fh:
         for seg in tokenizer.classify_corpus(vocab, args.unk, fh, args.max_chars):
             out_lines.append(f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}")
-    _write_lines(out_lines, args.output)
+    _write_lines(args.output or None, out_lines)
     return 0
 
 
@@ -238,7 +231,7 @@ def _cmd_csls_nn(args) -> int:
         # restricts which queries are reported
         keep = set(wanted)
         records = [record for record in records if record[0] in keep]
-    _write_lines(_audit_lines(records, args.source_lang, args.softmax), args.out)
+    _write_lines(args.out or None, _audit_lines(records, args.source_lang, args.softmax))
     return 0
 
 
@@ -263,21 +256,19 @@ def _cmd_mixture_build(args) -> int:
 
 def _load_counts(path) -> dict[str, int]:
     counts: dict[str, int] = {}
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 2 or not _is_token(parts[0]):
-                raise MalformedLine(f"expected 'token<TAB>count', got {line!r}", line=lineno)
-            if parts[0] in counts:
-                raise MalformedLine(f"repeated token {parts[0]!r}", line=lineno)
-            try:
-                count = int(parts[1])
-            except ValueError:
-                raise MalformedLine(f"non-integer count in {line!r}", line=lineno) from None
-            if count < 0:
-                raise MalformedLine(f"negative count in {line!r}", line=lineno)
-            counts[parts[0]] = count
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not _is_token(parts[0]):
+            raise MalformedLine(f"expected 'token<TAB>count', got {line!r}", line=lineno)
+        if parts[0] in counts:
+            raise MalformedLine(f"repeated token {parts[0]!r}", line=lineno)
+        try:
+            count = int(parts[1])
+        except ValueError:
+            raise MalformedLine(f"non-integer count in {line!r}", line=lineno) from None
+        if count < 0:
+            raise MalformedLine(f"negative count in {line!r}", line=lineno)
+        counts[parts[0]] = count
     return counts
 
 
@@ -322,16 +313,14 @@ def _cmd_expand(args) -> int:
 def _cmd_oov_stats(args) -> int:
     vocab = load_vocabulary(args.vocab)
     with _open_text(args.corpus) as fh:
-        report = oov.corpus_oov_stats(
-            vocab, args.unk, fh, top_n=args.top, count_types=args.types
-        )
+        report = oov.corpus_oov_stats(vocab, fh, top_n=args.top, count_types=args.types)
     if args.json:
         text = oov.report_json(report)
     elif args.tsv:
         text = oov.report_tsv_line(report)
     else:
         text = oov.report_human_block(report)
-    _write_lines(text.split("\n"), args.out)
+    _write_lines(args.out or None, text.split("\n"))
     return 0
 
 
@@ -354,7 +343,7 @@ def _cmd_compare_oov(args) -> int:
         ]
         if delta.any_rate_increase:
             log.warning("OOV rate increased; the second vocabulary may not contain the first")
-    _write_lines(lines, None)
+    _write_lines(None, lines)
     return 0
 
 
@@ -468,7 +457,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("oov-stats", help="two-level OOV rates for a corpus")
     p.add_argument("--vocab", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--unk", default=tokenizer.DEFAULT_UNK)
     p.add_argument("--top", type=_non_negative, default=oov.DEFAULT_TOP_N)
     p.add_argument("--types", action="store_true", help="type-level rates instead of occurrences")
     fmt = p.add_mutually_exclusive_group()

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .embeddings import _is_token, _open_text
+from .embeddings import _is_token, _read_lines
 from .errors import MalformedLine
 
 
@@ -43,16 +43,14 @@ def load_dictionary(path) -> BilingualDictionary:
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
     duplicates = 0
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            parts = line.split("\t" if "\t" in line else " ")
-            if len(parts) != 2 or not all(map(_is_token, parts)):
-                raise MalformedLine(f"expected two tokens, got {line!r}", line=lineno)
-            pair = (parts[0], parts[1])
-            if pair in seen:
-                duplicates += 1
-                continue
-            seen.add(pair)
-            pairs.append(pair)
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t" if "\t" in line else " ")
+        if len(parts) != 2 or not all(map(_is_token, parts)):
+            raise MalformedLine(f"expected two tokens, got {line!r}", line=lineno)
+        pair = (parts[0], parts[1])
+        if pair in seen:
+            duplicates += 1
+            continue
+        seen.add(pair)
+        pairs.append(pair)
     return BilingualDictionary(tuple(pairs), dedup_count=duplicates)

@@ -10,8 +10,12 @@ blocks of rows at once from each value's correctly rounded 9-digit mantissa;
 Python's formatter writes the values printed in scientific notation and those
 whose rounding numpy cannot be sure of.  Linear maps use the same layout
 without the token column.  Vocabulary files hold one token per line; the
-0-based line number is the token id.  Every text output is written atomically
-(see :func:`_atomic_text`).  A matrix keeps its rows as given;
+0-based line number is the token id.  Line files are read by
+:func:`_read_lines` (vocabularies, merges, token lists, dictionaries, count
+tables, mixture assignments) and written by :func:`_write_lines` (those,
+provenance and every command's text output); no other module calls
+``open``.  Every text output replaces its target atomically (see
+:func:`_atomic_text`) or goes to stdout.  A matrix keeps its rows as given;
 :func:`_unit_rows` is the one row normalization, and each scorer applies it to
 its own inputs.
 
@@ -59,8 +63,9 @@ import logging
 import mmap
 import os
 import stat
-from collections.abc import Iterable, Sequence
-from contextlib import contextmanager
+import sys
+from collections.abc import Iterable, Iterator, Sequence
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from time import time_ns
 
@@ -306,6 +311,23 @@ def _atomic_text(path):
     """Open a UTF-8 text file that replaces ``path`` only if the block succeeds."""
     with _staged(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         yield fh
+
+
+def _read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(1-based line number, line without its LF)`` for each line of ``path``.
+
+    The file is read as :func:`_open_text` reads it, so only LF ends a line.
+    """
+    with _open_text(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            yield lineno, line.removesuffix("\n")
+
+
+def _write_lines(path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and an LF, atomically to ``path``; ``None`` means stdout."""
+    with nullcontext(sys.stdout) if path is None else _atomic_text(path) as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _read_matrix(path, labeled: bool) -> tuple[list[str] | None, np.ndarray]:
@@ -683,12 +705,8 @@ def _unit_rows(rows: np.ndarray, vocab: Vocabulary) -> np.ndarray:
 
 def load_vocabulary(path) -> Vocabulary:
     """Read a one-token-per-line vocabulary file; line number = token id."""
-    with _open_text(path) as fh:
-        tokens = [line.rstrip("\n") for line in fh]
-    return Vocabulary(tokens)
+    return Vocabulary([line for _, line in _read_lines(path)])
 
 
 def save_vocabulary(vocab: Vocabulary, path) -> None:
-    with _atomic_text(path) as fh:
-        for token in vocab.tokens:
-            fh.write(token + "\n")
+    _write_lines(path, vocab.tokens)

@@ -25,8 +25,8 @@ from .alignment import LinearMap
 from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
-    _atomic_text,
     _staged,
+    _write_lines,
     save_embeddings,
     save_vocabulary,
 )
@@ -183,6 +183,4 @@ def emit_expanded(
     with _staged(*files) as (vocab_tmp, emb_tmp, prov_tmp):
         save_vocabulary(model.vocab, vocab_tmp)
         save_embeddings(model, emb_tmp)
-        with _atomic_text(prov_tmp) as fh:
-            for record in provenance:
-                fh.write("\t".join(record) + "\n")
+        _write_lines(prov_tmp, map("\t".join, provenance))

@@ -26,10 +26,10 @@ from .embeddings import (
     EmbeddingMatrix,
     Vocabulary,
     _all_finite,
-    _atomic_text,
     _is_token,
-    _open_text,
+    _read_lines,
     _unit_rows,
+    _write_lines,
 )
 from .errors import (
     DuplicateNewToken,
@@ -124,9 +124,7 @@ def save_assignments(
     assignments: Sequence[tuple[str, Sequence[tuple[str, float]]]], path
 ) -> None:
     """Write one ``token<TAB>anchor:weight,...`` line per (token, anchors) record."""
-    with _atomic_text(path) as fh:
-        for token, anchors in assignments:
-            fh.write(f"{token}\t{format_anchors(anchors)}\n")
+    _write_lines(path, (f"{token}\t{format_anchors(anchors)}" for token, anchors in assignments))
 
 
 def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
@@ -140,31 +138,29 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
     anchor may repeat within its record (``MalformedLine``).
     """
     out: dict[str, list[tuple[str, float]]] = {}
-    with _open_text(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            parts = line.split("\t")
-            if len(parts) != 2 or not _is_token(parts[0]) or not parts[1]:
-                raise MalformedLine(f"expected 'token<TAB>anchors', got {line!r}", line=lineno)
-            token, anchor_field = parts
-            if token in out:
-                raise MalformedLine(f"repeated token {token!r}", line=lineno)
-            anchors: list[tuple[str, float]] = []
-            buf: str | None = None
-            for fragment in anchor_field.split(","):
-                buf = fragment if buf is None else buf + "," + fragment
-                if _WEIGHT_TAIL.search(buf):
-                    tok, weight_text = buf.rsplit(":", 1)
-                    if not _is_token(tok):
-                        raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
-                    if any(tok == seen for seen, _ in anchors):
-                        raise MalformedLine(f"repeated anchor {tok!r}", line=lineno)
-                    anchors.append((tok, float(weight_text)))
-                    buf = None
-            if buf is not None or not anchors:
-                raise MalformedLine(f"unparseable anchor list {anchor_field!r}", line=lineno)
-            total = sum(w for _, w in anchors)
-            if total <= 0:
-                raise MalformedLine("anchor weights sum to zero", line=lineno)
-            out[token] = [(t, w / total) for t, w in anchors]
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not _is_token(parts[0]) or not parts[1]:
+            raise MalformedLine(f"expected 'token<TAB>anchors', got {line!r}", line=lineno)
+        token, anchor_field = parts
+        if token in out:
+            raise MalformedLine(f"repeated token {token!r}", line=lineno)
+        anchors: list[tuple[str, float]] = []
+        buf: str | None = None
+        for fragment in anchor_field.split(","):
+            buf = fragment if buf is None else buf + "," + fragment
+            if _WEIGHT_TAIL.search(buf):
+                tok, weight_text = buf.rsplit(":", 1)
+                if not _is_token(tok):
+                    raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
+                if any(tok == seen for seen, _ in anchors):
+                    raise MalformedLine(f"repeated anchor {tok!r}", line=lineno)
+                anchors.append((tok, float(weight_text)))
+                buf = None
+        if buf is not None or not anchors:
+            raise MalformedLine(f"unparseable anchor list {anchor_field!r}", line=lineno)
+        total = sum(w for _, w in anchors)
+        if total <= 0:
+            raise MalformedLine("anchor weights sum to zero", line=lineno)
+        out[token] = [(t, w / total) for t, w in anchors]
     return list(out.items())

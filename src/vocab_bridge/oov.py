@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 from .embeddings import Vocabulary
 from .errors import CorpusMismatch, MalformedLine, ValidationError
-from .tokenizer import DEFAULT_MAX_CHARS, SegmentStatus, wordpiece_segment
+from .tokenizer import DEFAULT_MAX_CHARS, DEFAULT_UNK, SegmentStatus, wordpiece_segment
 
 DEFAULT_TOP_N = 50
 
@@ -52,7 +52,6 @@ def _rate(count: int, total: int) -> float:
 
 def corpus_oov_stats(
     vocab: Vocabulary,
-    unk: str,
     lines: Iterable[str],
     *,
     top_n: int = DEFAULT_TOP_N,
@@ -66,7 +65,9 @@ def corpus_oov_stats(
     ``DEFAULT_MAX_CHARS``, so a longer word is subword OOV.
     """
     occurrences = Counter(word for line in lines for word in line.split())
-    statuses = {w: wordpiece_segment(vocab, unk, w, DEFAULT_MAX_CHARS).status for w in occurrences}
+    statuses = {
+        w: wordpiece_segment(vocab, DEFAULT_UNK, w, DEFAULT_MAX_CHARS).status for w in occurrences
+    }
     counts = Counter({w: 1 for w in occurrences}) if count_types else occurrences
     total = sum(counts.values())
     word_oov = sum(c for w, c in counts.items() if statuses[w] is not SegmentStatus.IN_VOCAB)

@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from .embeddings import CONTINUATION_PREFIX, Vocabulary, _atomic_text, _is_token, _open_text
+from .embeddings import CONTINUATION_PREFIX, Vocabulary, _is_token, _read_lines, _write_lines
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
 
 MERGES_HEADER = "#version: vocab-bridge-1"
@@ -221,10 +221,7 @@ def wordpiece_style(pieces: list[str]) -> list[str]:
 
 def save_bpe_model(model: BpeModel, path) -> None:
     """Write merges as ``left right`` lines under a version header."""
-    with _atomic_text(path) as fh:
-        fh.write(MERGES_HEADER + "\n")
-        for left, right in model.merges:
-            fh.write(f"{left} {right}\n")
+    _write_lines(path, [MERGES_HEADER, *(f"{left} {right}" for left, right in model.merges)])
 
 
 def load_bpe_model(path) -> BpeModel:
@@ -233,14 +230,12 @@ def load_bpe_model(path) -> BpeModel:
     The emitted vocabulary is not stored in the merges format; the loaded
     model carries only the merge table.
     """
-    with _open_text(path) as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    if not lines or lines[0] != MERGES_HEADER:
+    lines = list(_read_lines(path))
+    if not lines or lines[0][1] != MERGES_HEADER:
         raise MalformedHeader(f"expected {MERGES_HEADER!r} header", line=1)
     merges: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for offset, line in enumerate(lines[1:]):
-        lineno = offset + 2
+    for lineno, line in lines[1:]:
         parts = line.split(" ")
         if len(parts) != 2 or not all(map(_is_token, parts)):
             raise MalformedLine(f"expected 'left right', got {line!r}", line=lineno)

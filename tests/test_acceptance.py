@@ -180,7 +180,7 @@ def test_criterion_6_french_segmentation_example():
             seg = wordpiece_segment(vocab, "[UNK]", word)
             assert seg.pieces == ("[UNK]",)
             assert seg.status is SegmentStatus.SUBWORD_OOV
-        report = corpus_oov_stats(vocab, "[UNK]", [sentence])
+        report = corpus_oov_stats(vocab, [sentence])
         assert report.total_words == 12
         assert report.word_oov == 3
         assert report.subword_oov == 2
@@ -217,8 +217,8 @@ def test_criterion_7_oov_monotone_under_vocabulary_growth():
                 rng.choice(list(model_corpus) + list(lang_corpus), size=10)
             )
             line = " ".join(eval_words)
-            before = corpus_oov_stats(base, "[UNK]", [line])
-            after = corpus_oov_stats(expanded, "[UNK]", [line])
+            before = corpus_oov_stats(base, [line])
+            after = corpus_oov_stats(expanded, [line])
             assert after.word_oov_rate <= before.word_oov_rate
             assert after.subword_oov_rate <= before.subword_oov_rate
             assert after.subword_oov <= after.word_oov <= after.total_words

@@ -2,8 +2,12 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -29,6 +33,7 @@ from vocab_bridge import (
     load_vocabulary,
     save_embeddings,
 )
+import vocab_bridge
 from vocab_bridge import alignment, cli, embeddings, oov
 from vocab_bridge.alignment import load_map, save_map
 from vocab_bridge.cli import _read_tokens, dispatch
@@ -548,7 +553,7 @@ class TestOovCommands:
         argv = ["oov-stats", "--vocab", vocab, "--corpus", corpus, "--tsv"]
         assert dispatch(argv + ["--types"]) == 0
         report = oov.corpus_oov_stats(
-            load_vocabulary(vocab), "[UNK]", text.splitlines(keepends=True), count_types=True
+            load_vocabulary(vocab), text.splitlines(keepends=True), count_types=True
         )
         want = oov.report_tsv_line(report) + "\n"
         assert capsys.readouterr().out == want
@@ -604,6 +609,29 @@ class TestOovCommands:
         before = write(tmp_path / "before.tsv", "4\t2\t1\t0.5\t0.25\n")
         after = write(tmp_path / "after.tsv", "5\t2\t1\t0.4\t0.2\n")
         assert dispatch(["compare-oov", "--before", before, "--after", after]) == 2
+
+    def test_module_entry_point(self, tmp_path):
+        """``python -m vocab_bridge.cli`` runs ``main``: its exit code is the process's."""
+        before = write(tmp_path / "before.tsv", "4\t2\t1\t0.5\t0.25\n")
+        after = write(tmp_path / "after.tsv", "4\t1\t0\t0.25\t0.0\n")
+        src = str(Path(vocab_bridge.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "vocab_bridge.cli", "compare-oov", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+
+        done = run("--before", before, "--after", after)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == (
+            "total_words\t4\nword_oov_delta\t-1\nsubword_oov_delta\t-1\n"
+            "word_oov_rate_delta\t-0.250000\nsubword_oov_rate_delta\t-0.250000\n"
+            "any_rate_increase\tfalse\n"
+        )
+        done = run("--before", before, "--after", after, "--bogus")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert "unrecognized arguments: --bogus" in done.stderr
 
     @pytest.mark.parametrize("rates", ["nan\t0.1", "0.9\t0.1"])
     def test_compare_oov_rates_contradict_counts(self, tmp_path, capsys, rates):

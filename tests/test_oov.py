@@ -42,32 +42,32 @@ def per_occurrence_report(vocab, lines, top_n, count_types):
 
 
 def french_report(**kwargs):
-    return corpus_oov_stats(Vocabulary(FRENCH_PIECES), UNK, [FRENCH_SENTENCE], **kwargs)
+    return corpus_oov_stats(Vocabulary(FRENCH_PIECES), [FRENCH_SENTENCE], **kwargs)
 
 
 class TestCorpusOovStats:
     def test_fully_covered_corpus(self):
         v = Vocabulary(["the", "cat", "sat"])
-        r = corpus_oov_stats(v, UNK, ["the cat sat", "the cat"])
+        r = corpus_oov_stats(v, ["the cat sat", "the cat"])
         assert (r.total_words, r.word_oov, r.subword_oov) == (5, 0, 0)
         assert r.word_oov_rate == 0.0 and r.subword_oov_rate == 0.0
         assert r.top_oov_tokens == ()
 
     def test_fully_unknown_corpus(self):
         v = Vocabulary(["z"])
-        r = corpus_oov_stats(v, UNK, ["xx yy xx"])
+        r = corpus_oov_stats(v, ["xx yy xx"])
         assert (r.total_words, r.word_oov, r.subword_oov) == (3, 3, 3)
         assert r.word_oov_rate == 1.0 and r.subword_oov_rate == 1.0
 
     def test_empty_corpus_has_zero_rates(self):
         v = Vocabulary(["a"])
-        r = corpus_oov_stats(v, UNK, [])
+        r = corpus_oov_stats(v, [])
         assert (r.total_words, r.word_oov, r.subword_oov) == (0, 0, 0)
         assert r.word_oov_rate == 0.0 and r.subword_oov_rate == 0.0
 
     def test_blank_lines_are_ignored(self):
         v = Vocabulary(["a"])
-        r = corpus_oov_stats(v, UNK, ["", "   ", "a a", ""])
+        r = corpus_oov_stats(v, ["", "   ", "a a", ""])
         assert r.total_words == 2
 
     def test_french_sentence_counts(self):
@@ -83,25 +83,25 @@ class TestCorpusOovStats:
 
     def test_occurrences_weight_the_rates(self):
         v = Vocabulary(["ok"])
-        r = corpus_oov_stats(v, UNK, ["ok bad bad bad"])
+        r = corpus_oov_stats(v, ["ok bad bad bad"])
         assert (r.total_words, r.word_oov) == (4, 3)
         np.testing.assert_allclose(r.word_oov_rate, 0.75)
 
     def test_type_level_view_counts_each_word_once(self):
         v = Vocabulary(["ok"])
-        r = corpus_oov_stats(v, UNK, ["ok ok ok bad bad"], count_types=True)
+        r = corpus_oov_stats(v, ["ok ok ok bad bad"], count_types=True)
         assert (r.total_words, r.word_oov, r.subword_oov) == (2, 1, 1)
         np.testing.assert_allclose(r.word_oov_rate, 0.5)
         assert r.top_oov_tokens == (("bad", 2),)
 
     def test_top_oov_ordering(self):
         v = Vocabulary(["x"])
-        r = corpus_oov_stats(v, UNK, ["bb aa bb cc aa dd"])
+        r = corpus_oov_stats(v, ["bb aa bb cc aa dd"])
         assert r.top_oov_tokens == (("aa", 2), ("bb", 2), ("cc", 1), ("dd", 1))
 
     def test_top_n_truncates(self):
         v = Vocabulary(["x"])
-        r = corpus_oov_stats(v, UNK, ["aa bb cc dd"], top_n=2)
+        r = corpus_oov_stats(v, ["aa bb cc dd"], top_n=2)
         assert r.top_oov_tokens == (("aa", 1), ("bb", 1))
 
     def test_subword_never_exceeds_word_oov(self):
@@ -119,14 +119,14 @@ class TestCorpusOovStats:
                 "".join(rng.choice(alphabet, size=rng.integers(1, 5)))
                 for _ in range(rng.integers(1, 20))
             ]
-            r = corpus_oov_stats(Vocabulary(sorted(vocab_tokens)), UNK, [" ".join(words)])
+            r = corpus_oov_stats(Vocabulary(sorted(vocab_tokens)), [" ".join(words)])
             assert 0 <= r.subword_oov <= r.word_oov <= r.total_words
 
     @pytest.mark.parametrize("count_types", [False, True])
     def test_repeats_match_per_occurrence_oracle(self, count_types):
         vocab = Vocabulary(FRENCH_PIECES + ["fil", "##ms", "a", "##b"])
         lines = repeat_corpus()
-        r = corpus_oov_stats(vocab, UNK, lines, top_n=5, count_types=count_types)
+        r = corpus_oov_stats(vocab, lines, top_n=5, count_types=count_types)
         assert r == per_occurrence_report(vocab, lines, 5, count_types)
         assert r.subword_oov > 0 and r.word_oov > r.subword_oov
 
@@ -139,7 +139,7 @@ class TestCorpusOovStats:
 
         monkeypatch.setattr(oov, "wordpiece_segment", counting_segment)
         lines = repeat_corpus()
-        r = corpus_oov_stats(Vocabulary(FRENCH_PIECES), UNK, lines)
+        r = corpus_oov_stats(Vocabulary(FRENCH_PIECES), lines)
         words = Counter(w for line in lines for w in line.split())
         assert r.total_words > len(words)
         assert calls == Counter(dict.fromkeys(words, 1))
@@ -168,7 +168,7 @@ class TestCompareReports:
     def test_improvement_is_negative_delta(self):
         before = french_report()
         after = corpus_oov_stats(
-            Vocabulary(FRENCH_PIECES + ["ça", "médecins"]), UNK, [FRENCH_SENTENCE]
+            Vocabulary(FRENCH_PIECES + ["ça", "médecins"]), [FRENCH_SENTENCE]
         )
         d = compare_reports(before, after)
         assert d.word_oov_delta == -2
@@ -177,15 +177,15 @@ class TestCompareReports:
         assert d.any_rate_increase is False
 
     def test_regression_raises_flag(self):
-        before = corpus_oov_stats(Vocabulary(["a", "b"]), UNK, ["a b"])
-        after = corpus_oov_stats(Vocabulary(["a"]), UNK, ["a b"])
+        before = corpus_oov_stats(Vocabulary(["a", "b"]), ["a b"])
+        after = corpus_oov_stats(Vocabulary(["a"]), ["a b"])
         d = compare_reports(before, after)
         assert d.word_oov_delta == 1
         assert d.any_rate_increase is True
 
     def test_different_corpora_rejected(self):
-        a = corpus_oov_stats(Vocabulary(["a"]), UNK, ["a a"])
-        b = corpus_oov_stats(Vocabulary(["a"]), UNK, ["a a a"])
+        a = corpus_oov_stats(Vocabulary(["a"]), ["a a"])
+        b = corpus_oov_stats(Vocabulary(["a"]), ["a a a"])
         with pytest.raises(CorpusMismatch):
             compare_reports(a, b)
 
@@ -236,8 +236,8 @@ class TestSerialization:
         }
 
     def test_delta_json_carries_flag(self):
-        before = corpus_oov_stats(Vocabulary(["a", "b"]), UNK, ["a b"])
-        after = corpus_oov_stats(Vocabulary(["a"]), UNK, ["a b"])
+        before = corpus_oov_stats(Vocabulary(["a", "b"]), ["a b"])
+        after = corpus_oov_stats(Vocabulary(["a"]), ["a b"])
         data = json.loads(delta_json(compare_reports(before, after)))
         assert data["any_rate_increase"] is True
         assert data["word_oov_delta"] == 1

@@ -1,7 +1,7 @@
 """The package's public surface: ``__all__`` names exactly what ``__init__`` binds,
 every public function has a caller inside the package, every public default
-is overridden somewhere inside it, and README's library example runs as
-written."""
+is overridden somewhere inside it, only ``embeddings`` opens files, and
+README's library example runs as written."""
 
 import ast
 import enum
@@ -49,6 +49,24 @@ def test_every_public_function_is_referenced_inside_the_package():
     ]
     assert public_functions
     assert [name for name in public_functions if name not in referenced] == []
+
+
+def test_only_embeddings_opens_files():
+    """Every line file goes through the one reader and the one writer in
+    ``embeddings``: no other package module names ``_atomic_text`` or calls
+    the builtin ``open``."""
+    package_dir = Path(vocab_bridge.__file__).parent
+    found = []
+    for module in sorted(package_dir.glob("*.py")):
+        if module.name == "embeddings.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            if "_atomic_text" in names:
+                found.append(f"{module.name}:{node.lineno} _atomic_text")
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                found.append(f"{module.name}:{node.lineno} open()")
+    assert found == []
 
 
 def _package_calls() -> list[ast.Call]:
