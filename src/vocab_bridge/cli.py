@@ -159,10 +159,13 @@ def _cmd_bpe_apply(args) -> int:
 
 def _cmd_wordpiece(args) -> int:
     vocab = load_vocabulary(args.vocab)
+    rendered: dict[str, str] = {}  # word -> its output line
     out_lines = []
     with _open_text(args.input) as fh:
         for seg in tokenizer.classify_corpus(vocab, args.unk, fh, args.max_chars):
-            out_lines.append(f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}")
+            if seg.word not in rendered:
+                rendered[seg.word] = f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}"
+            out_lines.append(rendered[seg.word])
     _write_lines(args.output or None, out_lines)
     return 0
 
@@ -324,12 +327,17 @@ def _cmd_oov_stats(args) -> int:
     return 0
 
 
+def _read_report(path) -> oov.OovReport:
+    """Parse an ``oov-stats --tsv`` report, which is one line; an empty file fails at line 1."""
+    lines = _read_lines(path)
+    report = oov.parse_report_tsv(next(lines, (1, ""))[1])
+    for lineno, _ in lines:
+        raise MalformedLine("a report is one line", line=lineno)
+    return report
+
+
 def _cmd_compare_oov(args) -> int:
-    with _open_text(args.before) as fh:
-        before = oov.parse_report_tsv(fh.readline())
-    with _open_text(args.after) as fh:
-        after = oov.parse_report_tsv(fh.readline())
-    delta = oov.compare_reports(before, after)
+    delta = oov.compare_reports(_read_report(args.before), _read_report(args.after))
     if args.json:
         lines = [oov.delta_json(delta)]
     else:

@@ -124,15 +124,8 @@ def compare_reports(before: OovReport, after: OovReport) -> OovDelta:
 
 def report_tsv_line(report: OovReport) -> str:
     """The report as one TAB-separated line (counts, then rates)."""
-    return "\t".join(
-        [
-            str(report.total_words),
-            str(report.word_oov),
-            str(report.subword_oov),
-            repr(report.word_oov_rate),
-            repr(report.subword_oov_rate),
-        ]
-    )
+    fields = [getattr(report, name) for name in _TSV_FIELDS]
+    return "\t".join([*map(str, fields[:3]), *map(repr, fields[3:])])
 
 
 def parse_report_tsv(text: str) -> OovReport:

@@ -610,6 +610,22 @@ class TestOovCommands:
         after = write(tmp_path / "after.tsv", "5\t2\t1\t0.4\t0.2\n")
         assert dispatch(["compare-oov", "--before", before, "--after", after]) == 2
 
+    @pytest.mark.parametrize("side", ["--before", "--after"])
+    @pytest.mark.parametrize("text, line", [
+        ("4\t2\t1\t0.5\t0.25\nnot a report\n", 2),
+        ("4\t2\t1\t0.5\t0.25\n\n", 2),
+        ("", 1),
+    ], ids=["trailing-text", "trailing-empty-line", "empty"])
+    def test_compare_oov_report_is_one_line(self, tmp_path, capsys, side, text, line):
+        """An empty report fails at line 1 and a second line fails at line 2."""
+        good = write(tmp_path / "good.tsv", "4\t2\t1\t0.5\t0.25\n")
+        files = {"--before": good, "--after": good, side: write(tmp_path / "bad.tsv", text)}
+        argv = ["compare-oov", "--before", files["--before"], "--after", files["--after"]]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: MalformedLine: line {line}: " in captured.err
+
     def test_module_entry_point(self, tmp_path):
         """``python -m vocab_bridge.cli`` runs ``main``: its exit code is the process's."""
         before = write(tmp_path / "before.tsv", "4\t2\t1\t0.5\t0.25\n")

@@ -461,6 +461,25 @@ class TestTextMatrixFormat:
         assert path.read_text(encoding="utf-8") == f"2 5\n{text} -0.5 {text} 0.25 {text}\n" + (
             " ".join([text] * 5) + "\n")
 
+    @pytest.mark.parametrize("cells", [7, embeddings._FORMAT_CELLS])
+    def test_every_fixed_point_key_matches_oracle(self, tmp_path, monkeypatch, cells):
+        """Each exponent -4..8 with each count of significant digits 1..9 (so
+        mantissas ending in 8..0 zeros), of both signs, and a row of 4-decimal
+        values as model files hold them read as ``format(v, ".9g")`` writes them."""
+        mantissas = ["123456789"[:nd] for nd in range(1, 10)] + ["9" + "0" * n + "1" for n in range(8)]
+        rows = [[float(f"{sign}{digits}e{p + 1 - len(digits)}") for p in range(-4, 9)]
+                for digits in mantissas for sign in "+-"]
+        rows.append([k / 10000 for k in (-40000, -12345, -1000, -10, -1, 0, 1, 7, 120, 3456,
+                                         10000, 25000, 40000)])
+        values = np.array(rows)
+        keys = {(int(f"{v:.8e}"[-3:]), len(format(v, ".9g").replace(".", "").strip("0")))
+                for v in np.abs(values[:-1]).ravel()}
+        assert keys == {(p, nd) for p in range(-4, 9) for nd in range(1, 10)}
+        monkeypatch.setattr(embeddings, "_FORMAT_CELLS", cells)
+        _write_matrix(tmp_path / "m.map", None, values)
+        assert (tmp_path / "m.map").read_bytes() == oracles.format_matrix(
+            None, values).encode("utf-8")
+
     def test_memory_layout_does_not_matter(self, tmp_path, monkeypatch):
         """A Fortran-order matrix and a transposed view write their C-order copy's bytes."""
         monkeypatch.setattr(embeddings, "_FORMAT_CELLS", 7)
