@@ -126,8 +126,10 @@ def _cap_pairs(dictionary: BilingualDictionary, max_pairs: int | None) -> Biling
 def _cmd_bpe_train(args) -> int:
     counts: Counter = Counter()
     with _open_text(args.corpus) as fh:
-        for line in fh:
-            counts.update(line.split())
+        # one update per block of whole lines: each line but the file's last
+        # ends in an LF, so joining the block splits into the same words
+        for block in iter(lambda: fh.readlines(1 << 16), []):
+            counts.update("".join(block).split())
     model = tokenizer.bpe_train(counts, args.vocab_size)
     tokenizer.save_bpe_model(model, args.out)
     if args.vocab_out:
@@ -141,9 +143,9 @@ def _cmd_bpe_train(args) -> int:
 def _cmd_bpe_apply(args) -> int:
     model = tokenizer.load_bpe_model(args.merges)
     rendered: dict[str, str] = {}  # word -> its pieces joined by spaces
-    out_lines = []
-    with _open_text(args.input) as fh:
-        for line in fh:
+
+    def segmented(lines):
+        for line in lines:
             words = line.split()
             for word in words:
                 if word not in rendered:
@@ -151,22 +153,27 @@ def _cmd_bpe_apply(args) -> int:
                     if args.wordpiece_style:
                         pieces = tokenizer.wordpiece_style(pieces)
                     rendered[word] = " ".join(pieces)
-            out_lines.append(" ".join([rendered[word] for word in words]))
-    # an empty --output or --out writes to stdout too
-    _write_lines(args.output or None, out_lines)
+            yield " ".join([rendered[word] for word in words])
+
+    # lines are written as they are read; an empty --output or --out writes
+    # to stdout too
+    with _open_text(args.input) as fh:
+        _write_lines(args.output or None, segmented(fh))
     return 0
 
 
 def _cmd_wordpiece(args) -> int:
     vocab = load_vocabulary(args.vocab)
     rendered: dict[str, str] = {}  # word -> its output line
-    out_lines = []
-    with _open_text(args.input) as fh:
-        for seg in tokenizer.classify_corpus(vocab, args.unk, fh, args.max_chars):
+
+    def classified(lines):
+        for seg in tokenizer.classify_corpus(vocab, args.unk, lines, args.max_chars):
             if seg.word not in rendered:
                 rendered[seg.word] = f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}"
-            out_lines.append(rendered[seg.word])
-    _write_lines(args.output or None, out_lines)
+            yield rendered[seg.word]
+
+    with _open_text(args.input) as fh:
+        _write_lines(args.output or None, classified(fh))
     return 0
 
 

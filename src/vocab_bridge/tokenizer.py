@@ -22,9 +22,10 @@ from __future__ import annotations
 import enum
 import functools
 import heapq
-from collections import Counter, defaultdict
-from collections.abc import Iterable, Iterator, Mapping
+from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .embeddings import CONTINUATION_PREFIX, Vocabulary, _is_token, _read_lines, _write_lines
 from .errors import EmptyCorpus, MalformedHeader, MalformedLine, ValidationError
@@ -77,19 +78,19 @@ class BpeModel:
         return {pair: rank for rank, pair in enumerate(self.merges)}
 
 
-def _symbolize(word: str) -> tuple[str, ...]:
-    # "abc" -> ('a', 'b', 'c</w>'); single-char words become ('a</w>',)
+def _symbolize(word: str) -> list[str]:
+    # "abc" -> ['a', 'b', 'c</w>']; single-char words become ['a</w>']
     if not _is_token(word):
         raise ValidationError(f"invalid word {word!r}: empty or contains whitespace")
-    return tuple(word[:-1]) + (word[-1] + END_OF_WORD,)
+    return [*word[:-1], word[-1] + END_OF_WORD]
 
 
-def _unmark(symbols: tuple[str, ...]) -> list[str]:
+def _unmark(symbols: Sequence[str]) -> list[str]:
     # ('a', 'bc</w>') -> ['a', 'bc']
     return [*symbols[:-1], symbols[-1].removesuffix(END_OF_WORD)]
 
 
-def _merge_pair(symbols: tuple[str, ...], left: str, right: str) -> tuple[str, ...]:
+def _merge_pair(symbols: Sequence[str], left: str, right: str) -> tuple[str, ...]:
     """Merge non-overlapping (left, right) occurrences, left to right."""
     merged = left + right
     out: list[str] = []
@@ -114,13 +115,17 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
     twice.  Identical inputs always produce identical models.
 
     Pair counts are built once; each merge then updates only the words that
-    hold the merged pair (Sennrich et al. 2016).
+    hold the merged pair, and in each such word only the changed span: the
+    pairs from the one before its first merge site to the one after its
+    last (Sennrich et al. 2016).  The emitted vocabulary is counted per
+    distinct final symbol and position (whole word, head, inner, tail), so
+    each symbol is rendered once.
 
     Raises ``EmptyCorpus`` if the table has no word with positive frequency.
     """
     if target_vocab < 1:
         raise ValidationError(f"target_vocab must be positive, got {target_vocab}")
-    words: list[tuple[str, ...]] = []
+    words: list[list[str]] = []
     freqs: list[int] = []
     for word, freq in corpus.items():
         if freq <= 0:
@@ -131,14 +136,17 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
         raise EmptyCorpus("no words with positive frequency")
 
     # symbol -> occurrences over the word types; only positive counts are kept
-    symbols_seen: Counter = Counter()
-    pair_counts: Counter = Counter()
-    holders: defaultdict[tuple[str, str], set[int]] = defaultdict(set)
+    symbols_seen = Counter(chain.from_iterable(words))
+    # pair -> the word of each occurrence; a word is listed once per occurrence
+    occ: dict[tuple[str, str], list[int]] = {}
     for i, symbols in enumerate(words):
-        symbols_seen.update(symbols)
         for pair in zip(symbols, symbols[1:]):
-            pair_counts[pair] += freqs[i]
-            holders[pair].add(i)
+            occ.setdefault(pair, []).append(i)
+    get_freq = freqs.__getitem__
+    pair_counts = {pair: sum(map(get_freq, idx)) for pair, idx in occ.items()}
+    # pair -> the words that hold it, and perhaps some that no longer do
+    holders = {pair: set(idx) for pair, idx in occ.items()}
+    del occ
     # (-count, pair) orders like the max count, smallest pair rule; an entry
     # whose count no longer matches pair_counts is stale and skipped
     heap = [(-count, pair) for pair, count in pair_counts.items()]
@@ -146,48 +154,95 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
 
     merges: list[tuple[str, str]] = []
     while len(symbols_seen) < target_vocab:
-        while heap and pair_counts[heap[0][1]] != -heap[0][0]:
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
         left, right = pair = heapq.heappop(heap)[1]
         merges.append(pair)
-        delta: Counter = Counter()
+        merged = left + right
+        delta: dict[tuple[str, str], int] = {}
         merged_count = 0
-        # a holder set may still list words that an earlier merge left
-        # without the pair; merging changes nothing in those
         for i in holders.pop(pair):
+            # merge non-overlapping sites left to right, noting the first
+            # and the last; a stale holder has none and stays as it is
             old = words[i]
-            new = _merge_pair(old, left, right)
-            if len(new) == len(old):
+            end = len(old) - 1
+            new: list[str] = []
+            first = last = -1
+            j = 0
+            while j < end:
+                if old[j] == left and old[j + 1] == right:
+                    if first < 0:
+                        first = j
+                    last = j
+                    new.append(merged)
+                    j += 2
+                else:
+                    new.append(old[j])
+                    j += 1
+            if first < 0:
                 continue
+            if j == end:
+                new.append(old[end])
             words[i] = new
-            merged_count += len(old) - len(new)
+            sites = len(old) - len(new)
+            merged_count += sites
             freq = freqs[i]
-            for p in zip(old, old[1:]):
-                delta[p] -= freq
-            for p in zip(new, new[1:]):
-                delta[p] += freq
-                holders[p].add(i)
+            # only the pairs from the one before the first site to the one
+            # after the last change; the rest of the word keeps its pairs
+            lo = first - 1 if first else 0
+            span = old[lo:last + 3]
+            for p in zip(span, span[1:]):
+                delta[p] = delta.get(p, 0) - freq
+            span = new[lo:last + 3 - sites]
+            for p in zip(span, span[1:]):
+                delta[p] = delta.get(p, 0) + freq
+                held = holders.get(p)
+                if held is None:
+                    holders[p] = {i}
+                else:
+                    held.add(i)
         for p, change in delta.items():
             if change:
-                count = pair_counts[p] + change
+                count = pair_counts.get(p, 0) + change
                 if count:
                     pair_counts[p] = count
                     heapq.heappush(heap, (-count, p))
                 else:
                     del pair_counts[p]
-        symbols_seen[left + right] += merged_count
+        symbols_seen[merged] += merged_count
         for s in (left, right):
             symbols_seen[s] -= merged_count
             if not symbols_seen[s]:
                 del symbols_seen[s]
 
-    # the loop's final symbols are each training word's segmentation
-    entry_counts: Counter = Counter()
+    # the loop's final symbols are each training word's segmentation; count
+    # them by position, then render each distinct symbol once: only a word's
+    # last symbol carries the marker, and a mid-word symbol may end like it
+    whole: dict[str, int] = {}
+    head: dict[str, int] = {}
+    inner: dict[str, int] = {}
+    tail: dict[str, int] = {}
     for symbols, freq in zip(words, freqs):
-        for piece in wordpiece_style(_unmark(symbols)):
-            entry_counts[piece] += freq
+        s = symbols[0]
+        if len(symbols) == 1:
+            whole[s] = whole.get(s, 0) + freq
+            continue
+        head[s] = head.get(s, 0) + freq
+        for s in symbols[1:-1]:
+            inner[s] = inner.get(s, 0) + freq
+        s = symbols[-1]
+        tail[s] = tail.get(s, 0) + freq
+    entry_counts: Counter = Counter()
+    for s, count in whole.items():
+        entry_counts[s.removesuffix(END_OF_WORD)] += count
+    for s, count in head.items():
+        entry_counts[s] += count
+    for s, count in inner.items():
+        entry_counts[CONTINUATION_PREFIX + s] += count
+    for s, count in tail.items():
+        entry_counts[CONTINUATION_PREFIX + s.removesuffix(END_OF_WORD)] += count
     entries = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
     return BpeModel(merges=tuple(merges), wordpiece_vocab=entries)
 
@@ -198,7 +253,7 @@ def bpe_apply(model: BpeModel, word: str) -> list[str]:
     Always succeeds: with no applicable merge the word falls back to single
     characters.  The end-of-word marker is stripped from the output.
     """
-    symbols = _symbolize(word)
+    symbols: Sequence[str] = _symbolize(word)
     ranks = model._ranks
     while len(symbols) > 1:
         best: tuple[str, str] | None = None
@@ -227,15 +282,16 @@ def save_bpe_model(model: BpeModel, path) -> None:
 def load_bpe_model(path) -> BpeModel:
     """Read a merges file written by :func:`save_bpe_model`.
 
-    The emitted vocabulary is not stored in the merges format; the loaded
-    model carries only the merge table.
+    The header is checked on line 1 before the merges are read, one line at
+    a time.  The emitted vocabulary is not stored in the merges format; the
+    loaded model carries only the merge table.
     """
-    lines = list(_read_lines(path))
-    if not lines or lines[0][1] != MERGES_HEADER:
+    lines = _read_lines(path)
+    if next(lines, (1, None))[1] != MERGES_HEADER:
         raise MalformedHeader(f"expected {MERGES_HEADER!r} header", line=1)
     merges: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         parts = line.split(" ")
         if len(parts) != 2 or not all(map(_is_token, parts)):
             raise MalformedLine(f"expected 'left right', got {line!r}", line=lineno)

@@ -134,6 +134,51 @@ class TestUndecodableInput:
         assert str(bad) in line
 
 
+class TestStreamedOutput:
+    """bpe-apply and wordpiece write each line as they read it."""
+
+    GOOD_LINES = 1000
+
+    def argv(self, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_bytes(b"ab ba abab\n" * self.GOOD_LINES + b"caf\xe9\n")
+        if command == "bpe-apply":
+            model = write(tmp_path / "m.txt", f"{MERGES_HEADER}\na b</w>\nb a</w>\na b\n")
+            return ["bpe-apply", "--merges", model, "--wordpiece-style", "--input", str(corpus)]
+        vocab = write(tmp_path / "v.txt", "ab\nba\n##ab\n")
+        return ["wordpiece", "--vocab", vocab, "--input", str(corpus)]
+
+    @pytest.mark.parametrize("command", ["bpe-apply", "wordpiece"])
+    def test_late_decode_error_leaves_the_output_file(self, tmp_path, capsys, command):
+        """The lines before the bad one were written to the temporary file,
+        which is removed; the previous output stays byte for byte."""
+        argv = self.argv(tmp_path, command)
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"previous output\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert dispatch([*argv, "--output", str(out)]) == 2
+        assert "can't decode byte 0xe9" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous output\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("command", ["bpe-apply", "wordpiece"])
+    def test_late_decode_error_on_stdout_keeps_the_lines_before_it(self, tmp_path, capsys,
+                                                                  command):
+        """Whole good lines come out before the error, as many as were decoded
+        before the input's read buffer reached the bad byte."""
+        argv = self.argv(tmp_path, command)
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert "can't decode byte 0xe9" in captured.err
+        if command == "bpe-apply":
+            block = "ab ba ab ##ab\n"
+        else:
+            block = "ab\tIN_VOCAB\tab\nba\tIN_VOCAB\tba\nabab\tWORD_OOV_SUBWORD_OK\tab ##ab\n"
+        written = len(captured.out) // len(block)
+        assert 0 < written < self.GOOD_LINES
+        assert captured.out == block * written
+
+
 class TestCountFlags:
     """A negative count or seed, or a size below 1, is a usage error (exit 1), not a crash."""
 

@@ -39,6 +39,15 @@ def bpe_corpora(draw):
     return draw(st.dictionaries(words, st.integers(0, 5), min_size=1, max_size=12))
 
 
+@st.composite
+def long_word_corpora(draw):
+    """Words of up to 40 characters from 2-3 letters: many merge sites per word."""
+    alphabet = draw(st.sampled_from(("ab", "abc", "a<w")))
+    sizes = st.integers(1, 40)  # drawn first: a bare text strategy keeps words short
+    words = sizes.flatmap(lambda n: st.text(alphabet=alphabet, min_size=n, max_size=n))
+    return draw(st.dictionaries(words, st.integers(1, 5), min_size=2, max_size=8))
+
+
 def repeat_corpus(seed: int = 3) -> list[str]:
     """Lines that reuse a dozen words hundreds of times, with blank lines."""
     rng = np.random.default_rng(seed)
@@ -97,6 +106,14 @@ class TestBpeTrain:
         model = bpe_train({"aa": 2, "ab": 1}, 10)
         assert model.wordpiece_vocab == ("aa", "##b", "a")
 
+    def test_marker_text_inside_a_word_is_kept(self):
+        """Only a word's last symbol loses the marker: the head and an inner
+        symbol that spell "</w>" themselves are rendered as they are."""
+        corpus = {"</w>a</w><": 1}
+        model = bpe_train(corpus, 17)
+        assert model.wordpiece_vocab == ("##<", "##</w>", "##a", "</w>")
+        assert model.wordpiece_vocab == oracles.bpe_train_reference(corpus, 17)[1]
+
     def test_rejects_whitespace_word(self):
         with pytest.raises(ValidationError):
             bpe_train({"a b": 1}, 10)
@@ -126,6 +143,20 @@ class TestBpeTrain:
         emitted = Vocabulary(model.wordpiece_vocab)
         save_vocabulary(emitted, tmp / "vocab.txt")
         assert load_vocabulary(tmp / "vocab.txt") == emitted
+
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(corpus=long_word_corpora(), target=st.integers(20, 120))
+    @example(corpus={"ab" + "c" * 20 + "ab": 3, "cabc": 2}, target=120)
+    @example(corpus={"abab" * 5: 3, "bab": 2}, target=120)
+    @example(corpus={"a" * 17: 4, "a" * 6: 2}, target=120)
+    def test_long_words_match_rescanning_trainer(self, corpus, target):
+        """Far-apart and adjacent merge sites in one word: each merge updates
+        only the span between them, and the result is the reference's."""
+        model = bpe_train(corpus, target)
+        merges, vocab = oracles.bpe_train_reference(corpus, target)
+        assert model.merges == merges
+        assert model.wordpiece_vocab == vocab
 
 
 class TestBpeApply:
@@ -212,6 +243,21 @@ class TestMergesFile:
         path.write_text("a b\n", encoding="utf-8")
         with pytest.raises(MalformedHeader):
             load_bpe_model(path)
+
+    def test_empty_file_fails_at_the_header(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_bytes(b"")
+        with pytest.raises(MalformedHeader) as err:
+            load_bpe_model(path)
+        assert err.value.line == 1
+
+    def test_header_is_checked_before_the_merges_are_read(self, tmp_path):
+        """A wrong header fails at line 1 even if a later line is not UTF-8."""
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"#version: other\na b\n" + b"c d\n" * 5000 + b"caf\xe9 x\n")
+        with pytest.raises(MalformedHeader) as err:
+            load_bpe_model(path)
+        assert err.value.line == 1
 
     def test_unicode_line_separator_stays_in_its_line(self, tmp_path):
         """U+0085 and U+2028 are whitespace inside a merge line, not line ends."""
