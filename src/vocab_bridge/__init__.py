@@ -43,7 +43,6 @@ from .tokenizer import (
     SegmentStatus,
     bpe_apply,
     bpe_train,
-    classify_corpus,
     wordpiece_segment,
 )
 
@@ -64,7 +63,6 @@ __all__ = [
     "bpe_apply",
     "bpe_train",
     "build_all_assignments",
-    "classify_corpus",
     "compare_reports",
     "corpus_oov_stats",
     "csls_knn",

@@ -167,10 +167,12 @@ def _cmd_wordpiece(args) -> int:
     rendered: dict[str, str] = {}  # word -> its output line
 
     def classified(lines):
-        for seg in tokenizer.classify_corpus(vocab, args.unk, lines, args.max_chars):
-            if seg.word not in rendered:
-                rendered[seg.word] = f"{seg.word}\t{seg.status.value}\t{' '.join(seg.pieces)}"
-            yield rendered[seg.word]
+        for line in lines:
+            for word in line.split():
+                if word not in rendered:
+                    seg = tokenizer.wordpiece_segment(vocab, args.unk, word, args.max_chars)
+                    rendered[word] = f"{word}\t{seg.status.value}\t{' '.join(seg.pieces)}"
+                yield rendered[word]
 
     with _open_text(args.input) as fh:
         _write_lines(args.output or None, classified(fh))

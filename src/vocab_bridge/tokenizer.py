@@ -23,7 +23,7 @@ import enum
 import functools
 import heapq
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -60,13 +60,15 @@ class Segmentation:
 class BpeModel:
     """A learned BPE merge table.
 
-    ``merges`` are (left, right) symbol pairs in learned order; earlier pairs
-    have priority during application.  ``END_OF_WORD`` is fused onto a word's
-    final character, so word-final symbols carry a ``"</w>"`` suffix
-    internally; application output strips it.  ``wordpiece_vocab`` holds the
-    subwords of the training loop's final segmentation of each training
-    word, rendered in the WordPiece convention and ordered by descending
-    frequency (ties by ascending token).
+    ``merges`` are distinct (left, right) symbol pairs in learned order;
+    earlier pairs have priority during application.  ``END_OF_WORD`` is
+    fused onto a word's final character, so word-final symbols carry a
+    ``"</w>"`` suffix internally; application output strips it.
+    ``wordpiece_vocab`` holds the subwords of each training word's
+    segmentation (the training loop's final symbols, or :func:`bpe_apply`'s
+    pieces for a word whose text holds ``END_OF_WORD``), rendered in the
+    WordPiece convention and ordered by descending frequency (ties by
+    ascending token).
     """
 
     merges: tuple[tuple[str, str], ...]
@@ -117,19 +119,24 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
     Pair counts are built once; each merge then updates only the words that
     hold the merged pair, and in each such word only the changed span: the
     pairs from the one before its first merge site to the one after its
-    last (Sennrich et al. 2016).  The emitted vocabulary is counted per
-    distinct final symbol and position (whole word, head, inner, tail), so
-    each symbol is rendered once.
+    last (Sennrich et al. 2016).  A pair is learned at most once, so the
+    merges file always loads.  The emitted vocabulary is counted per
+    distinct final symbol in two position classes, a word's first symbol
+    and the rest, so each symbol is rendered once.  A word whose text holds
+    ``END_OF_WORD`` is segmented by :func:`bpe_apply` instead: one of its
+    later symbols can spell a marked one, which application merges again.
 
     Raises ``EmptyCorpus`` if the table has no word with positive frequency.
     """
     if target_vocab < 1:
         raise ValidationError(f"target_vocab must be positive, got {target_vocab}")
+    texts: list[str] = []
     words: list[list[str]] = []
     freqs: list[int] = []
     for word, freq in corpus.items():
         if freq <= 0:
             continue
+        texts.append(word)
         words.append(_symbolize(word))
         freqs.append(freq)
     if not words:
@@ -152,14 +159,16 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
     heap = [(-count, pair) for pair, count in pair_counts.items()]
     heapq.heapify(heap)
 
-    merges: list[tuple[str, str]] = []
+    # learned pairs in order; "</w>" text inside a word can bring a merged
+    # pair back, and such a pair is dropped like a stale entry
+    merges: dict[tuple[str, str], None] = {}
     while len(symbols_seen) < target_vocab:
-        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+        while heap and (pair_counts.get(heap[0][1]) != -heap[0][0] or heap[0][1] in merges):
             heapq.heappop(heap)
         if not heap or -heap[0][0] < 2:
             break
         left, right = pair = heapq.heappop(heap)[1]
-        merges.append(pair)
+        merges[pair] = None
         merged = left + right
         delta: dict[tuple[str, str], int] = {}
         merged_count = 0
@@ -217,34 +226,30 @@ def bpe_train(corpus: Mapping[str, int], target_vocab: int) -> BpeModel:
             if not symbols_seen[s]:
                 del symbols_seen[s]
 
-    # the loop's final symbols are each training word's segmentation; count
-    # them by position, then render each distinct symbol once: only a word's
-    # last symbol carries the marker, and a mid-word symbol may end like it
-    whole: dict[str, int] = {}
-    head: dict[str, int] = {}
-    inner: dict[str, int] = {}
-    tail: dict[str, int] = {}
-    for symbols, freq in zip(words, freqs):
-        s = symbols[0]
-        if len(symbols) == 1:
-            whole[s] = whole.get(s, 0) + freq
-            continue
-        head[s] = head.get(s, 0) + freq
-        for s in symbols[1:-1]:
-            inner[s] = inner.get(s, 0) + freq
-        s = symbols[-1]
-        tail[s] = tail.get(s, 0) + freq
+    # a word's segmentation is the loop's final symbols, of which only the
+    # last ends in the marker, unless its text holds the marker: then a
+    # later symbol may spell a marked one that bpe_apply merges again, so
+    # bpe_apply segments it.  Symbols are counted as first or later, so
+    # each distinct one is rendered once.
+    model = BpeModel(merges=tuple(merges))
     entry_counts: Counter = Counter()
-    for s, count in whole.items():
+    first: dict[str, int] = {}
+    rest: dict[str, int] = {}
+    for word, symbols, freq in zip(texts, words, freqs):
+        if END_OF_WORD in word:
+            for piece in wordpiece_style(bpe_apply(model, word)):
+                entry_counts[piece] += freq
+            continue
+        s = symbols[0]
+        first[s] = first.get(s, 0) + freq
+        for s in symbols[1:]:
+            rest[s] = rest.get(s, 0) + freq
+    for s, count in first.items():
         entry_counts[s.removesuffix(END_OF_WORD)] += count
-    for s, count in head.items():
-        entry_counts[s] += count
-    for s, count in inner.items():
-        entry_counts[CONTINUATION_PREFIX + s] += count
-    for s, count in tail.items():
+    for s, count in rest.items():
         entry_counts[CONTINUATION_PREFIX + s.removesuffix(END_OF_WORD)] += count
     entries = tuple(sorted(entry_counts, key=lambda t: (-entry_counts[t], t)))
-    return BpeModel(merges=tuple(merges), wordpiece_vocab=entries)
+    return BpeModel(merges=model.merges, wordpiece_vocab=entries)
 
 
 def bpe_apply(model: BpeModel, word: str) -> list[str]:
@@ -342,23 +347,3 @@ def wordpiece_segment(
     else:
         status = SegmentStatus.WORD_OOV_SUBWORD_OK
     return Segmentation(word, tuple(pieces), status)
-
-
-def classify_corpus(
-    vocab: Vocabulary,
-    unk: str,
-    lines: Iterable[str],
-    max_chars: int = DEFAULT_MAX_CHARS,
-) -> Iterator[Segmentation]:
-    """Yield one :class:`Segmentation` per whitespace-separated word.
-
-    Each distinct word is segmented once; its repeats yield the same frozen
-    object.
-    """
-    seen: dict[str, Segmentation] = {}
-    for line in lines:
-        for word in line.split():
-            seg = seen.get(word)
-            if seg is None:
-                seg = seen[word] = wordpiece_segment(vocab, unk, word, max_chars)
-            yield seg

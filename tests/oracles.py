@@ -382,7 +382,9 @@ def bpe_train_reference(corpus, target_vocab: int, marker: str = "</w>", prefix:
     """The rescanning BPE trainer: recount every pair and symbol per merge.
 
     Returns ``(merges, wordpiece_vocab)`` with the package's stop rule and
-    tie-break: highest count, then the smallest (left, right) pair.
+    tie-break: highest count, then the smallest (left, right) pair.  A pair
+    already learned is never chosen again, even if ``marker`` text inside a
+    word brings it back.
     """
     words = {
         tuple(w[:-1]) + (w[-1] + marker,): f for w, f in corpus.items() if f > 0
@@ -392,7 +394,7 @@ def bpe_train_reference(corpus, target_vocab: int, marker: str = "</w>", prefix:
         types = {s for symbols in words for s in symbols}
         if len(types) >= target_vocab:
             break
-        counts = _pair_counts(words)
+        counts = {p: c for p, c in _pair_counts(words).items() if p not in merges}
         if not counts:
             break
         best_freq = max(counts.values())

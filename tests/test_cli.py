@@ -21,9 +21,10 @@ from conftest import (
     tok_list,
     unit_rows,
 )
-from test_tokenizer import repeat_corpus
+from test_tokenizer import FRENCH_PIECES, FRENCH_SENTENCE, repeat_corpus
 from vocab_bridge import (
     LinearMap,
+    Vocabulary,
     bpe_apply,
     bpe_train,
     emit_expanded,
@@ -32,9 +33,10 @@ from vocab_bridge import (
     load_embeddings,
     load_vocabulary,
     save_embeddings,
+    wordpiece_segment,
 )
 import vocab_bridge
-from vocab_bridge import alignment, cli, embeddings, oov
+from vocab_bridge import alignment, cli, embeddings, oov, tokenizer
 from vocab_bridge.alignment import load_map, save_map
 from vocab_bridge.cli import _read_tokens, dispatch
 from vocab_bridge.errors import MalformedLine
@@ -355,6 +357,40 @@ class TestBpeCommands:
         )
         assert code == 0
         assert out.read_text(encoding="utf-8") == "a\tIN_VOCAB\ta\n"
+
+    def test_wordpiece_repeats_match_per_word_segmentation(self, tmp_path, monkeypatch):
+        """One line per occurrence, equal to a per-word segmentation; each
+        distinct word is segmented once."""
+        lines = repeat_corpus() + [FRENCH_SENTENCE + "\n"]
+        tokens = FRENCH_PIECES + ["fil", "##ms", "##mé", "a", "##b"]
+        vocab = write(tmp_path / "v.txt", "\n".join(tokens) + "\n")
+        text = write(tmp_path / "c.txt", "".join(lines))
+        out = tmp_path / "out.txt"
+        calls = Counter()
+
+        def counting_segment(vocab, unk, word, max_chars):
+            calls[word] += 1
+            return wordpiece_segment(vocab, unk, word, max_chars)
+
+        monkeypatch.setattr(tokenizer, "wordpiece_segment", counting_segment)
+        argv = ["wordpiece", "--vocab", vocab, "--input", text, "--output", str(out)]
+        assert dispatch(argv) == 0
+        expected = []
+        vocabulary = Vocabulary(tokens)
+        for line in lines:
+            for word in line.split():
+                seg = wordpiece_segment(vocabulary, "[UNK]", word)
+                expected.append(f"{word}\t{seg.status.value}\t{' '.join(seg.pieces)}\n")
+        assert out.read_text(encoding="utf-8") == "".join(expected)
+        assert set(calls.values()) == {1}
+        assert len(expected) > 10 * len(calls)
+
+    @pytest.mark.parametrize("content", ["", "\n \t\n\n"])
+    def test_wordpiece_empty_input_writes_nothing(self, tmp_path, capsys, content):
+        vocab = write(tmp_path / "v.txt", "les\n")
+        text = write(tmp_path / "c.txt", content)
+        assert dispatch(["wordpiece", "--vocab", vocab, "--input", text]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestAlignCommands:

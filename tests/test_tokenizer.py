@@ -12,7 +12,6 @@ from vocab_bridge import (
     Vocabulary,
     bpe_apply,
     bpe_train,
-    classify_corpus,
     load_vocabulary,
     save_vocabulary,
     wordpiece_segment,
@@ -30,11 +29,18 @@ from vocab_bridge.tokenizer import (
 # one- and two-letter alphabets give long runs of one repeated pair; the
 # marker's own characters make words that end like a marked symbol
 ALPHABETS = ("a", "ab", "abc", "abcd", "<>/w", "ab</w>", "w>")
+# units joined into words: "</w>" whole or in parts, so a mid-word symbol
+# can spell a marked one
+MARKER_UNITS = ("a", "b", "</w>", "<", "/", "w", ">", "w/", "/<")
 
 
 @st.composite
 def bpe_corpora(draw):
-    alphabet = draw(st.sampled_from(ALPHABETS))
+    alphabet = draw(st.sampled_from((*ALPHABETS, MARKER_UNITS)))
+    if alphabet is MARKER_UNITS:
+        units = st.lists(st.sampled_from(MARKER_UNITS), min_size=1, max_size=6)
+        return draw(st.dictionaries(units.map("".join), st.integers(1, 9),
+                                    min_size=1, max_size=12))
     words = st.text(alphabet=alphabet, min_size=1, max_size=8)
     return draw(st.dictionaries(words, st.integers(0, 5), min_size=1, max_size=12))
 
@@ -107,8 +113,8 @@ class TestBpeTrain:
         assert model.wordpiece_vocab == ("aa", "##b", "a")
 
     def test_marker_text_inside_a_word_is_kept(self):
-        """Only a word's last symbol loses the marker: the head and an inner
-        symbol that spell "</w>" themselves are rendered as they are."""
+        """A word that spells "</w>" itself keeps that text in its pieces:
+        only the marker fused onto its last character is stripped."""
         corpus = {"</w>a</w><": 1}
         model = bpe_train(corpus, 17)
         assert model.wordpiece_vocab == ("##<", "##</w>", "##a", "</w>")
@@ -125,14 +131,22 @@ class TestBpeTrain:
     @example(corpus={"aaaaaaa": 4, "aaaaa": 3, "aaa": 2}, target=60)
     @example(corpus={"abababa": 3, "baba": 2, "bab": 2}, target=60)
     @example(corpus={"abc": 3, "bcd": 3, "abcd": 2, "bc": 2}, target=60)
+    @example(corpus={"a": 2, "w/</w>a": 2, "w/": 4}, target=27)
+    @example(corpus={"w/aw/": 1, "w/</w>w/</w>w/": 1, "/<<w/": 1}, target=9)
     def test_matches_rescanning_trainer(self, tmp_path_factory, corpus, target):
         """Merges, emitted vocabulary and merges file equal the reference's,
-        and both files reload to a model and vocabulary that act the same."""
+        and both files reload to a model and vocabulary that act the same.
+        No pair is learned twice, and the emitted vocabulary holds every
+        training word's applied pieces."""
         assume(any(freq > 0 for freq in corpus.values()))
         model = bpe_train(corpus, target)
         merges, vocab = oracles.bpe_train_reference(corpus, target)
         assert model.merges == merges
         assert model.wordpiece_vocab == vocab
+        assert len(set(model.merges)) == len(model.merges)
+        for word, freq in corpus.items():
+            if freq > 0:
+                assert set(wordpiece_style(bpe_apply(model, word))) <= set(vocab)
         tmp = tmp_path_factory.mktemp("merges")
         save_bpe_model(model, tmp / "fast.txt")
         save_bpe_model(BpeModel(merges=merges), tmp / "ref.txt")
@@ -359,34 +373,6 @@ class TestWordPiece:
         want = oracles.wordpiece_segment_reference(set(tokens), "[UNK]", word, max_chars)
         assert seg.word == word
         assert (seg.pieces, seg.status.value) == want
-
-    def test_classify_corpus_stream(self):
-        segs = list(classify_corpus(self.vocab(), "[UNK]", [FRENCH_SENTENCE]))
-        assert len(segs) == 12
-        statuses = [s.status for s in segs]
-        assert statuses.count(SegmentStatus.SUBWORD_OOV) == 2
-        assert statuses.count(SegmentStatus.WORD_OOV_SUBWORD_OK) == 1
-        by_word = {s.word: s.status for s in segs}
-        assert by_word["qu'"] is SegmentStatus.WORD_OOV_SUBWORD_OK
-        assert by_word["ça"] is SegmentStatus.SUBWORD_OOV
-        assert by_word["médecins"] is SegmentStatus.SUBWORD_OOV
-
-    def test_classify_corpus_segments_each_word_once(self):
-        """Repeats yield the first segmentation, equal to a per-word call."""
-        vocab = Vocabulary(FRENCH_PIECES + ["fil", "##ms", "##mé", "a", "##b"])
-        lines = repeat_corpus()
-        segs = list(classify_corpus(vocab, "[UNK]", lines))
-        expected = [
-            wordpiece_segment(vocab, "[UNK]", word) for line in lines for word in line.split()
-        ]
-        assert segs == expected
-        first = {}
-        for seg in segs:
-            assert first.setdefault(seg.word, seg) is seg
-        assert len(segs) > 10 * len(first)
-
-    def test_classify_empty_corpus(self):
-        assert list(classify_corpus(self.vocab(), "[UNK]", [])) == []
 
     def test_continuation_spelled_word(self):
         """A word literally starting with ## can be an ordinary vocab token."""
