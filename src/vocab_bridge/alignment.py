@@ -22,6 +22,12 @@ r-terms and the scores in row blocks of about ``_BLOCK_CELLS`` cells, written
 into block buffers allocated once per call (two at most), so memory is
 bounded by that budget, not by queries x targets.  Blocking moves scores only
 by rounding (within 1e-12 of one block) and leaves the ranking rule as it is.
+Each block's selection reads its scores without a second full-width copy:
+for one target it is the row's argmax (the first of equal maxima, the lowest
+id); for ``top`` targets, the ``top``-th largest of the row's maxima over
+``min(m, 4 * top)`` column chunks bounds its ``top``-th best score from
+below, and an exact ``(-score, id)`` sort of the columns at or above that
+cut keeps the best ``top``.
 The kernel is two steps, the target r-term and the ranking; ``evaluate_map``
 runs them itself so that both ``align-eval`` scores share one target r-term
 when the unsupervised sample is the whole source.
@@ -208,7 +214,10 @@ def _csls_rank(
     """The ``top`` best CSLS targets for every query row, given ``r_t``."""
     ids = np.empty((len(queries), top), dtype=np.intp)
     best = np.empty((len(queries), top))
-    for b, scores, work in _buffered_blocks(len(queries), len(targets), 2):
+    m = len(targets)
+    c = min(m, 4 * top)
+    chunk_starts = np.arange(c) * m // c  # strictly increasing, as c <= m
+    for b, scores, work in _buffered_blocks(len(queries), m, 2):
         np.matmul(queries[b], targets.T, out=scores)
         # np.partition is a copy plus ndarray.partition, so partitioning a
         # copy in ``work`` keeps every mean and score bit for bit
@@ -219,16 +228,21 @@ def _csls_rank(
         scores *= 2.0
         scores -= r_q[:, None]
         scores -= r_t[None, :]
-        # every column at or above the row's top-th best score, then an exact
-        # (-score, id) sort of those few keeps ties at the cut in id order
         if top == 1:
-            cut = scores.max(axis=1)
-        else:
-            np.copyto(work, scores)
-            work.partition(-top, axis=1)
-            cut = work[:, -top]
+            # argmax returns the first of equal maxima: the lowest target id
+            col = scores.argmax(axis=1)
+            ids[b, 0] = col
+            best[b, 0] = scores[np.arange(len(col)), col]
+            continue
+        # the top-th largest of c chunk maxima (c distinct cells, c >= top)
+        # is at most the row's top-th best score, so every column at or above
+        # it holds the top; an exact (-score, id) sort of those few then keeps
+        # ties at the cut in id order.  With c == m the chunks are columns.
+        chunk_max = np.maximum.reduceat(scores, chunk_starts, axis=1)
+        chunk_max.partition(-top, axis=1)
+        cut = chunk_max[:, -top]
         flat = np.flatnonzero(scores >= cut[:, None])
-        rows, cols = np.divmod(flat, scores.shape[1])
+        rows, cols = np.divmod(flat, m)
         vals = scores.ravel()[flat]
         order = np.lexsort((cols, -vals, rows))
         starts = np.searchsorted(rows, np.arange(len(scores)))

@@ -117,7 +117,8 @@ def format_anchors(anchors: Sequence[tuple[str, float]]) -> str:
     return ",".join(f"{tok}:{weight:.{WEIGHT_DECIMALS}f}" for tok, weight in anchors)
 
 
-_WEIGHT_TAIL = re.compile(rf":\d+\.\d{{{WEIGHT_DECIMALS}}}$")
+# greedy ``.*`` splits an anchor at its last colon
+_ANCHOR = re.compile(rf"(.*):(\d+\.\d{{{WEIGHT_DECIMALS}}})")
 
 
 def save_assignments(
@@ -145,22 +146,23 @@ def load_assignments(path) -> list[tuple[str, list[tuple[str, float]]]]:
         token, anchor_field = parts
         if token in out:
             raise MalformedLine(f"repeated token {token!r}", line=lineno)
-        anchors: list[tuple[str, float]] = []
+        anchors: dict[str, float] = {}
         buf: str | None = None
         for fragment in anchor_field.split(","):
             buf = fragment if buf is None else buf + "," + fragment
-            if _WEIGHT_TAIL.search(buf):
-                tok, weight_text = buf.rsplit(":", 1)
+            match = _ANCHOR.fullmatch(buf)
+            if match:
+                tok, weight_text = match.groups()
                 if not _is_token(tok):
                     raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
-                if any(tok == seen for seen, _ in anchors):
+                if tok in anchors:
                     raise MalformedLine(f"repeated anchor {tok!r}", line=lineno)
-                anchors.append((tok, float(weight_text)))
+                anchors[tok] = float(weight_text)
                 buf = None
         if buf is not None or not anchors:
             raise MalformedLine(f"unparseable anchor list {anchor_field!r}", line=lineno)
-        total = sum(w for _, w in anchors)
+        total = sum(anchors.values())
         if total <= 0:
             raise MalformedLine("anchor weights sum to zero", line=lineno)
-        out[token] = [(t, w / total) for t, w in anchors]
+        out[token] = [(t, w / total) for t, w in anchors.items()]
     return list(out.items())

@@ -7,18 +7,20 @@ sorts, and no shared code paths with the package under test.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 
 import numpy as np
 
 from vocab_bridge.alignment import _mapped_unit, _row_blocks
-from vocab_bridge.embeddings import _unit_rows
+from vocab_bridge.embeddings import _read_lines, _unit_rows
 from vocab_bridge.errors import (
     CountMismatch,
     DimMismatch,
     EmptyEvalDict,
     KTooLarge,
     MalformedHeader,
+    MalformedLine,
     MissingAnchor,
     NonFiniteValue,
     ParseError,
@@ -115,6 +117,42 @@ def random_rows_reference(new_tokens, model_vocab, model_emb, seed: int):
         rows[i] = model_emb.row(donor)
         provenance.append((tok, "random", f"donor={donor}"))
     return rows, provenance
+
+
+_WEIGHT_TAIL = re.compile(r":\d+\.\d{6}$")
+
+
+def load_assignments_reference(path) -> list[tuple[str, list[tuple[str, float]]]]:
+    """``mixture.load_assignments`` as it parsed before one compiled match
+    per fragment and a dict of seen anchors: a tail search, ``rsplit`` at
+    the last colon and a scan of the anchors so far."""
+    out: dict[str, list[tuple[str, float]]] = {}
+    for lineno, line in _read_lines(path):
+        parts = line.split("\t")
+        if len(parts) != 2 or not _is_token(parts[0]) or not parts[1]:
+            raise MalformedLine(f"expected 'token<TAB>anchors', got {line!r}", line=lineno)
+        token, anchor_field = parts
+        if token in out:
+            raise MalformedLine(f"repeated token {token!r}", line=lineno)
+        anchors: list[tuple[str, float]] = []
+        buf: str | None = None
+        for fragment in anchor_field.split(","):
+            buf = fragment if buf is None else buf + "," + fragment
+            if _WEIGHT_TAIL.search(buf):
+                tok, weight_text = buf.rsplit(":", 1)
+                if not _is_token(tok):
+                    raise MalformedLine(f"invalid anchor token in {buf!r}", line=lineno)
+                if any(tok == seen for seen, _ in anchors):
+                    raise MalformedLine(f"repeated anchor {tok!r}", line=lineno)
+                anchors.append((tok, float(weight_text)))
+                buf = None
+        if buf is not None or not anchors:
+            raise MalformedLine(f"unparseable anchor list {anchor_field!r}", line=lineno)
+        total = sum(w for _, w in anchors)
+        if total <= 0:
+            raise MalformedLine("anchor weights sum to zero", line=lineno)
+        out[token] = [(t, w / total) for t, w in anchors]
+    return list(out.items())
 
 
 def vocabulary_fault_reference(tokens) -> str | None:

@@ -535,6 +535,55 @@ class TestCslsReference:
         assert np.array_equal(scores, want_scores)
 
 
+class TestCslsSelection:
+    """Each block's selection (argmax for one target, a cut from chunk maxima
+    for more) against the reference's full-width cut, bit for bit."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        n_src=st.integers(1, 6),
+        d=st.integers(1, 4),
+        m=st.integers(1, 100),
+        data=st.data(),
+    )
+    def test_every_top_and_budget_matches_the_reference(self, seed, n, n_src, d, m, data):
+        """Targets repeat rows of a 4-row bank, so exact ties cross chunk
+        boundaries; past ``m = 4 * top`` the ``4 * top`` chunks are uneven."""
+        rng = np.random.default_rng(seed)
+        queries = unit_rows(rng, n, d)
+        src = unit_rows(rng, n_src, d)
+        targets = unit_rows(rng, 4, d)[rng.integers(0, 4, size=m)]
+        k = data.draw(st.integers(1, min(n_src, m)), label="k")
+        budgets = data.draw(
+            st.lists(st.integers(1, max(n * m, m * n_src)), min_size=1, max_size=3),
+            label="budgets",
+        )
+        for budget in budgets:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(alignment, "_BLOCK_CELLS", budget)
+                for top in range(1, m + 1):
+                    ids, scores = _csls_topk(queries, targets, src, k, top)
+                    want_ids, want_scores = oracles.csls_topk_reference(
+                        queries, targets, src, k, top
+                    )
+                    assert np.array_equal(ids, want_ids)
+                    assert np.array_equal(scores, want_scores)
+
+    @pytest.mark.parametrize("n, m", [(742, 2000), (610, 700)])
+    def test_bench_shapes_match_the_reference(self, n, m):
+        """Many-block rankings at the ``retrieval`` benchmark's shapes (d=16)."""
+        rng = np.random.default_rng(n + m)
+        queries = unit_rows(rng, n, 16)
+        targets = unit_rows(rng, m, 16)
+        for top in (1, 5, 50):
+            ids, scores = _csls_topk(queries, targets, queries, 10, top)
+            want_ids, want_scores = oracles.csls_topk_reference(queries, targets, queries, 10, top)
+            assert np.array_equal(ids, want_ids)
+            assert np.array_equal(scores, want_scores)
+
+
 class TestEvaluateMapReference:
     """``evaluate_map`` shares one target r-term exactly when the sample is
     the whole source; both numbers match two full kernel calls bit for bit."""

@@ -544,5 +544,38 @@ class TestAssignmentFiles:
             load_assignments(path)
         assert exc.value.line == 2
 
+    # anchors from these characters hold commas, colons, points and digits,
+    # so fragments and weight tails can be confused at every split
+    _CHARS = "abc,:.09"
+    _WEIGHTS = ["0.500000", "1.000000", "0.250000", "12.345678", "0.000000", "0.5", "3.1234567"]
+    _RECORD = st.tuples(
+        st.text(_CHARS, min_size=1, max_size=3),
+        st.lists(
+            st.tuples(st.text(_CHARS, min_size=1, max_size=4), st.sampled_from(_WEIGHTS)),
+            min_size=1, max_size=4,
+        ),
+    ).map(lambda r: r[0] + "\t" + ",".join(f"{a}:{w}" for a, w in r[1]))
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(_RECORD, max_size=6),
+        raw=st.one_of(st.none(), st.tuples(st.integers(0, 6), st.text(_CHARS + "\t ", max_size=12))),
+    )
+    def test_matches_the_reference_parser(self, tmp_path_factory, lines, raw):
+        """Equal records, or the same exception on the same line; ``raw`` is
+        an optional free-form line put among the records."""
+        if raw is not None:
+            lines.insert(*raw)
+        path = tmp_path_factory.mktemp("mix") / "mix.tsv"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+        def outcome(load):
+            try:
+                return load(path)
+            except MalformedLine as exc:
+                return type(exc), exc.line, str(exc)
+
+        assert outcome(load_assignments) == outcome(oracles.load_assignments_reference)
+
     def test_format_anchors(self):
         assert format_anchors([("x", 0.1), ("y", 0.9)]) == "x:0.100000,y:0.900000"
