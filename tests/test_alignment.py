@@ -432,7 +432,7 @@ class TestCslsBlocks:
 
 
 class TestCslsTopOne:
-    """``top=1`` takes its cut from the row max instead of a partition."""
+    """``top=1`` takes the row's argmax instead of a cut and a sort."""
 
     @settings(derandomize=True, max_examples=80, deadline=None)
     @given(
